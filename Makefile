@@ -29,9 +29,8 @@ bench-quick:
 
 # batched soak-lane execution benchmark (experiment A11): sequential
 # per-lane reactors vs simulate_batch (shared specialized plan + lane
-# memo, plus the unspecialized cross-lane vector tier), byte-identity
-# asserted per cell; writes benchmarks/out/A11_batched_soak.txt and
-# BENCH_A11_batched_soak.json
+# memo), byte-identity asserted per cell; writes
+# benchmarks/out/A11_batched_soak.txt and BENCH_A11_batched_soak.json
 bench-a11:
 	cd benchmarks && BENCH_QUICK=1 PYTHONPATH=../src $(PYTHON) -m pytest \
 		bench_a11_batched_soak.py -q -s

@@ -3,18 +3,19 @@
 A soak campaign is many near-identical runs of one design: the same base
 schedule with per-lane fault/jitter perturbation ("validate many flows,
 not one").  This bench measures the wall-time of running N such lanes on
-the desynchronized producer-consumer pair three ways:
+the desynchronized producer-consumer pair two ways:
 
 - ``sequential``: the pre-batching idiom — one unspecialized
   :class:`~repro.sim.Reactor` per lane, reacted row by row (the
   baseline every speedup is quoted against);
 - ``batch``: :func:`~repro.sim.batch.simulate_batch` in its default
-  configuration — one shared *specialized* plan, lane-array recording,
-  and the run-wide reaction memo that shares work across lanes reaching
-  the same ``(state, inputs)`` pair;
-- ``vector``: the same batch forced onto the unspecialized tier, where
-  the cross-lane numpy executor (:mod:`repro.sim.vector`) evaluates all
-  lanes in one sweep per instant.
+  configuration — one shared *specialized* plan, and the run-wide
+  reaction memo that shares work across lanes reaching the same
+  ``(state, inputs)`` pair.
+
+The specialized plan is built once, before the first cell, and its build
+time is reported on its own row: a campaign pays it once, so charging it
+to whichever cell happens to run first would misstate that cell.
 
 Every cell asserts the batched trace is byte-identical to the
 sequential trace, lane by lane — the speedup must come from
@@ -30,7 +31,8 @@ from repro.desync import desynchronize
 from repro.faults.soak import jittered_stimulus
 from repro.lang.analysis import flatten_program
 from repro.sim import Reactor
-from repro.sim.batch import numpy_available, simulate_batch
+from repro.sim.batch import simulate_batch
+from repro.sim.plan import clear_plan_cache, shared_plan
 
 from _report import emit, quick, table
 
@@ -64,7 +66,7 @@ def _lane_rows(n_lanes, rate):
     ]
 
 
-def _cell(comp, n_lanes, rate):
+def _cell(comp, plan, n_lanes, rate):
     lanes = _lane_rows(n_lanes, rate)
 
     t0 = time.perf_counter()
@@ -75,19 +77,13 @@ def _cell(comp, n_lanes, rate):
     t_seq = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = simulate_batch(comp, [iter(rows) for rows in lanes])
+    report = simulate_batch(comp, [iter(rows) for rows in lanes], plan=plan)
     t_batch = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    unspec = simulate_batch(
-        comp, [iter(rows) for rows in lanes], specialize=False
-    )
-    t_vec = time.perf_counter() - t0
-
     for k in range(n_lanes):
-        ref = repr(sequential[k])
-        assert repr(report.traces[k].instants) == ref, (n_lanes, rate, k)
-        assert repr(unspec.traces[k].instants) == ref, (n_lanes, rate, k)
+        assert repr(report.traces[k].instants) == repr(sequential[k]), (
+            n_lanes, rate, k,
+        )
 
     instants = n_lanes * HORIZON
     return {
@@ -96,50 +92,51 @@ def _cell(comp, n_lanes, rate):
         "instants": instants,
         "sequential_s": t_seq,
         "batch_s": t_batch,
-        "batch_mode": report.stats["mode"],
         "batch_memo_hits": report.stats["memo_hits"],
         "batch_speedup": t_seq / t_batch if t_batch else 0.0,
-        "unspec_batch_s": t_vec,
-        "unspec_batch_mode": unspec.stats["mode"],
-        "unspec_batch_speedup": t_seq / t_vec if t_vec else 0.0,
     }
 
 
 def run_experiment():
     comp = _design()
-    return [_cell(comp, n, rate) for n in LANES for rate in RATES]
+    clear_plan_cache()
+    t0 = time.perf_counter()
+    plan = shared_plan(comp)
+    build_s = time.perf_counter() - t0
+    cells = [_cell(comp, plan, n, rate) for n in LANES for rate in RATES]
+    return build_s, cells
 
 
 def test_a11_batched_soak(benchmark):
-    records = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    build_s, records = benchmark.pedantic(
+        run_experiment, rounds=1, iterations=1
+    )
     emit(
         "A11_batched_soak",
         "batched soak, {} instants/lane, jittered handshake lanes\n".format(
             HORIZON
         )
+        + "specialized plan build (once, before the cells): {:.3f} s\n".format(
+            build_s
+        )
         + table(
             ["lanes", "jitter", "sequential (s)", "batch (s)", "speedup",
-             "mode", "memo hits", "unspec batch (s)", "unspec mode"],
+             "memo hits"],
             [
                 (r["lanes"], r["rate"],
                  "{:.3f}".format(r["sequential_s"]),
                  "{:.3f}".format(r["batch_s"]),
                  "{:.1f}x".format(r["batch_speedup"]),
-                 r["batch_mode"], r["batch_memo_hits"],
-                 "{:.3f}".format(r["unspec_batch_s"]),
-                 r["unspec_batch_mode"])
+                 r["batch_memo_hits"])
                 for r in records
             ],
         ),
-        data=records,
+        data={"plan_build_s": build_s, "cells": records},
     )
     for r in records:
         # the batch memo exists to exploit cross-lane redundancy; on this
         # workload every multi-lane cell must share most reactions
         if r["lanes"] >= 16:
             assert r["batch_memo_hits"] > r["instants"] // 2, r
-        # the unspecialized tier takes the cross-lane vector executor
-        if r["lanes"] >= 16 and numpy_available():
-            assert r["unspec_batch_mode"] == "vector", r
         if r["lanes"] == 64:
             assert r["batch_speedup"] >= FLOOR_64, r

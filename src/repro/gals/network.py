@@ -288,7 +288,7 @@ class AsyncNetwork:
             # soaks build one fresh network per scenario from the *same*
             # node components; the shared plan cache (keyed by component
             # content) makes the per-network reactor builds near-free and
-            # picks the specialized fast path unless REPRO_NO_SPECIALIZE
+            # picks the specialized fast path
             self._reactors[node.name] = Reactor(
                 node.component, plan=shared_plan(node.component)
             )

@@ -18,12 +18,7 @@ signal is raised" (Section 5.2).  This package rebuilds that capability:
 """
 
 from repro.mc.lts import LTS, Transition
-from repro.mc.compile import (
-    ReactionMemo,
-    boolean_alphabet,
-    compile_lts,
-    input_alphabet,
-)
+from repro.mc.compile import boolean_alphabet, compile_lts, input_alphabet
 from repro.mc.safety import (
     CounterExample,
     check_invariant,
@@ -67,7 +62,6 @@ from repro.mc.lts import lts_from_dict, lts_to_dict
 __all__ = [
     "LTS",
     "Transition",
-    "ReactionMemo",
     "boolean_alphabet",
     "compile_lts",
     "input_alphabet",

@@ -8,27 +8,13 @@ violations) are recorded as invalid there.
 Finite-state designs only: value-carrying state must stay in a finite
 range (e.g. modular counters); the compiler aborts past ``max_states``
 otherwise.
-
-Two performance levers (both off by default):
-
-- ``memo=``: a :class:`ReactionMemo` caches reaction outcomes keyed by
-  ``(state, letter)``.  The transition function is deterministic, so a
-  memo shared across several :func:`compile_lts` calls on the *same*
-  design (e.g. the estimator's grow-and-reverify loop, or checking the
-  same design under several environment alphabets) makes revisited pairs
-  free.  Never share one memo between different designs.
-- ``workers=``: expand each BFS level's frontier in parallel with a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  The resulting LTS is
-  isomorphic to the sequential one (identical states, transitions and
-  invalid-letter sets up to state numbering).  Worth it for state spaces
-  in the tens of thousands; below that, process startup dominates.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import NonDeterministicClockError, SimulationError, VerificationError
 from repro.lang.analysis import flatten_program
@@ -87,44 +73,9 @@ def boolean_alphabet(component: Component, **kwargs) -> List[Dict[str, object]]:
     return input_alphabet(component, int_values=(0, 1), **kwargs)
 
 
-class ReactionMemo:
-    """A reaction-outcome table keyed by ``(state, frozen letter)``.
-
-    Outcomes are either ``None`` (the reaction is inconsistent — the
-    letter is invalid in that state) or ``(frozen visible outputs,
-    successor state)``.  The transition function is deterministic, so a
-    memo can be carried across :func:`compile_lts` calls on the same
-    design: revisited pairs cost one dict lookup instead of a reaction.
-
-    Do not share a memo between different designs (their state tuples
-    would collide), or with designs driven by a stateful oracle.
-    """
-
-    __slots__ = ("table", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.table: Dict[Tuple, Optional[Tuple]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def clear(self) -> None:
-        self.table.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entries": len(self.table),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def __repr__(self) -> str:
-        return "ReactionMemo({} entries, {} hits, {} misses)".format(
-            len(self.table), self.hits, self.misses
-        )
-
-
 def _react_outcome(plan, reactor, letter, state, oracle, instant_index, interface):
-    """Execute one reaction from ``state``; outcome in memo format."""
+    """Execute one reaction from ``state``: ``None`` when it is
+    inconsistent, else ``(frozen visible outputs, successor state)``."""
     if plan is not None:
         return plan.react_frozen(letter, state, oracle, instant_index, ABSENT)
     reactor.set_state(list(state))
@@ -139,26 +90,22 @@ def compile_lts(
     alphabet: Optional[List[Dict[str, object]]] = None,
     max_states: int = 200000,
     oracle=None,
-    memo: Optional[ReactionMemo] = None,
-    workers: Optional[int] = None,
     store=None,
 ) -> LTS:
     """Explore the full reachable state space of ``design``.
 
     ``design`` is a Component or Program (flattened first).  ``alphabet``
-    defaults to :func:`boolean_alphabet`.  ``memo`` carries reaction
-    outcomes across calls on the same design; ``workers`` parallelizes
-    frontier expansion (see the module docstring).  Raises
+    defaults to :func:`boolean_alphabet`.  Raises
     :class:`~repro.errors.VerificationError` when exploration exceeds
     ``max_states`` (the design is not finite-state, or the bound is too
     small) and when the design needs a clock oracle.
 
     ``store`` (an :class:`repro.mc.store.MCStore`) persists the compiled
     LTS across processes, keyed by design content and alphabet —
-    ``max_states``, ``memo`` and ``workers`` change wall time, never the
-    result, so they stay out of the key (a stored LTS larger than
-    ``max_states`` still raises).  Oracle-driven compilations bypass the
-    store: an oracle is arbitrary code outside the content hash.
+    ``max_states`` never changes the result, so it stays out of the key
+    (a stored LTS larger than ``max_states`` still raises).
+    Oracle-driven compilations bypass the store: an oracle is arbitrary
+    code outside the content hash.
 
     The returned LTS carries exploration counters in ``lts.stats``.
     """
@@ -187,28 +134,13 @@ def compile_lts(
                 )
             lts.stats["store"] = "hit"
             lts.stats["elapsed"] = 0.0
-            lts.stats["workers"] = workers or 1
             return lts
     t0 = time.perf_counter()
-    if workers is not None and workers > 1:
-        if oracle is not None:
-            raise VerificationError(
-                "workers>1 cannot ship a clock oracle to worker processes; "
-                "run sequentially or fix the free clocks"
-            )
-        lts = _compile_parallel(comp, alphabet, max_states, memo, workers)
-    else:
-        lts = _compile_sequential(comp, alphabet, max_states, oracle, memo)
+    lts = _explore(comp, alphabet, max_states, oracle)
     elapsed = time.perf_counter() - t0
     lts.stats["elapsed"] = elapsed
-    lts.stats["workers"] = workers or 1
-    if memo is not None:
-        lts.stats["memo"] = memo.stats()
     PERF.add_time("mc.explore", elapsed)
     PERF.incr("mc.reactions", int(lts.stats.get("reactions", 0)))
-    if memo is not None:
-        PERF.incr("mc.memo_hits", int(lts.stats.get("memo_hits", 0)))
-        PERF.incr("mc.memo_misses", int(lts.stats.get("memo_misses", 0)))
     if key is not None:
         from repro.mc.lts import lts_to_dict
 
@@ -217,18 +149,16 @@ def compile_lts(
     return lts
 
 
-def _compile_sequential(comp, alphabet, max_states, oracle, memo) -> LTS:
+def _explore(comp, alphabet, max_states, oracle) -> LTS:
+    """Depth-first exploration: every letter in every reachable state."""
     reactor = Reactor(comp, oracle=oracle)
     plan = reactor.plan
     interface = frozenset(comp.inputs) | frozenset(comp.outputs)
     letters = [(letter, freeze_letter(letter)) for letter in alphabet]
-    table = memo.table if memo is not None else None
     lts = LTS(reactor.state())
     frontier = [lts.initial]
     explored = set()
     reactions = 0
-    hits = 0
-    instant = 0
     while frontier:
         sid = frontier.pop()
         if sid in explored:
@@ -236,40 +166,21 @@ def _compile_sequential(comp, alphabet, max_states, oracle, memo) -> LTS:
         explored.add(sid)
         state = lts.state_data(sid)
         for letter, frozen in letters:
-            if table is not None:
-                key = (state, frozen)
-                outcome = table.get(key, _MISS)
-            else:
-                outcome = _MISS
-            if outcome is _MISS:
-                reactions += 1
-                try:
-                    outcome = _react_outcome(
-                        plan, reactor, letter, state, oracle, instant, interface
-                    )
-                except NonDeterministicClockError as exc:
-                    raise VerificationError(
-                        "design has free clocks; fix them or supply an oracle: "
-                        "{}".format(exc)
-                    )
-                except SimulationError:
-                    outcome = None
-                instant += 1
-                if table is not None:
-                    table[key] = outcome
-                    memo.misses += 1
-            else:
-                hits += 1
-                if memo is not None:
-                    memo.hits += 1
+            try:
+                outcome = _react_outcome(
+                    plan, reactor, letter, state, oracle, reactions, interface
+                )
+            except NonDeterministicClockError as exc:
+                raise VerificationError(
+                    "design has free clocks; fix them or supply an oracle: "
+                    "{}".format(exc)
+                )
+            except SimulationError:
+                outcome = None
+            reactions += 1
             if outcome is None:
                 lts.mark_invalid_frozen(sid, frozen)
                 continue
-            if outcome[0] == "free":  # memoized by a parallel run
-                raise VerificationError(
-                    "design has free clocks; fix them or supply an oracle: "
-                    "{}".format(outcome[1])
-                )
             foutputs, target_state = outcome
             target = lts.add_transition_frozen(sid, frozen, foutputs, target_state)
             if target not in explored:
@@ -282,130 +193,4 @@ def _compile_sequential(comp, alphabet, max_states, oracle, memo) -> LTS:
     if plan is not None:
         lts.stats.update(plan.counters_snapshot())
     lts.stats["reactions"] = reactions
-    lts.stats["memo_hits"] = hits
-    lts.stats["memo_misses"] = reactions if memo is not None else 0
-    return lts
-
-
-class _Miss:
-    def __repr__(self) -> str:
-        return "MISS"
-
-
-_MISS = _Miss()
-
-
-# -- parallel frontier expansion ---------------------------------------------
-#
-# Level-synchronous BFS: the unexplored frontier is chunked across worker
-# processes; each worker owns a Reactor built once per process from the
-# pickled component and returns reaction outcomes for its chunk, which the
-# coordinator folds into the LTS in submission order (making the result
-# deterministic for a given chunking).
-
-_W_PLAN = None
-_W_LETTERS = None
-
-
-def _worker_init(comp, alphabet):
-    global _W_PLAN, _W_LETTERS
-    reactor = Reactor(comp, check=False)
-    _W_PLAN = reactor.plan
-    _W_LETTERS = list(alphabet)
-
-
-def _worker_expand(states):
-    """Outcomes for every (state, letter) of a chunk of frontier states."""
-    out = []
-    plan = _W_PLAN
-    for state in states:
-        row = []
-        for letter in _W_LETTERS:
-            try:
-                row.append(plan.react_frozen(letter, state, None, 0, ABSENT))
-            except NonDeterministicClockError as exc:
-                row.append(("free", str(exc)))
-            except SimulationError:
-                row.append(None)
-        out.append(row)
-    return out
-
-
-def _compile_parallel(comp, alphabet, max_states, memo, workers) -> LTS:
-    from concurrent.futures import ProcessPoolExecutor
-
-    letters = [(letter, freeze_letter(letter)) for letter in alphabet]
-    table = memo.table if memo is not None else None
-    reactor = Reactor(comp)  # validates the design in-process first
-    lts = LTS(reactor.state())
-    explored = set()
-    frontier = [lts.initial]
-    reactions = 0
-    hits = 0
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(comp, alphabet)
-    ) as pool:
-        while frontier:
-            level = []
-            for sid in frontier:
-                if sid not in explored:
-                    explored.add(sid)
-                    level.append(sid)
-            frontier = []
-            if not level:
-                break
-            # memoized states never reach the pool
-            todo = []
-            outcomes = {}
-            for sid in level:
-                state = lts.state_data(sid)
-                if table is not None:
-                    row = [table.get((state, frozen), _MISS) for _, frozen in letters]
-                    if _MISS not in row:
-                        outcomes[sid] = row
-                        hits += len(row)
-                        memo.hits += len(row)
-                        continue
-                todo.append(sid)
-            chunk_size = max(1, (len(todo) + workers * 4 - 1) // (workers * 4))
-            chunks = [
-                todo[i : i + chunk_size] for i in range(0, len(todo), chunk_size)
-            ]
-            futures = [
-                pool.submit(_worker_expand, [lts.state_data(sid) for sid in chunk])
-                for chunk in chunks
-            ]
-            for chunk, fut in zip(chunks, futures):
-                for sid, row in zip(chunk, fut.result()):
-                    reactions += len(row)
-                    outcomes[sid] = row
-                    if table is not None:
-                        state = lts.state_data(sid)
-                        memo.misses += len(row)
-                        for (_, frozen), outcome in zip(letters, row):
-                            table[(state, frozen)] = outcome
-            for sid in level:
-                for (letter, frozen), outcome in zip(letters, outcomes[sid]):
-                    if outcome is None:
-                        lts.mark_invalid_frozen(sid, frozen)
-                        continue
-                    if outcome[0] == "free":
-                        raise VerificationError(
-                            "design has free clocks; fix them or supply an "
-                            "oracle: {}".format(outcome[1])
-                        )
-                    foutputs, target_state = outcome
-                    target = lts.add_transition_frozen(
-                        sid, frozen, foutputs, target_state
-                    )
-                    if target not in explored:
-                        frontier.append(target)
-                    if lts.num_states() > max_states:
-                        raise VerificationError(
-                            "state space exceeds {} states; "
-                            "is the design finite-state?".format(max_states)
-                        )
-    lts.stats["reactions"] = reactions
-    lts.stats["memo_hits"] = hits
-    lts.stats["memo_misses"] = reactions if memo is not None else 0
     return lts

@@ -14,14 +14,11 @@ counters and wall-time phases so benchmark deltas are attributable:
 - ``plan.cache_hits`` / ``plan.cache_misses`` — the process-wide
   compiled-plan cache (:func:`repro.sim.plan.shared_plan`);
 - ``batch.<kind>.*`` — the same executor counters for reactions run
-  through :func:`repro.sim.batch.simulate_batch` (including
-  ``batch.plan.vector_instants``, instants the cross-lane numpy
-  executor of :mod:`repro.sim.vector` solved for all lanes at once),
-  plus ``batch.runs`` / ``batch.lanes`` / ``batch.instants`` (campaign
-  volume), ``batch.memo_hits`` (reactions shared across lanes by the
-  run-wide ``(state, inputs)`` memo) and ``batch.vector_runs``;
-- ``mc.reactions`` / ``mc.memo_hits`` / ``mc.memo_misses`` — explicit
-  model-checker work and reaction-memo effectiveness;
+  through :func:`repro.sim.batch.simulate_batch`, plus ``batch.runs`` /
+  ``batch.lanes`` / ``batch.instants`` (campaign volume) and
+  ``batch.memo_hits`` (reactions shared across lanes by the run-wide
+  ``(state, inputs)`` memo);
+- ``mc.reactions`` — explicit model-checker work;
 - ``bdd.apply_hits`` / ``bdd.apply_misses`` / ``bdd.cache_clears`` /
   ``bdd.gc_collections`` / ``bdd.gc_reclaimed`` / ``bdd.sift_passes`` /
   ``bdd.sift_swaps`` — cache, garbage-collection and dynamic-reordering
@@ -43,11 +40,8 @@ counters and wall-time phases so benchmark deltas are attributable:
 
 Hot loops keep their own local integers and merge once per call
 (:meth:`PerfCounters.merge`), so instrumentation stays off the per-node
-fast paths.  Counters from worker processes spawned directly (e.g.
-``compile_lts(workers=N)``) are *not* aggregated — only the
-coordinating process records; sweeps routed through
-:func:`repro.perf.sweep.sweep` *do* merge their workers' per-task
-deltas back into the coordinator.
+fast paths.  Sweeps routed through :func:`repro.perf.sweep.sweep` merge
+their workers' per-task deltas back into the coordinator.
 """
 
 from __future__ import annotations

@@ -36,15 +36,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import queue
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.perf import PERF
 from repro.perf.sweep import (
     TaskResult,
+    _format_error,
     _init_worker,
     _merge_back,
     _run_task,
@@ -64,6 +67,11 @@ from repro.service.jobs import (
     spec_from_dict,
 )
 from repro.service import runner
+
+#: how many times in a row the dispatcher replaces a pool whose worker
+#: died before it fails jobs with the pool error instead (the count
+#: restarts whenever the pool returns a job's result)
+POOL_RESTARTS = 3
 
 
 class JobRecord:
@@ -142,6 +150,7 @@ class Scheduler:
         self._stop = False
         self._started = False
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_restarts = 0
         self._dispatcher: Optional[threading.Thread] = None
         self._executed = 0
 
@@ -155,16 +164,26 @@ class Scheduler:
             self._started = True
             self._stop = False
         if self.use_processes:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(runner.execute, None, False),
-            )
+            self._pool = self._new_pool()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
         )
         self._dispatcher.start()
         return self
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        """A pool whose workers are already forked.  The executor forks
+        lazily, on its first task; doing that here, before the dispatcher
+        and any socket handler thread run, keeps a child from inheriting
+        an import lock another thread holds."""
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_init_worker,
+            initargs=(runner.execute, None, False),
+        )
+        for f in [pool.submit(os.getpid) for _ in range(self.workers)]:
+            f.result()
+        return pool
 
     def __enter__(self) -> "Scheduler":
         return self.start()
@@ -376,6 +395,9 @@ class Scheduler:
             if self._pool is not None:
                 try:
                     future = self._pool.submit(_run_task, seq, spec_dict, True)
+                except BrokenProcessPool as exc:
+                    self._on_broken_pool(record, seq, exc)
+                    continue
                 except RuntimeError:
                     # pool torn down under us (shutdown race): requeue
                     with self._cv:
@@ -394,13 +416,37 @@ class Scheduler:
                 )
                 self._complete(job_id, task, merge_counters=False)
 
+    def _on_broken_pool(
+        self, record: JobRecord, seq: int, exc: BrokenProcessPool
+    ) -> None:
+        """A worker died, so the pool refuses new work.  Requeue the job
+        on a fresh pool while the restart budget lasts; past it, or when
+        stopping, fail the job with the pool error.  Jobs that were in
+        flight in the dead pool fail through :meth:`_on_future`."""
+        with self._cv:
+            restart = not self._stop and self._pool_restarts < POOL_RESTARTS
+            if restart:
+                self._pool_restarts += 1
+                record.state = PENDING
+                self._inflight -= 1
+                heapq.heappush(
+                    self._heap, (-record.spec.priority, seq, record.job_id)
+                )
+        if not restart:
+            task = TaskResult(-1, None, 0.0, {}, _format_error(exc))
+            self._complete(record.job_id, task, merge_counters=False)
+            return
+        self._pool.shutdown(wait=True)
+        self._pool = self._new_pool()
+
     def _on_future(self, job_id: str, future: "Future") -> None:
         try:
             task = future.result()
         except Exception as exc:  # pool/pickling failure, not job failure
-            task = TaskResult(
-                -1, None, 0.0, {}, "{}: {}".format(type(exc).__name__, exc)
-            )
+            task = TaskResult(-1, None, 0.0, {}, _format_error(exc))
+        else:
+            with self._lock:
+                self._pool_restarts = 0
         self._complete(job_id, task, merge_counters=True)
 
     def _complete(

@@ -141,9 +141,8 @@ class Reactor:
     specialize:
         When ``True``, compile the plan to generated straight-line Python
         (:class:`repro.sim.specialize.SpecializedPlan`) — observationally
-        identical, several times faster.  Overridden by the
-        ``REPRO_NO_SPECIALIZE=1`` environment variable.  Ignored when an
-        explicit ``plan`` is passed or ``compiled`` is ``False``.
+        identical, several times faster.  Ignored when an explicit
+        ``plan`` is passed or ``compiled`` is ``False``.
     """
 
     def __init__(
@@ -176,9 +175,8 @@ class Reactor:
             self._plan = plan
         elif compiled:
             from repro.sim.plan import ReactionPlan
-            from repro.sim.specialize import specialization_enabled
 
-            if specialize and specialization_enabled(True):
+            if specialize:
                 from repro.sim.specialize import SpecializedPlan
 
                 self._plan = SpecializedPlan(component)

@@ -808,18 +808,17 @@ def shared_plan(
     """The process-wide cached plan for ``component``.
 
     ``specialize`` selects the generated-source fast path
-    (:class:`repro.sim.specialize.SpecializedPlan`); ``None`` means "yes
-    unless ``REPRO_NO_SPECIALIZE`` is set" — callers that just want the
-    fastest correct plan should pass nothing.  Plain and specialized
-    plans are cached under separate keys.  The cache can be emptied with
-    :func:`clear_plan_cache` (useful around benchmarks)."""
+    (:class:`repro.sim.specialize.SpecializedPlan`); ``None`` means yes —
+    callers that just want the fastest correct plan should pass nothing.
+    Plain and specialized plans are cached under separate keys.  The
+    cache can be emptied with :func:`clear_plan_cache` (useful around
+    benchmarks)."""
     global _plan_cache
     from collections import OrderedDict
 
     from repro.perf import PERF
-    from repro.sim.specialize import specialization_enabled
 
-    want_spec = specialization_enabled(specialize)
+    want_spec = True if specialize is None else bool(specialize)
     key = (component_key(component), want_spec)
     with _plan_lock:
         if _plan_cache is None:

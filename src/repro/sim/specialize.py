@@ -22,20 +22,18 @@ plan is *observationally identical* to the plan — and hence to the
 reference interpreter — including every raised
 :class:`~repro.errors.SimulationError` message.
 
-Two escape hatches:
-
-- any step whose generated body would exceed :data:`MAX_STEP_LINES`
-  falls back to calling its closure step from inside the sweep (nested
-  ``default`` chains duplicate their lazy right branch, which can blow
-  up combinatorially on pathological programs);
-- setting ``REPRO_NO_SPECIALIZE=1`` in the environment disables
-  specialization globally — the debugging switch documented in
-  docs/performance.md.
+One escape hatch: any step whose generated body would exceed
+:data:`MAX_STEP_LINES` falls back to calling its closure step from
+inside the sweep (nested ``default`` chains duplicate their lazy right
+branch, which can blow up combinatorially on pathological programs).
+The closure plan stays one argument away: ``specialize=False`` on
+:func:`repro.sim.plan.shared_plan` and
+:func:`repro.sim.batch.simulate_batch` (a bare
+:class:`~repro.sim.engine.Reactor` specializes only when asked).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -59,17 +57,6 @@ from repro.sim.plan import ReactionPlan, _PENDING
 MAX_STEP_LINES = 4000
 
 _ST_NAME = "UPAC"
-
-
-def specialization_enabled(flag: Optional[bool] = None) -> bool:
-    """Whether specialization should be used.
-
-    ``REPRO_NO_SPECIALIZE=1`` wins over everything (the debugging
-    escape hatch); otherwise an explicit ``flag`` decides, and ``None``
-    means "yes, specialize" (the default for the shared plan cache)."""
-    if os.environ.get("REPRO_NO_SPECIALIZE", "") not in ("", "0"):
-        return False
-    return True if flag is None else bool(flag)
 
 
 class _Gen:
@@ -609,10 +596,7 @@ def specialize(design) -> SpecializedPlan:
 
     Accepts a :class:`~repro.lang.ast.Component` or a
     :class:`~repro.sim.plan.ReactionPlan`; returns a
-    :class:`SpecializedPlan` compiled for (the component of) it.  Note
-    this ignores ``REPRO_NO_SPECIALIZE`` — callers wanting the
-    environment gate should go through
-    :func:`repro.sim.plan.shared_plan` or
-    ``Reactor(..., specialize=True)``."""
+    :class:`SpecializedPlan` compiled for (the component of) it, outside
+    the process-wide cache of :func:`repro.sim.plan.shared_plan`."""
     comp = design.component if isinstance(design, ReactionPlan) else design
     return SpecializedPlan(comp)

@@ -181,12 +181,9 @@ def test_prop_engine_matches_denotation(comp, rows):
 @given(random_component(), random_stimulus(10))
 def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
     """The four execution paths — reference interpreter, compiled plan,
-    specialized generated code, batched lanes (numpy and object) — produce
-    identical traces: same presence statuses (a signal is in the row iff
-    present), same values, same rejection errors."""
-    import os
-    from unittest import mock
-
+    specialized generated code, batched lanes — produce identical traces:
+    same presence statuses (a signal is in the row iff present), same
+    values, same rejection errors."""
     from repro.sim.batch import simulate_batch
 
     def run(reactor):
@@ -206,17 +203,13 @@ def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
 
     rejected = bool(ref) and isinstance(ref[-1], tuple)
     rows_ok = ref[:-1] if rejected else ref
-    for env in ({}, {"REPRO_NO_NUMPY": "1"}):
-        with mock.patch.dict(os.environ, env):
-            report = simulate_batch(
-                comp, [iter(rows), iter(rows)], capture_errors=True
-            )
-        for lane in range(2):
-            if rejected:
-                assert report.errors[lane] == (ref[-1][1], ref[-1][2])
-            else:
-                assert report.errors[lane] is None
-            assert repr(report.traces[lane].instants) == repr(rows_ok)
+    report = simulate_batch(comp, [iter(rows), iter(rows)], capture_errors=True)
+    for lane in range(2):
+        if rejected:
+            assert report.errors[lane] == (ref[-1][1], ref[-1][2])
+        else:
+            assert report.errors[lane] is None
+        assert repr(report.traces[lane].instants) == repr(rows_ok)
 
 
 @settings(max_examples=40, deadline=None)

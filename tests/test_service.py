@@ -2,7 +2,11 @@
 content-addressed keys, the result cache, and the scheduler's states,
 priorities, coalescing, cancellation and worker-count invariance."""
 
+import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -253,6 +257,48 @@ class TestSchedulerPool:
             assert sched.wait(ids, timeout=120)
             assert sched.job(ids[0]).state == FAILED
             assert sched.job(ids[1]).state == DONE
+
+    def test_workers_fork_at_start(self):
+        before = {p.pid for p in multiprocessing.active_children()}
+        sched = Scheduler(workers=2).start()
+        try:
+            forked = [
+                p for p in multiprocessing.active_children()
+                if p.pid not in before
+            ]
+            assert len(forked) == 2
+        finally:
+            sched.shutdown()
+
+    def test_worker_death_fails_jobs_and_pool_recovers(self):
+        """Killing the workers mid-job ends every job ``done`` or
+        ``failed`` instead of requeueing a job on the dead pool forever,
+        and a job submitted afterwards runs on a fresh pool."""
+        long_soak = {
+            "kind": "soak", "design": "producer_consumer",
+            "params": {"seed": 3, "horizon": 30000.0},
+        }
+        before = {p.pid for p in multiprocessing.active_children()}
+        with Scheduler(workers=2) as sched:
+            ids = sched.submit_many([long_soak, LINT, SOAK])
+            deadline = time.monotonic() + 30
+            while sched.job(ids[0]).state == PENDING:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            for p in multiprocessing.active_children():
+                if p.pid not in before:
+                    os.kill(p.pid, signal.SIGKILL)
+            assert sched.wait(ids, timeout=30)
+            states = [sched.job(i).state for i in ids]
+            assert set(states) <= {DONE, FAILED}
+            assert states[0] == FAILED
+            assert "BrokenProcessPool" in sched.job(ids[0]).error
+            later = sched.submit(VERIFY)
+            assert sched.wait([later], timeout=30)
+            assert sched.job(later).state == DONE
+            assert sched.job(later).envelope["digest"] == (
+                execute(dict(VERIFY))["digest"]
+            )
 
 
 class TestPlanCacheThreadSafety:

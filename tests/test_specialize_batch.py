@@ -6,8 +6,7 @@ and the reference interpreter — same traces, same errors, same estimator
 outputs, same soak verdicts — only faster.
 """
 
-import os
-from unittest import mock
+import sys
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.lang.ast import App, Component, Equation, Program, Var
 from repro.lang.types import EVENT, INT
 from repro.perf import PERF
 from repro.sim import Reactor, simulate, simulate_batch, stimuli
-from repro.sim.batch import numpy_available
 from repro.sim.plan import (
     ReactionPlan,
     clear_plan_cache,
@@ -26,11 +24,7 @@ from repro.sim.plan import (
     plan_cache_stats,
     shared_plan,
 )
-from repro.sim.specialize import (
-    SpecializedPlan,
-    specialization_enabled,
-    specialize,
-)
+from repro.sim.specialize import SpecializedPlan, specialize
 
 
 def _corpus():
@@ -109,22 +103,6 @@ class TestSpecializedCorpus:
         assert isinstance(specialize(ReactionPlan(comp)), SpecializedPlan)
 
 
-class TestEnvironmentGate:
-    def test_no_specialize_env_wins(self):
-        with mock.patch.dict(os.environ, {"REPRO_NO_SPECIALIZE": "1"}):
-            assert not specialization_enabled(True)
-            assert not specialization_enabled(None)
-            comp = flatten_program(designs.producer_consumer())
-            reactor = Reactor(comp, specialize=True)
-            assert not isinstance(reactor.plan, SpecializedPlan)
-
-    def test_default_flag_semantics(self):
-        with mock.patch.dict(os.environ, {"REPRO_NO_SPECIALIZE": ""}):
-            assert specialization_enabled(None)
-            assert specialization_enabled(True)
-            assert not specialization_enabled(False)
-
-
 class TestPlanCache:
     def setup_method(self):
         clear_plan_cache()
@@ -184,19 +162,7 @@ class TestBatchLanes:
         for k, ref in enumerate(refs):
             assert repr(report.traces[k].instants) == repr(ref.instants)
 
-    def test_object_fallback_matches(self):
-        comp = flatten_program(designs.modular_producer_consumer())
-        lanes = [_stimulus(comp, seed) for seed in range(3)]
-        refs = [simulate(comp, iter(rows)) for rows in lanes]
-        with mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "1"}):
-            assert not numpy_available()
-            report = simulate_batch(comp, [iter(rows) for rows in lanes])
-        assert report.backend == "object"
-        for k, ref in enumerate(refs):
-            assert repr(report.traces[k].instants) == repr(ref.instants)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_demotes_on_int64_overflow(self):
+    def test_ints_beyond_64_bits_match_simulate(self):
         comp = Component(
             "big", {"x": INT}, {"y": INT}, {},
             [Equation("y", App("*", (Var("x"), Var("x"))))],
@@ -204,19 +170,16 @@ class TestBatchLanes:
         rows = [{"x": 3}, {"x": 2 ** 40}, {"x": -7}]
         ref = simulate(comp, iter(rows))
         report = simulate_batch(comp, [iter(rows), iter([{"x": 2}])])
-        assert report.backend == "object"
         assert repr(report.traces[0].instants) == repr(ref.instants)
         assert report.traces[1].instants == [{"x": 2, "y": 4}]
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_demotes_on_non_canonical_values(self):
+    def test_non_canonical_values_match_simulate(self):
         comp = Component(
             "ev", {"e": EVENT}, {"o": EVENT}, {}, [Equation("o", Var("e"))]
         )
         rows = [{"e": 1}, {}, {"e": True}]  # 1 is a tick, but not a bool
         ref = simulate(comp, iter(rows))
         report = simulate_batch(comp, [iter(rows)])
-        assert report.backend == "object"
         assert repr(report.traces[0].instants) == repr(ref.instants)
 
     def test_capture_errors_per_lane(self):
@@ -250,15 +213,56 @@ class TestBatchLanes:
             ]
             assert report.max_values(sig) == expected_max
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="needs sys.stdlib_module_names"
+    )
+    def test_batch_paths_import_only_the_standard_library(self):
+        """Lanes are pure Python: a batch and a multi-lane estimation in
+        a fresh interpreter import nothing outside the standard library
+        and ``repro`` (the package declares no dependencies)."""
+        import os
+        import subprocess
+
+        import repro
+
+        script = """if True:
+            import sys
+            before = set(sys.modules)
+            from repro import designs
+            from repro.desync.estimator import estimate_buffer_sizes
+            from repro.lang.analysis import flatten_program
+            from repro.sim import simulate_batch
+            from repro.workloads import scenarios
+
+            prog = designs.modular_producer_consumer()
+            comp = flatten_program(prog)
+            rows = [{"p_act": True}, {}] * 5
+            simulate_batch(comp, [iter(rows), iter(rows[1:])])
+            envs = [scenarios.steady(), scenarios.bursty_producer()]
+            estimate_buffer_sizes(
+                prog, [w.stimulus_factory for w in envs], horizon=30
+            )
+            imported = {m.split(".")[0] for m in set(sys.modules) - before}
+            # multiprocessing registers __main__ again as __mp_main__
+            known = set(sys.stdlib_module_names) | {"repro", "__mp_main__"}
+            outside = imported - known
+            assert not outside, sorted(outside)
+        """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
 
 class TestBatchMemo:
     def test_identical_lanes_hit_memo_on_object_backend(self):
         comp = flatten_program(designs.modular_producer_consumer())
         rows = _stimulus(comp, 3, n=12)
         ref = simulate(comp, iter(rows))
-        with mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "1"}):
-            report = simulate_batch(comp, [iter(rows) for _ in range(4)])
-        assert report.backend == "object"
+        report = simulate_batch(comp, [iter(rows) for _ in range(4)])
         assert report.stats["memo_hits"] >= 3 * 12
         for k in range(4):
             assert repr(report.traces[k].instants) == repr(ref.instants)
@@ -266,7 +270,7 @@ class TestBatchMemo:
     def test_memo_distinguishes_bool_from_int(self):
         """``1 == True`` hashes alike; the memo must not conflate a
         canonical tick with the non-canonical int form (they record
-        differently — one demotes the batch, the other does not)."""
+        differently)."""
         comp = Component(
             "ev", {"e": EVENT}, {"o": EVENT}, {}, [Equation("o", Var("e"))]
         )
@@ -305,15 +309,13 @@ def _reference_with_errors(comp, rows):
     return out, err
 
 
-class TestVectorExecutor:
-    """The cross-lane numpy executor (unspecialized plan, wide batch)."""
+class TestUnspecializedBatch:
+    """Wide batches over the closure plan (``specialize=False``)."""
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_vector_corpus_byte_identical(self):
-        """Vector-mode traces *and* captured rejection errors match the
-        per-lane scalar engine across the designs corpus."""
+    def test_corpus_byte_identical(self):
+        """Traces *and* captured rejection errors of a 12-lane batch
+        match the per-lane engine across the designs corpus."""
         lanes_n = 12
-        vector_runs = 0
         for name, design in _corpus():
             comp = (
                 flatten_program(design)
@@ -330,19 +332,13 @@ class TestVectorExecutor:
                 specialize=False,
                 capture_errors=True,
             )
-            if report.stats["mode"] == "vector":
-                vector_runs += 1
             for k, (out, err) in enumerate(refs):
                 assert report.errors[k] == err, (name, k)
                 assert repr(report.traces[k].instants) == repr(out), (name, k)
-        # the corpus is bool/int-typed throughout: every design must have
-        # taken the vector path, or the mode gate has regressed
-        assert vector_runs == len(_corpus())
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_wide_values_bail_to_scalar(self):
-        """Values past the int64 overflow guard restart the whole batch
-        on the scalar path with identical output."""
+    def test_wide_values_match_per_lane_engine(self):
+        """Products past 64 bits (``2**80``) record exactly as the
+        per-lane engine computes them."""
         comp = Component(
             "big", {"x": INT}, {"y": INT}, {},
             [Equation("y", App("*", (Var("x"), Var("x"))))],
@@ -352,17 +348,8 @@ class TestVectorExecutor:
         report = simulate_batch(
             comp, [iter(rows) for rows in lanes], specialize=False
         )
-        assert report.stats["mode"] == "scalar"
-        assert report.backend == "object"  # 2**80 products demote too
         for k, ref in enumerate(refs):
             assert repr(report.traces[k].instants) == repr(ref.instants)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_specialized_plan_prefers_memo_scalar(self):
-        comp = flatten_program(designs.modular_producer_consumer())
-        lane_rows = [_stimulus(comp, k, n=6) for k in range(12)]
-        report = simulate_batch(comp, [iter(rows) for rows in lane_rows])
-        assert report.stats["mode"] == "scalar"
 
 
 class TestCounterAttribution:
@@ -391,8 +378,7 @@ class TestCounterAttribution:
         assert PERF.get("batch.lanes") == 2
         assert PERF.get("batch.instants") == 20
         clear_plan_cache()
-        with mock.patch.dict(os.environ, {"REPRO_NO_SPECIALIZE": "1"}):
-            rep2 = simulate_batch(comp, [iter(rows)])
+        rep2 = simulate_batch(comp, [iter(rows)], specialize=False)
         assert rep2.stats["reactions"] + rep2.stats["memo_hits"] == 10
         assert PERF.get("batch.plan.reactions") == rep2.stats["reactions"]
 
