@@ -720,18 +720,13 @@ def cmd_recover(args) -> int:
 def cmd_serve(args) -> int:
     import signal
 
-    from repro.service import ResultCache, Scheduler, ServiceServer
+    from repro.service import Scheduler, ServiceServer
 
-    scheduler = Scheduler(
-        workers=args.workers,
-        cache=ResultCache(args.cache_capacity),
-        use_processes=None if not args.inline else False,
-    )
+    scheduler = Scheduler(workers=args.workers)
     server = ServiceServer(scheduler, host=args.host, port=args.port)
     host, port = server.address
-    print("repro-service listening on {}:{} ({} worker{}, cache {})".format(
-        host, port, args.workers, "s" if args.workers != 1 else "",
-        args.cache_capacity))
+    print("repro-service listening on {}:{} ({} worker{})".format(
+        host, port, args.workers, "s" if args.workers != 1 else ""))
 
     def _terminate(signum, frame):
         # same graceful path as Ctrl-C: unwind serve_forever so the
@@ -1146,10 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7712,
                    help="TCP port (0 picks an ephemeral one)")
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--cache-capacity", type=int, default=4096,
-                   help="result-cache entries kept (LRU)")
-    p.add_argument("--inline", action="store_true",
-                   help="execute jobs in-process instead of a worker pool")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(

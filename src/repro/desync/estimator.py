@@ -84,12 +84,10 @@ class DesignCache:
     *different* source programs.
     """
 
-    __slots__ = ("_entries", "hits", "misses")
+    __slots__ = ("_entries",)
 
     def __init__(self):
         self._entries: Dict[tuple, list] = {}
-        self.hits = 0
-        self.misses = 0
 
     def seed(self, key: tuple, result: DesyncResult) -> None:
         self._entries.setdefault(key, [result, None])
@@ -98,11 +96,9 @@ class DesignCache:
         """The (DesyncResult, ready Reactor) pair for ``key``."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             PERF.incr("desync.cache_misses")
             entry = self._entries[key] = [build(), None]
         else:
-            self.hits += 1
             PERF.incr("desync.cache_hits")
         result = entry[0]
         reactor = entry[1]

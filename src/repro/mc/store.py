@@ -30,10 +30,11 @@ envelope carrying a format stamp (:data:`STORE_FORMAT`) and the kind.
 Writes go through a same-directory temp file plus :func:`os.replace`, so
 concurrent readers (and a crash mid-write) only ever see complete
 entries.  A byte-size cap is enforced LRU-by-mtime after each put
-(reads refresh mtime); mismatched formats are treated as misses and
-dropped.  Counters are exported through :data:`repro.perf.PERF` as
-``mc.store.hits`` / ``mc.store.misses`` / ``mc.store.puts`` /
-``mc.store.evictions`` / ``mc.store.errors``.
+(reads refresh mtime); an entry that does not decode to an envelope of
+the current format and the requested kind (truncated, garbage, stale)
+is a miss and is unlinked.  Counters are exported through
+:data:`repro.perf.PERF` as ``mc.store.hits`` / ``mc.store.misses`` /
+``mc.store.puts`` / ``mc.store.evictions`` / ``mc.store.errors``.
 
 Enablement: pass a root path explicitly, or set the ``REPRO_MC_STORE``
 environment variable to a directory and call :func:`default_store`
@@ -122,13 +123,17 @@ class MCStore:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 envelope = json.load(fh)
-        except (OSError, ValueError):
+        except OSError:
             self._miss()
             return None
-        if envelope.get("format") != STORE_FORMAT or (
-            kind is not None and envelope.get("kind") != kind
+        except ValueError:  # truncated or undecodable
+            envelope = None
+        if not (
+            isinstance(envelope, dict)
+            and envelope.get("format") == STORE_FORMAT
+            and (kind is None or envelope.get("kind") == kind)
         ):
-            # stale format or kind collision: drop it and miss
+            # corrupt, stale format or kind collision: drop it and miss
             self._remove(path)
             self._miss()
             return None
@@ -169,18 +174,6 @@ class MCStore:
             self.puts += 1
         PERF.incr("mc.store.puts")
         self._enforce_limit()
-
-    # -- convenience ---------------------------------------------------------
-
-    def get_artifact(
-        self, kind: str, design_key: str, params: Dict[str, Any]
-    ) -> Optional[Any]:
-        return self.get(store_key(kind, design_key, params), kind=kind)
-
-    def put_artifact(
-        self, kind: str, design_key: str, params: Dict[str, Any], payload: Any
-    ) -> None:
-        self.put(store_key(kind, design_key, params), kind, payload)
 
     # -- maintenance ---------------------------------------------------------
 

@@ -11,13 +11,13 @@ perf-counter deltas in **submission order** regardless of completion
 order or worker count.  A deterministic task function therefore yields
 byte-identical results at any ``workers`` setting (benchmarked by A8).
 
-Counter aggregation: each task's :data:`repro.perf.PERF` activity is
-captured as a delta (worker processes reset their registry per task; the
-sequential path diffs snapshots) and attached to its
-:class:`TaskResult`.  Parallel deltas are folded back into the
-coordinator's registry, so ``PERF`` reads the same whether a sweep ran
-on one core or sixteen — closing the "worker counters are not
-aggregated" gap the compiler's ad-hoc pool had.
+Counter aggregation: each task runs in a :data:`repro.perf.PERF` scope of
+its own (:func:`run_task`), whose counters are attached to its
+:class:`TaskResult`.  In-process the scope folds them into the caller's
+tables; pool results are folded into the coordinator's, so ``PERF``
+reads the same whether a sweep ran on one core or sixteen.  The service
+scheduler runs its jobs through the same :func:`run_task`,
+:func:`worker_pool` and :func:`submit_task`.
 
 Requirements for ``workers > 1``: ``fn`` must be a module-level function
 and ``items`` (plus the optional ``shared`` context, sent once per
@@ -27,7 +27,7 @@ worker) must pickle.  Lambdas and closures still work sequentially.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
@@ -104,93 +104,64 @@ def _init_worker(fn: Callable, shared: Any, has_shared: bool) -> None:
     _worker_shared = shared if has_shared else _NO_SHARED
 
 
-def _call(fn: Callable, shared: Any, item: Any) -> Any:
-    if shared is not _NO_SHARED:
-        return fn(shared, item)
-    return fn(item)
-
-
-def _format_error(exc: BaseException) -> str:
+def format_error(exc: BaseException) -> str:
+    """How a captured task error reads in :attr:`TaskResult.error`."""
     return "{}: {}".format(type(exc).__name__, exc)
 
 
-def _run_task(index: int, item: Any, capture_errors: bool = False) -> TaskResult:
-    """Executed in a worker: run one point with a clean counter registry
-    so its snapshot is exactly this task's delta."""
-    PERF.reset()
-    t0 = time.perf_counter()
-    value = None
-    error = None
-    if capture_errors:
-        try:
-            value = _call(_worker_fn, _worker_shared, item)
-        except Exception as exc:
-            error = _format_error(exc)
-    else:
-        value = _call(_worker_fn, _worker_shared, item)
-    seconds = time.perf_counter() - t0
-    return TaskResult(index, value, seconds, PERF.snapshot(), error)
-
-
-def _snapshot_delta(
-    after: Dict[str, Any], before: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Per-key difference of two snapshots, exact until a single final
-    rounding.  Keys present only in ``before`` (a counter that shrank or
-    vanished, e.g. after a mid-task ``PERF.reset()``) yield negative
-    deltas rather than being silently dropped."""
-    out: Dict[str, Any] = {}
-    for key in sorted(set(after) | set(before)):
-        delta = after.get(key, 0) - before.get(key, 0)
-        if delta:
-            out[key] = round(delta, 6) if isinstance(delta, float) else delta
-    return out
-
-
-def _merge_back(counters: Dict[str, Any]) -> None:
-    """Fold a worker's per-task delta into the coordinator's registry.
-
-    Every numeric delta is folded: ints and non-time floats through the
-    counter table, ``time.*`` floats through the phase table.  (Only
-    ``time.``-prefixed floats used to survive the merge, so any float
-    counter a task accumulated was silently dropped and coordinator
-    ``PERF`` disagreed with a sequential run.)"""
-    for key, val in counters.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            continue
-        if key.startswith("time.") and isinstance(val, float):
-            PERF.add_time(key[len("time."):], val)
-        elif val:
-            PERF.incr(key, val)
-
-
-def _run_task_inline(
-    fn: Callable, shared: Any, index: int, item: Any, capture_errors: bool
+def run_task(
+    fn: Callable,
+    index: int,
+    item: Any,
+    shared: Any = _NO_SHARED,
+    capture_errors: bool = False,
 ) -> TaskResult:
-    """Run one point in-process under the same isolation a pool worker
-    gets: the task starts from a clean registry (so a mid-task
-    ``PERF.reset()`` behaves identically at any worker count), its
-    snapshot is exactly its delta, and the coordinator's counters are
-    restored and the delta folded back afterwards."""
-    baseline = PERF.dump()
-    PERF.reset()
-    t0 = time.perf_counter()
-    value = None
-    error = None
-    try:
-        value = _call(fn, shared, item)
-    except Exception as exc:
-        if not capture_errors:
-            task_counters = PERF.snapshot()
-            PERF.restore(baseline)
-            _merge_back(task_counters)
-            raise
-        error = _format_error(exc)
-    seconds = time.perf_counter() - t0
-    task_counters = PERF.snapshot()
-    PERF.restore(baseline)
-    _merge_back(task_counters)
-    return TaskResult(index, value, seconds, task_counters, error)
+    """Run one point — ``fn(item)``, or ``fn(shared, item)`` — in a
+    counter scope of its own (:meth:`repro.perf.PerfCounters.scope`), in
+    this process or a :func:`worker_pool` worker.  ``capture_errors``
+    records an exception in :attr:`TaskResult.error` instead of raising."""
+    with PERF.scope():
+        t0 = time.perf_counter()
+        value = None
+        error = None
+        try:
+            if shared is _NO_SHARED:
+                value = fn(item)
+            else:
+                value = fn(shared, item)
+        except Exception as exc:
+            if not capture_errors:
+                raise
+            error = format_error(exc)
+        seconds = time.perf_counter() - t0
+        counters = PERF.snapshot()
+    return TaskResult(index, value, seconds, counters, error)
+
+
+def _run_in_worker(index: int, item: Any, capture_errors: bool) -> TaskResult:
+    return run_task(_worker_fn, index, item, _worker_shared, capture_errors)
+
+
+def worker_pool(
+    fn: Callable, workers: int, shared: Any = _NO_SHARED
+) -> ProcessPoolExecutor:
+    """A process pool whose workers run ``fn`` through :func:`run_task`;
+    ``shared`` is shipped once per worker.  Submit points with
+    :func:`submit_task` and fold each result's counters into the
+    coordinator with :meth:`repro.perf.PerfCounters.merge`."""
+    has_shared = shared is not _NO_SHARED
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(fn, shared if has_shared else None, has_shared),
+    )
+
+
+def submit_task(
+    pool: ProcessPoolExecutor, index: int, item: Any, capture_errors: bool = False
+) -> "Future[TaskResult]":
+    """Run one point on a :func:`worker_pool`."""
+    return pool.submit(_run_in_worker, index, item, capture_errors)
 
 
 def sweep(
@@ -220,28 +191,24 @@ def sweep(
                          .format(on_error))
     capture = on_error == "capture"
     points = list(items)
-    has_shared = shared is not _NO_SHARED
     n_workers = 1 if workers is None else max(1, min(workers, len(points) or 1))
     t0 = time.perf_counter()
-    results: List[TaskResult] = []
     if n_workers <= 1:
-        for index, item in enumerate(points):
-            results.append(_run_task_inline(fn, shared, index, item, capture))
+        results = [
+            run_task(fn, index, item, shared, capture)
+            for index, item in enumerate(points)
+        ]
     else:
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(fn, shared if has_shared else None, has_shared),
-        ) as pool:
+        with worker_pool(fn, n_workers, shared) as pool:
             futures = [
-                pool.submit(_run_task, index, item, capture)
+                submit_task(pool, index, item, capture)
                 for index, item in enumerate(points)
             ]
             # collecting in submission order makes the report (and any
             # fold over it) independent of completion order
             results = [f.result() for f in futures]
         for r in results:
-            _merge_back(r.counters)
+            PERF.merge(r.counters)
     total = time.perf_counter() - t0
     PERF.incr("sweep.runs")
     PERF.incr("sweep.tasks", len(results))

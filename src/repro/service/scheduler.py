@@ -11,12 +11,12 @@ results gathered at the end — into a long-lived service:
   result envelope, the error string, wall time and the perf-counter
   delta the job produced;
 - **the pool is persistent**: worker processes are initialized once with
-  :func:`repro.service.runner.execute` through the same
-  ``_init_worker`` / ``_run_task`` machinery the sweep executor uses
-  (so per-task counter capture and error capture are shared code), and
-  a dispatcher thread backfills a free slot with the
-  highest-priority pending job the moment one opens — no barriers
-  between batches;
+  :func:`repro.service.runner.execute` through the sweep executor's
+  public task runner (:func:`~repro.perf.sweep.run_task`, which also
+  runs ``workers=1`` jobs on the dispatcher thread), so per-job counter
+  scopes and error capture are shared code, and a dispatcher thread
+  backfills a free slot with the highest-priority pending job the
+  moment one opens — no barriers between batches;
 - **results are content-addressed**: before queueing, the scheduler
   consults the :class:`~repro.service.cache.ResultCache`; a hit
   completes the job instantly (``cache_hit=True``).  A miss that
@@ -47,12 +47,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 from repro.perf import PERF
 from repro.perf.sweep import (
     TaskResult,
-    _format_error,
-    _init_worker,
-    _merge_back,
-    _run_task,
-    _run_task_inline,
-    _NO_SHARED,
+    format_error,
+    run_task,
+    submit_task,
+    worker_pool,
 )
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
@@ -124,21 +122,12 @@ class Scheduler:
     result cache, progress events."""
 
     def __init__(
-        self,
-        workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        cache_capacity: int = 4096,
-        use_processes: Optional[bool] = None,
+        self, workers: int = 1, cache: Optional[ResultCache] = None
     ) -> None:
         self.workers = max(1, int(workers))
-        # one in-process executor slot is both the workers=1 sequential
-        # reference and the no-fork fallback; >=2 workers get a
-        # persistent process pool unless explicitly disabled
-        self.use_processes = (
-            self.workers > 1 if use_processes is None else bool(use_processes)
-        )
-        self.cache = cache if cache is not None else ResultCache(cache_capacity)
+        self.cache = cache if cache is not None else ResultCache()
         self._lock = threading.RLock()
+        self._shutdown_lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._heap: List[Any] = []  # (-priority, seq, job_id)
         self._jobs: Dict[str, JobRecord] = {}
@@ -163,7 +152,7 @@ class Scheduler:
                 return self
             self._started = True
             self._stop = False
-        if self.use_processes:
+        if self.workers > 1:
             self._pool = self._new_pool()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
@@ -176,11 +165,7 @@ class Scheduler:
         lazily, on its first task; doing that here, before the dispatcher
         and any socket handler thread run, keeps a child from inheriting
         an import lock another thread holds."""
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(runner.execute, None, False),
-        )
+        pool = worker_pool(runner.execute, self.workers)
         for f in [pool.submit(os.getpid) for _ in range(self.workers)]:
             f.result()
         return pool
@@ -193,25 +178,27 @@ class Scheduler:
 
     def shutdown(self, drain: bool = False) -> None:
         """Stop the service.  ``drain=True`` finishes the queue first;
-        otherwise still-pending jobs are marked cancelled."""
-        if drain:
-            self.wait()
-        with self._cv:
-            self._stop = True
-            if not drain:
-                for job_id in self._order:
-                    record = self._jobs[job_id]
-                    if record.state == PENDING:
-                        self._finish_locked(record, CANCELLED)
-            self._cv.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=30)
-            self._dispatcher = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        with self._lock:
-            self._started = False
+        otherwise still-pending jobs are marked cancelled.  A second call,
+        concurrent or later, waits for the first and returns."""
+        with self._shutdown_lock:
+            if drain:
+                self.wait()
+            with self._cv:
+                self._stop = True
+                if not drain:
+                    for job_id in self._order:
+                        record = self._jobs[job_id]
+                        if record.state == PENDING:
+                            self._finish_locked(record, CANCELLED)
+                self._cv.notify_all()
+            if self._dispatcher is not None:
+                self._dispatcher.join(timeout=30)
+                self._dispatcher = None
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
+            with self._lock:
+                self._started = False
 
     # -- submission ---------------------------------------------------------
 
@@ -317,7 +304,7 @@ class Scheduler:
                 by_state[record.state] = by_state.get(record.state, 0) + 1
             out = {
                 "workers": self.workers,
-                "processes": self.use_processes,
+                "processes": self.workers > 1,
                 "submitted": len(self._jobs),
                 "executed": self._executed,
                 "inflight": self._inflight,
@@ -394,7 +381,7 @@ class Scheduler:
             spec_dict = record.spec.to_dict()
             if self._pool is not None:
                 try:
-                    future = self._pool.submit(_run_task, seq, spec_dict, True)
+                    future = submit_task(self._pool, seq, spec_dict, True)
                 except BrokenProcessPool as exc:
                     self._on_broken_pool(record, seq, exc)
                     continue
@@ -411,10 +398,10 @@ class Scheduler:
                     lambda f, job_id=job_id: self._on_future(job_id, f)
                 )
             else:
-                task = _run_task_inline(
-                    runner.execute, _NO_SHARED, seq, spec_dict, True
+                task = run_task(
+                    runner.execute, seq, spec_dict, capture_errors=True
                 )
-                self._complete(job_id, task, merge_counters=False)
+                self._complete(job_id, task)
 
     def _on_broken_pool(
         self, record: JobRecord, seq: int, exc: BrokenProcessPool
@@ -433,8 +420,8 @@ class Scheduler:
                     self._heap, (-record.spec.priority, seq, record.job_id)
                 )
         if not restart:
-            task = TaskResult(-1, None, 0.0, {}, _format_error(exc))
-            self._complete(record.job_id, task, merge_counters=False)
+            task = TaskResult(-1, None, 0.0, {}, format_error(exc))
+            self._complete(record.job_id, task)
             return
         self._pool.shutdown(wait=True)
         self._pool = self._new_pool()
@@ -443,22 +430,17 @@ class Scheduler:
         try:
             task = future.result()
         except Exception as exc:  # pool/pickling failure, not job failure
-            task = TaskResult(-1, None, 0.0, {}, _format_error(exc))
+            task = TaskResult(-1, None, 0.0, {}, format_error(exc))
         else:
             with self._lock:
                 self._pool_restarts = 0
-        self._complete(job_id, task, merge_counters=True)
+            # an inline job's scope folded its counters already
+            PERF.merge(task.counters)
+        self._complete(job_id, task)
 
-    def _complete(
-        self, job_id: str, task: TaskResult, merge_counters: bool
-    ) -> None:
+    def _complete(self, job_id: str, task: TaskResult) -> None:
         with self._cv:
             record = self._jobs[job_id]
-            if merge_counters:
-                # inline execution merged into coordinator PERF already;
-                # pool workers hand their delta back here.  PERF is not
-                # thread-safe, so fold under the scheduler lock.
-                _merge_back(task.counters)
             record.seconds = task.seconds
             record.counters = task.counters
             self._inflight -= 1

@@ -209,6 +209,8 @@ class ServiceServer:
         self._tcp = _TCPServer((host, port), _Handler)
         self._tcp.service = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+        self._close_lock = threading.Lock()
+        self._closed = False
 
     @property
     def address(self):
@@ -239,12 +241,18 @@ class ServiceServer:
         threading.Thread(target=self.close, daemon=True).start()
 
     def close(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        self.scheduler.shutdown()
-        if self._thread is not None and self._thread is not threading.current_thread():
-            self._thread.join(timeout=10)
-            self._thread = None
+        """Stop serving and the scheduler.  A second call, concurrent or
+        later, waits for the first and returns."""
+        with self._close_lock:
+            if self._closed:
+                return
+            self._tcp.shutdown()
+            self._tcp.server_close()
+            self.scheduler.shutdown()
+            if self._thread is not None and self._thread is not threading.current_thread():
+                self._thread.join(timeout=10)
+                self._thread = None
+            self._closed = True
 
     def __enter__(self) -> "ServiceServer":
         return self.start()

@@ -772,9 +772,9 @@ class ReactionPlan:
 # the *same* components over and over (one fresh AsyncNetwork per task), so
 # plans are cached process-wide by component *content* — the canonical
 # serialized form, which ignores identity and source spans — under a
-# bounded LRU.  Hits/misses are exported through repro.perf as
-# ``plan.cache_hits`` / ``plan.cache_misses`` and, with evictions, through
-# :func:`plan_cache_stats`.
+# bounded LRU.  Hits, misses and evictions are counted in repro.perf as
+# ``plan.cache_hits`` / ``plan.cache_misses`` / ``plan.cache_evictions``,
+# which :func:`plan_cache_stats` reads back.
 #
 # The cache is shared state between whatever threads build reactors — in
 # particular the verification service's scheduler thread and its socket
@@ -785,7 +785,6 @@ class ReactionPlan:
 _PLAN_CACHE_CAPACITY = 128
 _plan_cache: "OrderedDict[Tuple[str, bool], ReactionPlan]" = None  # type: ignore
 _plan_lock = threading.RLock()
-_plan_stats = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def component_key(component: Component) -> str:
@@ -826,10 +825,8 @@ def shared_plan(
         plan = _plan_cache.get(key)
         if plan is not None:
             _plan_cache.move_to_end(key)
-            _plan_stats["hits"] += 1
             PERF.incr("plan.cache_hits")
             return plan
-        _plan_stats["misses"] += 1
         PERF.incr("plan.cache_misses")
         if want_spec:
             from repro.sim.specialize import SpecializedPlan
@@ -840,7 +837,6 @@ def shared_plan(
         _plan_cache[key] = plan
         while len(_plan_cache) > _PLAN_CACHE_CAPACITY:
             _plan_cache.popitem(last=False)
-            _plan_stats["evictions"] += 1
             PERF.incr("plan.cache_evictions")
         return plan
 
@@ -848,21 +844,24 @@ def shared_plan(
 def clear_plan_cache() -> None:
     """Drop every cached plan (benchmarks use this to time cold builds).
 
-    Hit/miss/eviction statistics are cumulative for the process and
-    survive a clear."""
+    Hit/miss/eviction statistics live in ``repro.perf`` and survive a
+    clear."""
     global _plan_cache
     with _plan_lock:
         _plan_cache = None
 
 
 def plan_cache_stats() -> Dict[str, int]:
-    """Occupancy plus cumulative hit/miss/eviction counts (the counts are
-    also exported through ``repro.perf`` as ``plan.cache_*``)."""
+    """This process's cache occupancy plus the ``plan.cache_*`` counts
+    of :data:`repro.perf.PERF` — which, outside a task's counter scope,
+    include every task folded back from a worker pool."""
+    from repro.perf import PERF
+
     with _plan_lock:
         return {
             "size": 0 if _plan_cache is None else len(_plan_cache),
             "capacity": _PLAN_CACHE_CAPACITY,
-            "hits": _plan_stats["hits"],
-            "misses": _plan_stats["misses"],
-            "evictions": _plan_stats["evictions"],
+            "hits": PERF.get("plan.cache_hits"),
+            "misses": PERF.get("plan.cache_misses"),
+            "evictions": PERF.get("plan.cache_evictions"),
         }

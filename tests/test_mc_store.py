@@ -74,6 +74,28 @@ class TestMCStore:
         assert store.get("ab" * 32, kind="verdict") is None
         assert not os.path.exists(path)
 
+    @pytest.mark.parametrize("raw", [
+        b'{"format": "mc-store-v1", "kind": "verdict", "payl',
+        b"\x00\xff\xfe\x80 garbage",
+        b"[]",
+        b"null",
+        b'"x"',
+        b'{"format": "mc-store-v0", "kind": "verdict", "payload": 1}',
+        b'{"format": "mc-store-v1", "kind": "explicit-lts", "payload": 1}',
+    ], ids=["truncated", "binary", "list", "null", "string", "format", "kind"])
+    def test_corrupt_entry_misses_and_is_removed(self, tmp_path, raw):
+        store = MCStore(str(tmp_path))
+        key = "ab" * 32
+        path = store._path(key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        assert store.get(key, kind="verdict") is None
+        assert store.misses == 1
+        assert not os.path.exists(path)
+        store.put(key, "verdict", {"holds": True})
+        assert store.get(key, kind="verdict") == {"holds": True}
+
     def test_envelope_carries_format_stamp(self, tmp_path):
         store = MCStore(str(tmp_path))
         store.put("ab" * 32, "verdict", {"x": 1})

@@ -5,6 +5,7 @@ priorities, coalescing, cancellation and worker-count invariance."""
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -12,6 +13,8 @@ import pytest
 
 from repro import designs
 from repro.lang.serializer import program_to_dict
+from repro.mc.store import STORE_ENV
+from repro.perf import PERF
 from repro.service import (
     CANCELLED,
     DONE,
@@ -221,6 +224,73 @@ class TestSchedulerInline:
         sched.shutdown()
         assert sched.job(job_id).state == CANCELLED
 
+    def test_counters_under_concurrent_threads(self, monkeypatch, tmp_path):
+        """Inline jobs run in counter scopes of their own: a thread that
+        polls ``stats()`` never reads a counter going down, and every
+        increment two other threads make meanwhile lands in the registry
+        and in no job record."""
+        monkeypatch.setenv(STORE_ENV, str(tmp_path / "store"))
+        jobs = [
+            {"kind": "verify", "design": "gals_relay_chain",
+             "params": {"backend": backend, "never": never}}
+            for backend in ("explicit", "symbolic")
+            for never in ("dup", "f0_alarm", "f0_full", "f0_ok", "x0")
+        ] + [
+            {"kind": "lint", "design": design, "params": {}}
+            for design in ("producer_consumer", "pipeline", "fan_out",
+                           "request_response", "token_ring")
+        ]
+        sched = Scheduler(workers=1).start()
+        done = threading.Event()
+        reads = []
+        bumps = [0, 0]
+
+        def poll():
+            while not done.is_set():
+                stats = sched.stats()
+                reads.append([
+                    stats[section][field]
+                    for section, field in (
+                        ("mc_store", "hits"), ("mc_store", "misses"),
+                        ("mc_store", "puts"), ("plan_cache", "hits"),
+                        ("plan_cache", "misses"), ("result_cache", "misses"),
+                    )
+                ])
+                time.sleep(0.0005)
+
+        def bump(slot):
+            while not done.is_set():
+                PERF.incr("test.stress.bumps")
+                bumps[slot] += 1
+                time.sleep(0.0001)
+
+        PERF.reset("test.stress.")
+        threads = [threading.Thread(target=poll)] + [
+            threading.Thread(target=bump, args=(slot,)) for slot in (0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            ids = sched.submit_many(jobs)
+            finished = sched.wait(ids, timeout=120)
+        finally:
+            done.set()
+            for t in threads:
+                t.join(10)
+            sys.setswitchinterval(interval)
+            sched.shutdown()
+        assert finished and not any(t.is_alive() for t in threads)
+        records = [sched.job(i) for i in ids]
+        assert [r.state for r in records] == [DONE] * len(jobs)
+        assert len(reads) > 1 and min(bumps) > 0
+        for before, after in zip(reads, reads[1:]):
+            assert all(a >= b for a, b in zip(after, before)), (before, after)
+        assert PERF.get("test.stress.bumps") == sum(bumps)
+        assert not any("test.stress.bumps" in r.counters for r in records)
+        assert sum(r.counters.get("mc.store.hits", 0) for r in records) > 0
+
     def test_stats_shape(self):
         with Scheduler(workers=1) as sched:
             ids = sched.submit_many([LINT, VERIFY])
@@ -248,6 +318,22 @@ class TestSchedulerPool:
             assert sched.wait(ids, timeout=300)
             digests = [sched.job(i).envelope["digest"] for i in ids]
         assert digests == reference + reference
+
+    def test_stats_cover_the_pool_plan_cache(self):
+        from repro.sim.plan import clear_plan_cache
+
+        clear_plan_cache()  # the workers fork with an empty plan cache
+        soaks = [
+            dict(SOAK, params=dict(SOAK["params"], seed=seed))
+            for seed in range(4)
+        ]
+        with Scheduler(workers=2) as sched:
+            before = sched.stats()["plan_cache"]
+            ids = sched.submit_many(soaks)
+            assert sched.wait(ids, timeout=120)
+            after = sched.stats()["plan_cache"]
+        assert after["misses"] - before["misses"] > 0
+        assert after["hits"] - before["hits"] > 0
 
     def test_worker_failure_is_contained(self):
         bad = {"kind": "estimate", "design": "producer_consumer",

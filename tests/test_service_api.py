@@ -2,7 +2,9 @@
 :mod:`repro.service.client`, over a real ephemeral-port TCP connection."""
 
 import json
+import multiprocessing
 import socket
+import threading
 
 import pytest
 
@@ -133,6 +135,35 @@ class TestProtocol:
                 break
         else:
             pytest.fail("server still accepting connections after shutdown")
+
+
+class TestClose:
+    def test_concurrent_closes_run_once(self):
+        """The ``shutdown`` op closes the server from a helper thread
+        while ``with`` closes it too: both calls must return cleanly and
+        leave no worker process behind."""
+        before = {p.pid for p in multiprocessing.active_children()}
+
+        def close(server, errors):
+            try:
+                server.close()
+            except Exception as exc:  # the failure mode under test
+                errors.append(exc)
+
+        for _ in range(20):
+            server = ServiceServer(Scheduler(workers=2), port=0).start()
+            errors = []
+            threads = [
+                threading.Thread(target=close, args=(server, errors))
+                for _ in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert {p.pid for p in multiprocessing.active_children()} <= before
 
 
 class TestCliShorthand:
