@@ -7,6 +7,9 @@ capture; EXPERIMENTS.md indexes those files.  When structured rows are
 passed via ``data=`` a machine-readable companion,
 ``benchmarks/out/BENCH_<experiment>.json``, is written as well — that is
 the file to diff when comparing runs before/after a performance change.
+Each JSON artifact is stamped with the commit it was measured at (``null``
+outside a git checkout, with ``git_dirty`` set when the work tree had
+uncommitted changes), the CPU count and the platform.
 
 Set ``BENCH_QUICK=1`` to make the parameter-sweep benches (A3, F4) use
 small parameters — a smoke-test sweep for ``make bench-quick``.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import time
 from typing import Iterable, Optional, Sequence
 
@@ -26,6 +30,33 @@ OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 def quick() -> bool:
     """Whether the harness runs in the reduced-parameter smoke mode."""
     return os.environ.get("BENCH_QUICK", "") not in ("", "0")
+
+
+def _git(*args: str) -> Optional[str]:
+    """Output of ``git <args>`` run at the repository root, or None."""
+    try:
+        done = subprocess.run(
+            ["git", *args], cwd=os.path.dirname(os.path.dirname(OUT_DIR)),
+            capture_output=True, text=True, timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _stamp() -> dict:
+    """Commit, work-tree state and machine of this run.  Changes under
+    ``benchmarks/out`` (the artifacts themselves) do not count as dirty."""
+    commit = _git("rev-parse", "HEAD")
+    status = None
+    if commit is not None:
+        status = _git("status", "--porcelain", "--", ":(exclude)benchmarks/out")
+    return {
+        "commit": commit,
+        "git_dirty": None if status is None else bool(status),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
 
 
 def emit(experiment: str, text: str, data: Optional[object] = None) -> None:
@@ -41,6 +72,7 @@ def emit(experiment: str, text: str, data: Optional[object] = None) -> None:
             "quick": quick(),
             "data": data,
         }
+        payload.update(_stamp())
         json_path = os.path.join(OUT_DIR, "BENCH_{}.json".format(experiment))
         with open(json_path, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)

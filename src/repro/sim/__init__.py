@@ -17,7 +17,7 @@ calculus resolves instants.  See :mod:`repro.sim.engine`.
 
 from repro.sim.engine import ABSENT, Reactor
 from repro.sim.plan import ReactionPlan, shared_plan
-from repro.sim.specialize import SpecializedPlan, specialize
+from repro.sim.specialize import SpecializedPlan
 from repro.sim.batch import BatchReport, simulate_batch
 from repro.sim.trace import SimTrace
 from repro.sim.runner import simulate
@@ -33,6 +33,5 @@ __all__ = [
     "shared_plan",
     "simulate",
     "simulate_batch",
-    "specialize",
     "stimuli",
 ]

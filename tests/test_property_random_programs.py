@@ -197,7 +197,9 @@ def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
 
     ref = run(Reactor(comp, check=False, compiled=False))
     plan_out = run(Reactor(comp, check=False))
-    spec_out = run(Reactor(comp, check=False, specialize=True))
+    spec = Reactor(comp, check=False, specialize=True)
+    assert spec.plan.fallback_steps == 0  # every step is generated code
+    spec_out = run(spec)
     assert repr(plan_out) == repr(ref)
     assert repr(spec_out) == repr(ref)
 

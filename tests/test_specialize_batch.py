@@ -18,13 +18,12 @@ from repro.lang.types import EVENT, INT
 from repro.perf import PERF
 from repro.sim import Reactor, simulate, simulate_batch, stimuli
 from repro.sim.plan import (
-    ReactionPlan,
     clear_plan_cache,
     component_key,
     plan_cache_stats,
     shared_plan,
 )
-from repro.sim.specialize import SpecializedPlan, specialize
+from repro.sim.specialize import SpecializedPlan
 
 
 def _corpus():
@@ -95,12 +94,67 @@ class TestSpecializedCorpus:
 
     def test_specialize_helper(self):
         comp = flatten_program(designs.producer_consumer())
-        plan = specialize(comp)
-        assert isinstance(plan, SpecializedPlan)
+        plan = SpecializedPlan(comp)
         assert plan.kind == "plan.spec"
         assert "_sweep" in plan.source
-        # a plan can be re-specialized from an existing ReactionPlan
-        assert isinstance(specialize(ReactionPlan(comp)), SpecializedPlan)
+
+    def test_submodule_import_is_the_module(self):
+        """No name bound on ``repro.sim`` shadows the submodule."""
+        import repro.sim.specialize as module
+
+        assert module.SpecializedPlan is SpecializedPlan
+
+    def test_corpus_and_instrumented_networks_inline_every_step(self):
+        """No step of the corpus, or of its capacity-2 instrumented
+        desynchronizations, falls back to its closure."""
+        from repro.desync import desynchronize
+
+        comps = []
+        for name, design in _corpus():
+            if isinstance(design, Program):
+                comps.append((name, flatten_program(design)))
+                net = desynchronize(design, capacities=2, instrument=True)
+                comps.append((name + "/desync", flatten_program(net.program)))
+            else:
+                comps.append((name, design))
+        steps = 0
+        for name, comp in comps:
+            plan = SpecializedPlan(comp)
+            assert plan.fallback_steps == 0, name
+            steps += plan.specialized_steps
+        assert steps >= 800
+
+    @pytest.mark.parametrize("depth, fallbacks", [(12, 0), (100, 1)])
+    def test_deep_default_chain_matches_closure_plan(self, depth, fallbacks):
+        """Generated code grows linearly with a right-nested ``default``
+        chain (``a0 default (a1 default (... a<depth>))``), so a depth-12
+        chain is inlined whole; one nested past ``MAX_STEP_DEPTH`` keeps
+        its closure step instead of failing to compile.  Both react
+        exactly as the closure plan does."""
+        import random
+
+        from repro.lang.ast import Default
+        from repro.sim.engine import ABSENT
+
+        names = ["a{}".format(i) for i in range(depth + 1)]
+        expr = Var(names[-1])
+        for name in reversed(names[:-1]):
+            expr = Default(Var(name), expr)
+        comp = Component(
+            "chain", {n: INT for n in names}, {"y": INT}, {},
+            [Equation("y", expr)],
+        )
+        plan = SpecializedPlan(comp)
+        assert plan.fallback_steps == fallbacks
+        rng = random.Random(depth)
+        rows = [
+            {n: ABSENT if rng.random() < 0.85 else rng.randrange(9)
+             for n in names}
+            for _ in range(200)
+        ]
+        spec = Reactor(comp, plan=plan)
+        ref = Reactor(comp, specialize=False)
+        assert [spec.react(r) for r in rows] == [ref.react(r) for r in rows]
 
 
 class TestPlanCache:
