@@ -7,13 +7,21 @@ Commands
 - ``lint TARGETS``    static desync-safety analysis (rule codes SIG*/GALS*)
 - ``format FILE``     pretty-print back to Signal source
 - ``clocks FILE``     clock calculus report
+- ``graph FILE``      Graphviz DOT views of the program, signals or clocks
 - ``simulate FILE``   run against periodic stimuli, render the trace
 - ``desync FILE``     desynchronize and print the transformed program
 - ``estimate FILE``   Section 5.2 buffer-size estimation loop
-- ``verify FILE``     model-check an invariant ("signal never present")
+- ``coverage FILE``   stimulus coverage of a simulated trace
+- ``verify TARGET``   model-check "signal never present" on the explicit,
+  symbolic, bounded or compose backend; TARGET is a Signal file or a
+  corpus design ``name[:k=v,...]``, and ``--store`` serves warm reruns
+- ``prove TARGET``    static flow-equivalence prover with witnesses
+- ``mc stats|prune|clear``  the persistent verification store
 - ``faults soak``     fault-injection soak of a built-in GALS design
 - ``faults plan``     dump the explicit per-channel fault schedule
 - ``recover soak``    recovery soak: hardened deployment vs reference
+- ``serve``           run the verification-job service
+- ``submit JOBS``     submit jobs to a running service
 
 Stimulus specs (``--stim``) are ``name:period[:phase[:value]]`` —
 e.g. ``--stim tick:1 --stim data:3:1:42`` gives an event every instant
@@ -38,7 +46,7 @@ from repro.lang import (
     parse_program,
 )
 from repro.lang.analysis import instantaneous_cycles
-from repro.sim import simulate, stimuli
+from repro.sim import simulate
 from repro.sim.vcd import write_vcd
 
 
@@ -47,36 +55,24 @@ def _load(path: str):
         return parse_program(f.read())
 
 
-def _parse_stim(specs):
-    parts = []
-    for spec in specs or []:
-        fields = spec.split(":")
-        if len(fields) < 2:
-            raise SystemExit("bad --stim {!r}: want name:period[:phase[:value]]".format(spec))
-        name = fields[0]
-        period = int(fields[1])
-        phase = int(fields[2]) if len(fields) > 2 else 0
-        if len(fields) > 3:
-            raw = fields[3]
-            if raw in ("true", "false"):
-                value = raw == "true"
-            elif raw == "count":
-                parts.append(
-                    stimuli.periodic(name, period, values=stimuli.counter(), phase=phase)
-                )
-                continue
-            else:
-                value = int(raw)
-            import itertools
+def _stimulus_factory(args):
+    """The ``--stim`` specs as a stimulus factory; a malformed spec is a
+    usage error."""
+    from repro.service.runner import stimulus_factory
 
-            parts.append(
-                stimuli.periodic(name, period, values=itertools.repeat(value), phase=phase)
-            )
-            continue
-        parts.append(stimuli.periodic(name, period, phase=phase))
-    if not parts:
-        return stimuli.silence()
-    return stimuli.merge(*parts)
+    try:
+        return stimulus_factory(args.stim or ())
+    except ValueError as exc:
+        raise SystemExit("{}: --stim: {}".format(args.command, exc))
+
+
+def _int_values(args):
+    """The ``--int-values`` domain; a non-integer item is a usage error."""
+    try:
+        return tuple(int(v) for v in args.int_values.split(","))
+    except ValueError:
+        raise SystemExit("{}: bad --int-values {!r}: want comma-separated "
+                         "integers".format(args.command, args.int_values))
 
 
 def cmd_check(args) -> int:
@@ -259,7 +255,7 @@ def cmd_graph(args) -> int:
 
 def cmd_simulate(args) -> int:
     prog = _load(args.file)
-    trace = simulate(prog, _parse_stim(args.stim), n=args.n)
+    trace = simulate(prog, _stimulus_factory(args)(), n=args.n)
     columns = args.signals.split(",") if args.signals else None
     print(trace.render(columns))
     if args.vcd:
@@ -289,7 +285,7 @@ def cmd_estimate(args) -> int:
     prog = _load(args.file)
     report = estimate_buffer_sizes(
         prog,
-        lambda: _parse_stim(args.stim),
+        _stimulus_factory(args),
         horizon=args.n,
         initial=args.initial,
         kind=args.kind,
@@ -298,61 +294,74 @@ def cmd_estimate(args) -> int:
     return 0 if report.converged else 1
 
 
-def cmd_verify(args) -> int:
-    from repro.mc import (
-        bounded_never_present,
-        check_never_present,
-        compile_lts,
-        input_alphabet,
-    )
-    from repro.mc.symbolic import SymbolicChecker
+_VERIFY_FIGURES = {
+    "explicit": "explored {states} states / {transitions} transitions",
+    "symbolic": "symbolic: {states} reachable states, {iterations} iterations",
+    "bounded": "bounded search to depth {depth}: {explored} reactions",
+    "compose": "compose: {method}, {checks} check(s), largest "
+               "{largest_check_states} states",
+}
 
-    prog = _load(args.file)
-    flat = flatten_program(prog)
-    alphabet = input_alphabet(
-        flat,
-        int_values=tuple(int(v) for v in args.int_values.split(",")),
+
+def cmd_verify(args) -> int:
+    """Model-check ``never <signal>``; warm reruns are served from the
+    persistent store."""
+    from repro.mc.harness import never_present_verdicts
+    from repro.mc.store import MCStore, default_store
+
+    prog = _target(args)
+    contracts = {}
+    for pair in args.contract or ():
+        sig, eq, cname = pair.partition("=")
+        if not eq:
+            raise SystemExit(
+                "verify: bad --contract {!r}: want SIGNAL=NAME".format(pair))
+        contracts[sig] = cname
+    store = MCStore(args.store) if args.store else default_store()
+    before = store.stats() if store is not None else None
+    verdict = next(never_present_verdicts(
+        prog,
+        args.backend,
+        [args.never],
+        int_values=_int_values(args),
         always_present=args.always or (),
         never_present=args.never_input or (),
-    )
-    if args.backend == "symbolic":
-        chk = SymbolicChecker(flat, alphabet=alphabet)
-        print("symbolic: {} reachable states, {} BDD nodes, {} iterations".format(
-            chk.state_count(), chk.bdd.node_count(), chk.iterations or "-"))
-        ce = chk.check_never_present(args.never)
-        if ce is None:
-            print("PROVEN: {!r} is never present".format(args.never))
-            return 0
-        print(ce.render())
-        return 1
-    if args.backend == "bounded":
-        result = bounded_never_present(
-            flat, args.never, depth=args.depth, alphabet=alphabet
-        )
-        print("bounded search to depth {}: {} reactions".format(
-            args.depth, result.explored))
-        if result.safe_up_to_bound:
-            print("SAFE up to depth {}: {!r} never occurred".format(
-                args.depth, args.never))
-            return 0
-        print(result.counterexample.render())
-        return 1
-    lts = compile_lts(flat, alphabet=alphabet, max_states=args.max_states)
-    print("explored {} states / {} transitions".format(
-        lts.num_states(), lts.num_transitions()))
-    ce = check_never_present(lts, args.never)
-    if ce is None:
+        max_states=args.max_states,
+        depth=args.depth,
+        contracts=contracts,
+        store=store,
+    ))
+    after = store.stats() if store is not None else None
+    # answered from the store alone: it hit and explored nothing new
+    served = after is not None and after["hits"] > before["hits"] \
+        and after["misses"] == before["misses"]
+    print(_VERIFY_FIGURES[args.backend].format(**verdict.figures)
+          + (" [store hit]" if served else ""))
+    if verdict.verdict == "proven":
         print("PROVEN: {!r} is never present".format(args.never))
-        return 0
-    print(ce.render())
-    return 1
+    elif verdict.holds:
+        print("SAFE up to depth {}: {!r} never occurred".format(
+            args.depth, args.never))
+    else:
+        print(verdict.counterexample.render())
+    if after is not None:
+        print("store: {} hit(s), {} miss(es), {} put(s); {} entries".format(
+            after["hits"] - before["hits"],
+            after["misses"] - before["misses"],
+            after["puts"] - before["puts"],
+            after["entries"],
+        ))
+    return 0 if verdict.holds else 1
 
 
-def _mc_target(target: str):
-    """A Signal source path, or corpus shorthand ``name[:k=v,...]``."""
+def _target(args):
+    """``args.target``: a Signal source path, or corpus shorthand
+    ``name[:k=v,...]``.  A target containing ``/`` or ending in ``.sig``
+    is always read as a file."""
     import os
 
-    if os.path.exists(target):
+    target = args.target
+    if "/" in target or target.endswith(".sig") or os.path.exists(target):
         return _load(target)
     from repro.service.jobs import resolve_program
 
@@ -361,7 +370,8 @@ def _mc_target(target: str):
     for pair in (p for p in rest.split(",") if p):
         key, eq, raw = pair.partition("=")
         if not eq:
-            raise SystemExit("bad design param {!r} in {!r}".format(pair, target))
+            raise SystemExit("{}: bad design param {!r} in {!r}".format(
+                args.command, pair, target))
         try:
             params[key] = int(raw)
         except ValueError:
@@ -369,17 +379,17 @@ def _mc_target(target: str):
     try:
         return resolve_program({"name": name, "args": params})
     except ValueError as exc:
-        raise SystemExit("mc verify: {}".format(exc))
+        raise SystemExit("{}: {}".format(args.command, exc))
 
 
 def cmd_mc(args) -> int:
-    """The persistent verification store: stats, prune, clear, verify."""
+    """The persistent verification store: stats, prune, clear."""
     import json
 
     from repro.mc.store import MCStore, STORE_ENV, default_store
 
     store = MCStore(args.store) if args.store else default_store()
-    if args.mc_command != "verify" and store is None:
+    if store is None:
         raise SystemExit(
             "mc {}: no store configured (pass --store DIR or set "
             "{})".format(args.mc_command, STORE_ENV)
@@ -392,87 +402,8 @@ def cmd_mc(args) -> int:
         print("evicted {} entry(ies); {} byte(s) on disk".format(
             evicted, store.stats()["bytes"]))
         return 0
-    if args.mc_command == "clear":
-        print("removed {} entry(ies)".format(store.clear()))
-        return 0
-
-    # verify — the store-aware sibling of `repro verify`
-    from repro.mc import compile_lts, check_never_present, input_alphabet
-
-    prog = _mc_target(args.target)
-    before = store.stats() if store is not None else None
-    int_values = tuple(int(v) for v in args.int_values.split(","))
-    always = args.always or ()
-    never_input = args.never_input or ()
-    flat = flatten_program(prog)
-    if args.backend == "compose":
-        from repro.mc.compose import verify_composed
-
-        contracts = {}
-        for pair in args.contract or ():
-            sig, eq, cname = pair.partition("=")
-            if not eq:
-                raise SystemExit(
-                    "bad --contract {!r}: want SIGNAL=NAME".format(pair))
-            contracts[sig] = cname
-        cert = verify_composed(
-            prog, args.never, contracts=contracts, int_values=int_values,
-            always_present=always, never_present=never_input,
-            max_states=args.max_states, store=store,
-        )
-        print(cert.render())
-        rc = 0 if cert.holds else 1
-    elif args.backend == "symbolic":
-        from repro.mc.symbolic import SymbolicChecker
-
-        alphabet = input_alphabet(
-            flat, int_values=int_values, always_present=always,
-            never_present=never_input,
-        )
-        chk = SymbolicChecker(flat, alphabet=alphabet, store=store)
-        ce = chk.check_never_present(args.never)
-        print("symbolic: {} reachable states, {} iterations".format(
-            chk.state_count(), chk.iterations))
-        print("PROVEN: {!r} is never present".format(args.never)
-              if ce is None else ce.render())
-        rc = 0 if ce is None else 1
-    elif args.backend == "bounded":
-        from repro.mc import bounded_never_present
-
-        alphabet = input_alphabet(
-            flat, int_values=int_values, always_present=always,
-            never_present=never_input,
-        )
-        res = bounded_never_present(
-            flat, args.never, depth=args.depth, alphabet=alphabet)
-        print("bounded to depth {}: {} reactions".format(
-            args.depth, res.explored))
-        print("SAFE up to depth {}".format(args.depth)
-              if res.safe_up_to_bound else res.counterexample.render())
-        rc = 0 if res.safe_up_to_bound else 1
-    else:
-        alphabet = input_alphabet(
-            flat, int_values=int_values, always_present=always,
-            never_present=never_input,
-        )
-        lts = compile_lts(
-            flat, alphabet=alphabet, max_states=args.max_states, store=store)
-        print("explored {} states / {} transitions{}".format(
-            lts.num_states(), lts.num_transitions(),
-            " [store hit]" if lts.stats.get("store") == "hit" else ""))
-        ce = check_never_present(lts, args.never)
-        print("PROVEN: {!r} is never present".format(args.never)
-              if ce is None else ce.render())
-        rc = 0 if ce is None else 1
-    if store is not None:
-        after = store.stats()
-        print("store: {} hit(s), {} miss(es), {} put(s); {} entries".format(
-            after["hits"] - before["hits"],
-            after["misses"] - before["misses"],
-            after["puts"] - before["puts"],
-            after["entries"],
-        ))
-    return rc
+    print("removed {} entry(ies)".format(store.clear()))
+    return 0
 
 
 def cmd_prove(args) -> int:
@@ -481,7 +412,7 @@ def cmd_prove(args) -> int:
     from repro.mc.store import MCStore, default_store
     from repro.prove import prove_flow_equivalence, replay_witness
 
-    prog = _mc_target(args.target)
+    prog = _target(args)
     try:
         rates = parse_rates(args.rate or [])
     except ValueError as exc:
@@ -522,7 +453,7 @@ def cmd_prove(args) -> int:
         rates=rates,
         capacities=capacities,
         backend=args.backend,
-        int_values=tuple(int(v) for v in args.int_values.split(",")),
+        int_values=_int_values(args),
         always=tuple(args.always or ()),
         never_input=tuple(args.never_input or ()),
         max_states=args.max_states,
@@ -823,7 +754,7 @@ def cmd_coverage(args) -> int:
 
     prog = _load(args.file)
     flat = flatten_program(prog)
-    trace = simulate(prog, _parse_stim(args.stim), n=args.n)
+    trace = simulate(prog, _stimulus_factory(args)(), n=args.n)
     groups = [g.split(",") for g in (args.group or [])]
     report = measure_coverage(trace, component=flat, clock_groups=groups)
     print(report.render())
@@ -929,26 +860,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("direct", "chain"), default="direct")
     p.set_defaults(fn=cmd_estimate)
 
-    p = sub.add_parser("verify", help="model-check 'signal never present'")
-    p.add_argument("file")
+    p = sub.add_parser(
+        "verify",
+        help="model-check 'signal never present' (warm reruns are served "
+        "from the store)",
+    )
+    p.add_argument(
+        "target", help="Signal file, or corpus design name[:k=v,...] "
+        "(e.g. gals_relay_chain:stages=8)",
+    )
     p.add_argument("--never", required=True, help="signal that must never occur")
     p.add_argument(
         "--backend",
-        choices=("explicit", "symbolic", "bounded"),
+        choices=("explicit", "symbolic", "bounded", "compose"),
         default="explicit",
-        help="explicit LTS, symbolic BDD (boolean designs), or bounded search",
+        help="explicit LTS, symbolic BDD (boolean designs), bounded search, "
+        "or assume-guarantee decomposition",
+    )
+    p.add_argument(
+        "--contract", action="append", metavar="SIGNAL=NAME",
+        help="channel contract for --backend compose "
+        "(NAME: free or alternating)",
     )
     p.add_argument("--depth", type=int, default=12, help="bound for --backend bounded")
     p.add_argument("--int-values", default="0,1", help="integer input domain")
     p.add_argument("--always", action="append", help="pin an input present")
     p.add_argument("--never-input", action="append", help="tie an input off")
     p.add_argument("--max-states", type=int, default=200000)
+    p.add_argument(
+        "--store", metavar="DIR",
+        help="verification store root (default: $REPRO_MC_STORE)",
+    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(
-        "mc",
-        help="persistent verification store (stats/prune/clear) and "
-        "store-aware model checking",
+        "mc", help="persistent verification store: stats, prune, clear"
     )
     msub = p.add_subparsers(dest="mc_command", required=True)
 
@@ -966,36 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="target size (default: the store's own cap)")
     _mc_store_arg(mp)
     mp = msub.add_parser("clear", help="drop every store entry")
-    _mc_store_arg(mp)
-    mp = msub.add_parser(
-        "verify",
-        help="store-aware 'never present' check "
-        "(warm reruns are served from the store)",
-    )
-    mp.add_argument(
-        "target", help="Signal file, or corpus design name[:k=v,...] "
-        "(e.g. gals_relay_chain:stages=8)",
-    )
-    mp.add_argument("--never", required=True,
-                    help="signal that must never occur")
-    mp.add_argument(
-        "--backend",
-        choices=("explicit", "symbolic", "bounded", "compose"),
-        default="explicit",
-    )
-    mp.add_argument(
-        "--contract", action="append", metavar="SIGNAL=NAME",
-        help="channel contract for --backend compose "
-        "(NAME: free or alternating)",
-    )
-    mp.add_argument("--depth", type=int, default=12,
-                    help="bound for --backend bounded")
-    mp.add_argument("--int-values", default="0,1")
-    mp.add_argument("--always", action="append",
-                    help="pin an input present")
-    mp.add_argument("--never-input", action="append",
-                    help="tie an input off")
-    mp.add_argument("--max-states", type=int, default=200000)
     _mc_store_arg(mp)
 
     p = sub.add_parser(

@@ -14,7 +14,9 @@ signal is raised" (Section 5.2).  This package rebuilds that capability:
 - :mod:`repro.mc.store` — persistent, content-addressed cache of
   compiled LTSs, symbolic fixpoints and verdicts (warm re-verification);
 - :mod:`repro.mc.compose` — assume-guarantee decomposition along
-  GALS/FIFO boundaries with per-channel contracts.
+  GALS/FIFO boundaries with per-channel contracts;
+- :mod:`repro.mc.harness` — the one dispatch of ``never <signal>`` to
+  any of the four backends, and the cross-backend self-check.
 """
 
 from repro.mc.lts import LTS, Transition
@@ -41,6 +43,7 @@ from repro.mc.harness import (
     BackendVerdict,
     CrossCheckReport,
     cross_check_never_present,
+    never_present_verdicts,
 )
 from repro.mc.symbolic import SymbolicChecker
 from repro.mc.store import (
@@ -86,6 +89,7 @@ __all__ = [
     "BackendVerdict",
     "CrossCheckReport",
     "cross_check_never_present",
+    "never_present_verdicts",
     "MCStore",
     "default_store",
     "design_content_key",

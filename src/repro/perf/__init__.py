@@ -88,6 +88,13 @@ class _Tables:
                 elif val:
                     self.counts[key] = self.counts.get(key, 0) + val
 
+    def state(self) -> Dict[str, float]:
+        """Every counter and phase time, unrounded."""
+        with self.lock:
+            out = dict(self.counts)
+            out.update(self.times)
+        return out
+
 
 class PerfCounters:
     """A named-counter registry with wall-time phases and scopes."""
@@ -148,20 +155,17 @@ class PerfCounters:
     # -- scopes -------------------------------------------------------------
 
     @contextmanager
-    def scope(self) -> Iterator[None]:
-        """Run the block with fresh tables; fold them into the enclosing
-        tables on exit, also when the block raises."""
+    def scope(self) -> Iterator[_Tables]:
+        """Run the block with fresh tables (bound by ``as``); fold them
+        into the enclosing tables on exit, also when the block raises."""
         outer = self._current.get()
         inner = _Tables()
         token = self._current.set(inner)
         try:
-            yield
+            yield inner
         finally:
             self._current.reset(token)
-            with inner.lock:
-                state = dict(inner.counts)
-                state.update(inner.times)
-            outer.fold(state)
+            outer.fold(inner.state())
 
     # -- inspection ---------------------------------------------------------
 

@@ -119,8 +119,10 @@ def run_task(
     """Run one point — ``fn(item)``, or ``fn(shared, item)`` — in a
     counter scope of its own (:meth:`repro.perf.PerfCounters.scope`), in
     this process or a :func:`worker_pool` worker.  ``capture_errors``
-    records an exception in :attr:`TaskResult.error` instead of raising."""
-    with PERF.scope():
+    records an exception in :attr:`TaskResult.error` instead of raising.
+    The counters are the scope's own, unrounded, so a pooled sweep folds
+    the same sums into the coordinator as an in-process one."""
+    with PERF.scope() as tables:
         t0 = time.perf_counter()
         value = None
         error = None
@@ -134,8 +136,7 @@ def run_task(
                 raise
             error = format_error(exc)
         seconds = time.perf_counter() - t0
-        counters = PERF.snapshot()
-    return TaskResult(index, value, seconds, counters, error)
+    return TaskResult(index, value, seconds, tables.state(), error)
 
 
 def _run_in_worker(index: int, item: Any, capture_errors: bool) -> TaskResult:

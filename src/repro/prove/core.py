@@ -10,9 +10,10 @@ of a synchronous program against its desynchronized deployment:
    instant (edge refuted, with a replayable periodic witness);
 2. **model-checking path** — otherwise the product construction
    (:func:`repro.prove.observers.product`) turns the property into
-   ``never``-present obligations checked on the explicit, symbolic (BDD)
-   or assume-guarantee compose backend; a counterexample becomes a
-   witness stimulus.
+   ``never``-present obligations checked, through
+   :func:`repro.mc.harness.never_present_verdicts`, on the explicit,
+   symbolic (BDD) or assume-guarantee compose backend; a counterexample
+   becomes a witness stimulus.
 
 The outcome is a :class:`ProofCertificate` with verdict ``proven`` /
 ``refuted`` / ``unknown``.  ``unknown`` is always accompanied by a
@@ -393,7 +394,7 @@ def _mc_certificate(
     program, caps, backend, int_values, always, never_input,
     max_states, read_requests, fifo, backpressure, assumptions, store,
 ) -> ProofCertificate:
-    from repro.mc import compile_lts, check_never_present, input_alphabet
+    from repro.mc.harness import never_present_verdicts
 
     def unknown(method: str, reason: str, stats=None) -> ProofCertificate:
         return ProofCertificate(
@@ -413,22 +414,21 @@ def _mc_certificate(
             read_requests=dict(read_requests or {}), kind=fifo,
             backpressure=dict(backpressure or {}),
         )
-        flat = flatten_program(info.program)
     except ReproError as err:
         return unknown("mc-product", "product construction failed: {}".format(err))
 
-    all_bool = all(ty in (BOOL, EVENT) for ty in flat.signals().values())
     chosen = backend
     if backend == "auto":
+        all_bool = all(
+            ty in (BOOL, EVENT)
+            for comp in info.program.components
+            for ty in comp.signals().values()
+        )
         chosen = "symbolic" if all_bool else "explicit"
+    if chosen not in ("explicit", "symbolic", "compose"):
+        raise ValueError("unknown prove backend {!r}".format(backend))
     method = "mc-" + chosen
 
-    alphabet = input_alphabet(
-        flat,
-        int_values=tuple(int_values),
-        always_present=tuple(always),
-        never_present=tuple(never_input),
-    )
     ordered = sorted(info.obligations, key=lambda o: (o.label, o.kind))
     obligations = []
     stats: Dict[str, Any] = {"channels": len(info.deployment.channels)}
@@ -437,63 +437,36 @@ def _mc_certificate(
     verdict = PROVEN
 
     try:
-        if chosen == "explicit":
-            lts = compile_lts(
-                flat, alphabet=alphabet, max_states=max_states, store=store
-            )
-            stats["states"] = lts.num_states()
-            stats["transitions"] = lts.num_transitions()
-            check = lambda event: check_never_present(lts, event)
-        elif chosen == "symbolic":
-            from repro.mc.symbolic import SymbolicChecker
-
-            chk = SymbolicChecker(flat, alphabet=alphabet, store=store)
-            stats["states"] = chk.state_count()
-            stats["iterations"] = chk.iterations
-            check = chk.check_never_present
-        elif chosen == "compose":
-            def check(event):
-                from repro.mc.compose import verify_composed
-
-                cert = verify_composed(
-                    info.program,
-                    event,
-                    int_values=tuple(int_values),
-                    always_present=tuple(always),
-                    never_present=tuple(never_input),
-                    max_states=max_states,
-                    store=store,
-                )
+        verdicts = never_present_verdicts(
+            info.program,
+            chosen,
+            [ob.event for ob in ordered],
+            int_values=tuple(int_values),
+            always_present=tuple(always),
+            never_present=tuple(never_input),
+            max_states=max_states,
+            store=store,
+        )
+        for ob, checked in zip(ordered, verdicts):
+            if chosen == "compose":
                 stats["largest_check_states"] = max(
                     stats.get("largest_check_states", 0),
-                    cert.largest_check_states,
+                    checked.figures["largest_check_states"],
                 )
-                if cert.verdict == "refuted":
-                    return cert.counterexample
-                if cert.verdict != "proven":
-                    raise ReproError(
-                        "compose backend returned {!r} for {}".format(
-                            cert.verdict, event
-                        )
-                    )
-                return None
-        else:
-            raise ValueError("unknown prove backend {!r}".format(backend))
-
-        for ob in ordered:
-            ce = check(ob.event)
+            else:
+                stats.update(checked.figures)
             record = {
                 "channel": ob.channel,
                 "signal": ob.signal,
                 "kind": ob.kind,
                 "event": ob.event,
                 "capacity": ob.capacity,
-                "status": "discharged" if ce is None else "violated",
+                "status": "discharged" if checked.holds else "violated",
             }
             obligations.append(record)
-            if ce is not None:
+            if not checked.holds:
                 verdict = REFUTED
-                witness = counterexample_witness(ob, ce)
+                witness = counterexample_witness(ob, checked.counterexample)
                 reason = "obligation {} on channel {} is violated".format(
                     ob.kind, ob.channel
                 )

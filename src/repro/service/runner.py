@@ -56,34 +56,43 @@ def execute(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
 def stimulus_factory(specs: Iterable[str]):
     """A zero-argument factory for the CLI-style stimulus grammar
     ``name:period[:phase[:value]]`` (value ``true``/``false``/int/
-    ``count``); no specs means silence."""
+    ``count``); no specs means silence.
+
+    Specs are parsed here, so a malformed one raises :class:`ValueError`
+    naming it before any stimulus is built."""
+    import itertools
+
     from repro.sim import stimuli
 
-    specs = list(specs)
+    parsed = []
+    for spec in specs:
+        fields = spec.split(":")
+        value = fields[3] if len(fields) > 3 else None
+        try:
+            period = int(fields[1])
+            phase = int(fields[2]) if len(fields) > 2 else 0
+            if period < 1:
+                raise ValueError
+            if value in ("true", "false"):
+                value = value == "true"
+            elif value not in (None, "count"):
+                value = int(value)
+        except (IndexError, ValueError):
+            raise ValueError(
+                "bad stimulus {!r}: want name:period[:phase[:value]]".format(spec)
+            ) from None
+        parsed.append((fields[0], period, phase, value))
 
     def build():
-        import itertools
-
         parts = []
-        for spec in specs:
-            fields = spec.split(":")
-            if len(fields) < 2:
-                raise ValueError(
-                    "bad stimulus {!r}: want name:period[:phase[:value]]".format(spec)
-                )
-            name, period = fields[0], int(fields[1])
-            phase = int(fields[2]) if len(fields) > 2 else 0
-            if len(fields) > 3:
-                raw = fields[3]
-                if raw == "count":
-                    values = stimuli.counter()
-                elif raw in ("true", "false"):
-                    values = itertools.repeat(raw == "true")
-                else:
-                    values = itertools.repeat(int(raw))
-                parts.append(stimuli.periodic(name, period, values=values, phase=phase))
+        for name, period, phase, value in parsed:
+            if value is None:
+                values = None
+            elif value == "count":
+                values = stimuli.counter()
             else:
-                parts.append(stimuli.periodic(name, period, phase=phase))
+                values = itertools.repeat(value)
+            parts.append(stimuli.periodic(name, period, values=values, phase=phase))
         if not parts:
             return stimuli.silence()
         return stimuli.merge(*parts)
@@ -168,12 +177,14 @@ def _run_estimate(program, params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_verify(program, params: Dict[str, Any]) -> Dict[str, Any]:
-    """``verify``: a "``never`` is never present" obligation.
+    """``verify``: a "``never`` is never present" obligation, answered by
+    :func:`repro.mc.harness.never_present_verdicts`.
 
     Params: ``never`` (signal, default ``alarm``), ``backend``
     (``explicit``/``symbolic``/``bounded``/``compose``), ``int_values``,
     ``always`` / ``never_input`` (pinned inputs), ``max_states``
-    (explicit), ``depth`` (bounded).
+    (explicit and compose, default 20000), ``depth`` (bounded, default
+    6), ``contracts`` (compose).
 
     When the persistent verification store is enabled (see
     :mod:`repro.mc.store`), final verdicts are cached under a
@@ -185,23 +196,17 @@ def _run_verify(program, params: Dict[str, Any]) -> Dict[str, Any]:
     warm hit is digest-identical by construction.
     """
     from repro.lang import flatten_program
-    from repro.mc import (
-        bounded_never_present,
-        check_never_present,
-        compile_lts,
-        input_alphabet,
-    )
+    from repro.mc.harness import never_present_verdicts
     from repro.mc.store import default_store
 
     never = params.get("never", "alarm")
     backend = params.get("backend", "explicit")
+    int_values = tuple(_as_list(params.get("int_values")) or (0, 1))
+    always = tuple(_as_list(params.get("always")))
+    never_input = tuple(_as_list(params.get("never_input")))
+    max_states = int(params.get("max_states", 20000))
+    depth = int(params.get("depth", 6))
     flat = flatten_program(program)
-    alphabet = input_alphabet(
-        flat,
-        int_values=tuple(_as_list(params.get("int_values")) or (0, 1)),
-        always_present=tuple(_as_list(params.get("always"))),
-        never_present=tuple(_as_list(params.get("never_input"))),
-    )
     store = default_store()
     verdict_key = None
     if store is not None:
@@ -210,92 +215,44 @@ def _run_verify(program, params: Dict[str, Any]) -> Dict[str, Any]:
         relevant: Dict[str, Any] = {
             "backend": backend,
             "never": never,
-            "int_values": list(_as_list(params.get("int_values")) or (0, 1)),
-            "always": _as_list(params.get("always")),
-            "never_input": _as_list(params.get("never_input")),
+            "int_values": list(int_values),
+            "always": list(always),
+            "never_input": list(never_input),
         }
         if backend in ("explicit", "compose"):
-            relevant["max_states"] = int(params.get("max_states", 20000))
+            relevant["max_states"] = max_states
         if backend == "compose":
             relevant["contracts"] = params.get("contracts") or {}
         if backend == "bounded":
-            relevant["depth"] = int(params.get("depth", 6))
+            relevant["depth"] = depth
         verdict_key = store_key(
             "verify-verdict", design_content_key(flat), relevant
         )
         cached = store.get(verdict_key, kind="verify-verdict")
         if cached is not None:
             return cached
-    if backend == "symbolic":
-        from repro.mc.symbolic import SymbolicChecker
-
-        chk = SymbolicChecker(flat, alphabet=alphabet, store=store)
-        ce = chk.check_never_present(never)
-        result = {
-            "backend": backend,
-            "never": never,
-            "verdict": "proven" if ce is None else "refuted",
-            "states": chk.state_count(),
-            "iterations": chk.iterations,
-            "counterexample": None if ce is None else ce.render(),
-        }
-    elif backend == "bounded":
-        depth = int(params.get("depth", 6))
-        res = bounded_never_present(flat, never, depth=depth, alphabet=alphabet)
-        result = {
-            "backend": backend,
-            "never": never,
-            "verdict": "safe_up_to_bound" if res.safe_up_to_bound else "refuted",
-            "depth": depth,
-            "explored": res.explored,
-            "counterexample": (
-                None if res.counterexample is None else res.counterexample.render()
-            ),
-        }
-    elif backend == "compose":
-        from repro.mc.compose import verify_composed
-
-        cert = verify_composed(
-            program,
-            never,
-            contracts=params.get("contracts"),
-            int_values=tuple(_as_list(params.get("int_values")) or (0, 1)),
-            always_present=tuple(_as_list(params.get("always"))),
-            never_present=tuple(_as_list(params.get("never_input"))),
-            max_states=int(params.get("max_states", 20000)),
-            store=store,
-        )
-        result = {
-            "backend": backend,
-            "never": never,
-            "verdict": cert.verdict,
-            "method": cert.method,
-            "checks": cert.num_checks,
-            "largest_check_states": cert.largest_check_states,
-            "counterexample": (
-                None
-                if cert.counterexample is None
-                else cert.counterexample.render()
-            ),
-        }
-    elif backend == "explicit":
-        lts = compile_lts(
-            flat,
-            alphabet=alphabet,
-            max_states=int(params.get("max_states", 20000)),
-            store=store,
-        )
-        ce = check_never_present(lts, never)
-        result = {
-            "backend": backend,
-            "never": never,
-            "verdict": "proven" if ce is None else "refuted",
-            "states": lts.num_states(),
-            "transitions": lts.num_transitions(),
-            "counterexample": None if ce is None else ce.render(),
-        }
-    else:
-        raise ValueError("unknown verify backend {!r}".format(backend))
+    # compose cuts the program along its channels; the other backends
+    # check the flattening the key was taken from
+    verdict = next(never_present_verdicts(
+        program if backend == "compose" else flat,
+        backend,
+        [never],
+        int_values=int_values,
+        always_present=always,
+        never_present=never_input,
+        max_states=max_states,
+        depth=depth,
+        contracts=params.get("contracts"),
+        store=store,
+    ))
+    ce = verdict.counterexample
+    result = {
+        "backend": backend,
+        "never": never,
+        "verdict": verdict.verdict,
+        **verdict.figures,
+        "counterexample": None if ce is None else ce.render(),
+    }
     if verdict_key is not None:
         store.put(verdict_key, "verify-verdict", result)
     return result

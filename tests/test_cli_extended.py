@@ -82,3 +82,54 @@ class TestCoverageCommand:
         out = capsys.readouterr().out
         assert "coverage over 20 instants" in out
         assert "presence patterns" in out
+
+
+class TestArgumentErrors:
+    """Malformed arguments end in one usage line naming the flag and the
+    value, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "coverage"])
+    def test_non_integer_period(self, fifo_file, command):
+        path, _ = fifo_file
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--stim", "msgin:x"])
+        assert str(exc.value.code).startswith(command + ": --stim")
+        assert "'msgin:x'" in str(exc.value.code)
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "coverage"])
+    def test_unknown_value_word(self, fifo_file, command):
+        path, _ = fifo_file
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--stim", "msgin:1:0:maybe"])
+        assert "--stim" in str(exc.value.code)
+        assert "'msgin:1:0:maybe'" in str(exc.value.code)
+
+    @pytest.mark.parametrize("command", ["verify", "prove"])
+    def test_non_integer_domain(self, command):
+        argv = [command, "producer_consumer", "--int-values", "0,x"]
+        if command == "verify":
+            argv += ["--never", "x_alarm"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith(command + ": bad --int-values")
+        assert "'0,x'" in str(exc.value.code)
+
+    def test_unknown_design_names_the_command(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["prove", "no_such_design"])
+        assert str(exc.value.code).startswith("prove: unknown design")
+
+
+class TestVerifyTargets:
+    def test_corpus_target(self, capsys):
+        rc = main(["verify", "toggle_producer", "--never", "x",
+                   "--backend", "bounded", "--depth", "2"])
+        assert rc == 1
+        assert "bounded search to depth 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["missing.sig", "sub/missing"])
+    def test_missing_file_is_reported(self, tmp_path, monkeypatch, capsys,
+                                      target):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", target, "--never", "x"]) == 2
+        assert "No such file" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from repro.designs import modular_producer_consumer
 from repro.desync import desynchronize, n_fifo_direct, one_place_fifo
 from repro.errors import VerificationError
-from repro.lang import parse_component
+from repro.lang import flatten_program, parse_component, parse_program
 from repro.mc import (
     bisimulation_classes,
     boolean_alphabet,
@@ -17,6 +17,12 @@ from repro.mc import (
     reachable_outputs,
     trace_equivalent,
 )
+from repro.mc.harness import (
+    BACKENDS,
+    cross_check_never_present,
+    never_present_verdicts,
+)
+from repro.perf import PERF
 from repro.sim import simulate
 
 TOGGLER = (
@@ -206,3 +212,53 @@ class TestEquivalence:
         classes = bisimulation_classes(lts, view=lambda out: {})
         # with outputs masked, both states react identically up to renaming
         assert len(set(classes.values())) <= 2
+
+
+class TestNeverDispatch:
+    # ``loc`` is a local: flattening renames it ``C__loc`` and keeps it
+    # out of the interface, so no backend observes either name as a port
+    LOCAL = (
+        "process C = (? event tick; ! event out;)"
+        "(| loc := tick | out := loc |) where event loc; end"
+    )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("signal", ["C__loc", "loc", "ghost"])
+    def test_every_backend_rejects_a_signal_outside_the_interface(
+        self, backend, signal
+    ):
+        program = parse_program(self.LOCAL)
+        for design in (program, flatten_program(program)):
+            with pytest.raises(VerificationError, match=signal):
+                cross_check_never_present(
+                    design, signal, backends=(backend,), depth=4
+                )
+
+    def test_interface_signals_agree_on_every_backend(self):
+        report = cross_check_never_present(
+            parse_program(self.LOCAL), "out", backends=BACKENDS, depth=4
+        )
+        assert report.agree and not report.holds
+        assert {v.ce_length for v in report.verdicts} == {1}
+
+    def test_backend_name_is_checked_before_the_signals(self):
+        with pytest.raises(ValueError, match="bogus"):
+            never_present_verdicts(parse_program(self.LOCAL), "bogus", ["ghost"])
+
+    def test_one_lazy_build_answers_every_signal_in_order(self):
+        PERF.reset("mc.")
+        verdicts = never_present_verdicts(
+            modular_producer_consumer(),
+            "explicit",
+            ["y", "x"],
+            int_values=(0,),
+            never_present=("p_act",),
+        )
+        assert PERF.get("mc.reactions") == 0   # nothing runs until asked
+        first = next(verdicts)
+        built = PERF.get("mc.reactions")
+        second = next(verdicts)
+        assert [(v.signal, v.verdict) for v in (first, second)] \
+            == [("y", "proven"), ("x", "proven")]
+        assert built > 0 and PERF.get("mc.reactions") == built
+        assert next(verdicts, None) is None

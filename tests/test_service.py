@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro import designs
+from repro.errors import VerificationError
 from repro.lang.serializer import program_to_dict
 from repro.mc.store import STORE_ENV
 from repro.perf import PERF
@@ -100,6 +101,12 @@ class TestRunnerDeterminism:
         with pytest.raises(ValueError):
             execute({"kind": "verify", "design": "producer_consumer",
                      "params": {"backend": "bogus"}})
+
+    def test_verify_rejects_a_signal_outside_the_interface(self):
+        # the explicit backend answered "proven": its LTS never sees the name
+        with pytest.raises(VerificationError, match="ghost"):
+            execute({"kind": "verify", "design": "producer_consumer",
+                     "params": {"never": "ghost"}})
 
 
 class TestResultCache:

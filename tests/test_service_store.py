@@ -129,7 +129,7 @@ class TestStatsSurfaces:
 class TestMcCli:
     def test_cold_then_warm_verify(self, tmp_path, capsys):
         store_dir = str(tmp_path / "cli-store")
-        argv = ["mc", "verify", "gals_relay_chain:stages=1",
+        argv = ["verify", "gals_relay_chain:stages=1",
                 "--never", "f0_alarm", "--always", "f0_rreq",
                 "--store", store_dir]
         assert main(list(argv)) == 0
@@ -140,7 +140,7 @@ class TestMcCli:
         assert "[store hit]" in warm
 
     def test_compose_backend_with_contracts(self, capsys):
-        argv = ["mc", "verify", "gals_relay_chain:stages=1",
+        argv = ["verify", "gals_relay_chain:stages=1",
                 "--never", "dup", "--backend", "compose",
                 "--always", "f0_rreq"]
         for cut in ("x0", "f0_msgout", "x1"):
@@ -156,7 +156,7 @@ class TestMcCli:
 
     def test_stats_reports_json(self, tmp_path, capsys):
         store_dir = str(tmp_path / "cli-store")
-        assert main(["mc", "verify", "toggle_producer", "--never", "x",
+        assert main(["verify", "toggle_producer", "--never", "x",
                      "--store", store_dir]) == 1  # refuted
         capsys.readouterr()
         assert main(["mc", "stats", "--store", store_dir]) == 0
