@@ -12,7 +12,9 @@ outside a git checkout, with ``git_dirty`` set when the work tree had
 uncommitted changes), the CPU count and the platform.
 
 Set ``BENCH_QUICK=1`` to make the parameter-sweep benches (A3, F4) use
-small parameters — a smoke-test sweep for ``make bench-quick``.
+small parameters — a smoke-test sweep for ``make bench-quick``.  Quick
+runs write to ``benchmarks/out/quick/`` instead (ignored by git), so
+they never overwrite the committed full-mode artifacts.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ def _stamp() -> dict:
 
 
 def emit(experiment: str, text: str, data: Optional[object] = None) -> None:
-    os.makedirs(OUT_DIR, exist_ok=True)
-    path = os.path.join(OUT_DIR, experiment + ".txt")
+    out_dir = os.path.join(OUT_DIR, "quick") if quick() else OUT_DIR
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, experiment + ".txt")
     with open(path, "w") as f:
         f.write(text.rstrip() + "\n")
     if data is not None:
@@ -73,7 +76,7 @@ def emit(experiment: str, text: str, data: Optional[object] = None) -> None:
             "data": data,
         }
         payload.update(_stamp())
-        json_path = os.path.join(OUT_DIR, "BENCH_{}.json".format(experiment))
+        json_path = os.path.join(out_dir, "BENCH_{}.json".format(experiment))
         with open(json_path, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")

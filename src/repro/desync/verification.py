@@ -25,11 +25,9 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Union
 from repro.lang.ast import Program
 from repro.mc.compile import compile_lts
 from repro.mc.safety import CounterExample, check_never_present
-from repro.perf.sweep import sweep
 from repro.desync.estimator import (
     DesignCache,
     EstimationReport,
-    _sizes_key,
     estimate_buffer_sizes,
 )
 from repro.desync.transform import desynchronize
@@ -73,11 +71,6 @@ class VerifiedSizes(NamedTuple):
         return "\n".join(lines)
 
 
-def _alarm_check_task(lts, alarm: str) -> Optional[CounterExample]:
-    """One per-channel obligation, shaped for :func:`repro.perf.sweep.sweep`."""
-    return check_never_present(lts, alarm)
-
-
 def verified_buffer_sizes(
     program: Program,
     stimulus_factory: Callable[[], Iterable[Dict[str, object]]],
@@ -89,7 +82,6 @@ def verified_buffer_sizes(
     kind: str = "direct",
     read_requests: Optional[Dict[str, str]] = None,
     max_states: int = 200000,
-    workers: Optional[int] = None,
 ) -> VerifiedSizes:
     """Estimate buffer sizes, then prove them; feed error traces back.
 
@@ -99,21 +91,19 @@ def verified_buffer_sizes(
     each failed round the counterexample inputs are prepended to it, as
     the paper prescribes.
 
-    ``workers`` fans the per-channel alarm obligations of each round out
-    over :func:`repro.perf.sweep.sweep`; the verdict (the first failing
-    channel's counterexample, in channel order) is identical at any
-    worker count.
+    Each round checks the channels' alarms in channel order and stops at
+    the first counterexample; that channel's error trace is the one fed
+    back.  A design with no channel has no alarm and is proven in round 1.
     """
     rounds: List[VerificationRound] = []
     stim_factory = stimulus_factory
     sizes: Dict[str, int] = {}
     last_ce: Optional[CounterExample] = None
-    # one simulation cache for every estimation round, one compiled LTS per
-    # sizes vector: re-entering a round with capacities already explored
-    # (the estimator converging back to a previous answer) replays the
-    # stored artifacts instead of recompiling them
+    # one simulation cache for every estimation round: each round starts
+    # at the sizes the previous one ended on.  No LTS is kept across
+    # rounds: a counterexample alarms in simulation at the sizes that
+    # produced it, so the next round always checks larger sizes.
     sim_cache = DesignCache()
-    lts_cache: Dict[tuple, object] = {}
     for rnd in range(1, max_rounds + 1):
         estimation = estimate_buffer_sizes(
             program,
@@ -129,22 +119,12 @@ def verified_buffer_sizes(
         sized = desynchronize(
             program, capacities=sizes, kind=kind, read_requests=read_requests
         )
-        key = _sizes_key(kind, sizes)
-        lts = lts_cache.get(key)
-        if lts is None:
-            lts = compile_lts(
-                sized.program, alphabet=alphabet, max_states=max_states
-            )
-            lts_cache[key] = lts
-        report = sweep(
-            _alarm_check_task,
-            [ch.alarm for ch in sized.channels],
-            workers=workers,
-            shared=lts,
-        )
-        ce: Optional[CounterExample] = next(
-            (c for c in report.values() if c is not None), None
-        )
+        lts = compile_lts(sized.program, alphabet=alphabet, max_states=max_states)
+        ce: Optional[CounterExample] = None
+        for ch in sized.channels:
+            ce = check_never_present(lts, ch.alarm)
+            if ce is not None:
+                break
         rounds.append(
             VerificationRound(rnd, estimation, dict(sizes), lts.num_states(), ce)
         )

@@ -19,19 +19,14 @@ Engine notes
 - Every core operation (``ite``, ``exists``, ``and_exists``, ``rename``,
   ``restrict``, ``sat_count``) runs on an explicit stack, so formulas
   over thousands of variables never hit Python's recursion ceiling.
-- The operation cache is split into per-operation namespaces.  Dynamic
-  reordering invalidates only the namespaces whose keys embed variable
-  levels (``exists`` / ``and_exists``); ``ite`` results survive a swap
-  because node ids keep denoting the same functions.
+- The variable order is fixed at registration: :meth:`BDD.variable`
+  appends each new name below every existing one, so a node's level
+  never changes.  Callers choose the order by registration sequence
+  (the symbolic backend registers in dataflow order).
 - :meth:`gc` is a mark-and-sweep collector over *pinned roots*
   (:meth:`pin` / :meth:`unpin`).  Nothing is ever freed unless ``gc`` is
-  called (directly, or via ``sift(collect=True)``), so managers that
-  never collect behave exactly like the classic append-only table.
-- :meth:`sift` is Rudell's dynamic variable sifting built on an in-place
-  adjacent-level swap: node ids keep denoting the same functions across
-  a reorder, only their levels move.  With ``sift=True`` the manager
-  triggers a (non-collecting) pass automatically once the table crosses
-  a node-growth watermark; the registration order is the seed order.
+  called, so managers that never collect behave exactly like the
+  classic append-only table.
 """
 
 from __future__ import annotations
@@ -43,16 +38,12 @@ from repro.perf import PERF
 FALSE = 0
 TRUE = 1
 
-#: default bound on the operation cache; at ~100 bytes/entry this caps the
-#: cache near 100 MB before a flush
-DEFAULT_APPLY_CACHE_LIMIT = 1 << 20
+#: bound on the operation cache; at ~100 bytes/entry this caps the cache
+#: near 100 MB before a flush
+APPLY_CACHE_LIMIT = 1 << 20
 
 #: a level strictly below every real level (terminals sort last)
 _NO_LEVEL = 1 << 30
-
-#: cache namespaces whose keys embed variable *levels*; a level swap
-#: invalidates exactly these (``ite`` keys are order-independent)
-_LEVEL_KEYED = ("exists", "and_exists")
 
 _CALL, _JOIN, _QLOW, _FIX = 0, 1, 2, 3
 
@@ -62,30 +53,15 @@ class BDD:
 
     The operation caches (memoized ``ite``/``exists``/``and_exists``
     results, one namespace per operation) are bounded *collectively*:
-    once they hold ``apply_cache_limit`` entries they are flushed
+    once they hold :data:`APPLY_CACHE_LIMIT` entries they are flushed
     wholesale — the classic BDD-package policy; flushing only costs
     recomputation, never correctness, because the caches are pure memos
-    over hash-consed nodes.  ``apply_cache_limit=None`` disables the
-    bound.  Hit/miss/flush counts are kept per manager (see
-    :meth:`cache_stats`) and folded into :data:`repro.perf.PERF` under
-    the ``bdd.`` prefix.
-
-    ``sift=True`` enables watermark-triggered dynamic variable sifting:
-    whenever a top-level operation starts with the live table above
-    ``sift_watermark`` nodes, one (non-collecting) sifting pass runs
-    first.  Automatic passes never free node ids; only :meth:`gc` and
-    ``sift(collect=True)`` do, and those require every externally-held
-    node to be pinned.
+    over hash-consed nodes.  Hit/miss/flush counts are kept per manager;
+    :meth:`cache_stats` reports them and folds them into
+    :data:`repro.perf.PERF`.
     """
 
-    def __init__(
-        self,
-        apply_cache_limit: Optional[int] = DEFAULT_APPLY_CACHE_LIMIT,
-        sift: bool = False,
-        sift_watermark: int = 50000,
-        sift_max_vars: int = 12,
-        sift_max_growth: float = 1.2,
-    ):
+    def __init__(self):
         # node id -> (level, low, high); ids 0/1 are terminals; freed
         # slots hold None until _mk reuses them
         self._nodes: List[Optional[Tuple[int, int, int]]] = [(-1, 0, 0), (-1, 1, 1)]
@@ -96,20 +72,11 @@ class BDD:
         self._pins: Dict[int, int] = {}
         self._names: List[str] = []          # level -> name
         self._level_of: Dict[str, int] = {}
-        self.apply_cache_limit = apply_cache_limit
         self.apply_hits = 0
         self.apply_misses = 0
         self.cache_clears = 0
         self.gc_collections = 0
         self.gc_reclaimed = 0
-        self.sift_enabled = sift
-        self.sift_watermark = sift_watermark
-        self.sift_max_vars = sift_max_vars
-        self.sift_max_growth = sift_max_growth
-        self.sift_passes = 0
-        self.sift_swaps = 0
-        self._next_sift_at = sift_watermark
-        self._op_depth = 0
         self._perf_base: Dict[str, int] = {}
 
     # -- operation caches ---------------------------------------------------
@@ -121,8 +88,7 @@ class BDD:
         return cache
 
     def _cache_store(self, cache: Dict, key, out: int) -> None:
-        limit = self.apply_cache_limit
-        if limit is not None and self._cache_entries >= limit:
+        if self._cache_entries >= APPLY_CACHE_LIMIT:
             self.clear_apply_cache()
         cache[key] = out
         self._cache_entries += 1
@@ -134,22 +100,14 @@ class BDD:
         self._cache_entries = 0
         self.cache_clears += 1
 
-    def _flush_level_keyed(self) -> None:
-        """Drop only the caches whose keys embed variable levels."""
-        for namespace in _LEVEL_KEYED:
-            cache = self._caches.get(namespace)
-            if cache:
-                self._cache_entries -= len(cache)
-                cache.clear()
-
     def cache_stats(self) -> Dict[str, int]:
         """Engine statistics; also folds the counts accumulated since the
-        previous call into the global perf registry (``bdd.`` prefix).
+        previous call into :data:`repro.perf.PERF` (``bdd.`` prefix).
 
         Monotone counters (``apply_hits`` / ``apply_misses`` /
-        ``cache_clears`` / ``gc_collections`` / ``gc_reclaimed`` /
-        ``sift_passes`` / ``sift_swaps``) are merged as deltas; gauges
-        (``apply_cache_size``, ``node_count``) are reported here only.
+        ``cache_clears`` / ``gc_collections`` / ``gc_reclaimed``) are
+        merged as deltas; gauges (``apply_cache_size``, ``node_count``)
+        are reported here only.
         """
         stats = {
             "apply_hits": self.apply_hits,
@@ -159,12 +117,10 @@ class BDD:
             "node_count": self.node_count(),
             "gc_collections": self.gc_collections,
             "gc_reclaimed": self.gc_reclaimed,
-            "sift_passes": self.sift_passes,
-            "sift_swaps": self.sift_swaps,
         }
         monotone = (
             "apply_hits", "apply_misses", "cache_clears",
-            "gc_collections", "gc_reclaimed", "sift_passes", "sift_swaps",
+            "gc_collections", "gc_reclaimed",
         )
         delta = {
             name: stats[name] - self._perf_base.get(name, 0)
@@ -187,9 +143,6 @@ class BDD:
 
     def level(self, name: str) -> int:
         return self._level_of[name]
-
-    def name_of(self, level: int) -> str:
-        return self._names[level]
 
     def var_count(self) -> int:
         return len(self._names)
@@ -220,9 +173,6 @@ class BDD:
             self._unique[key] = node
         return node
 
-    def _triple(self, node: int) -> Tuple[int, int, int]:
-        return self._nodes[node]
-
     # -- garbage collection --------------------------------------------------
 
     def pin(self, f: int) -> int:
@@ -248,12 +198,6 @@ class BDD:
         holding nodes across a collection must pin them.  All operation
         caches are flushed (they may reference reclaimed ids).
         """
-        reclaimed = self._collect(roots)
-        self.gc_collections += 1
-        self.gc_reclaimed += reclaimed
-        return reclaimed
-
-    def _collect(self, roots: Iterable[int] = ()) -> int:
         nodes = self._nodes
         stack = [r for r in self._pins if r > 1]
         stack.extend(r for r in roots if r > 1)
@@ -279,190 +223,9 @@ class BDD:
             reclaimed += 1
         if reclaimed:
             self.clear_apply_cache()
+        self.gc_collections += 1
+        self.gc_reclaimed += reclaimed
         return reclaimed
-
-    # -- dynamic variable ordering -------------------------------------------
-
-    def swap_adjacent(self, level: int) -> None:
-        """Swap the variables at ``level`` and ``level + 1`` in place.
-
-        Node ids keep denoting the same boolean functions — only the
-        internal structure and the two variables' levels change (the
-        standard in-place swap dynamic reordering is built on).  Caches
-        keyed by levels are flushed; ``ite`` results stay valid.
-        """
-        j = level + 1
-        if level < 0 or j >= len(self._names):
-            raise ValueError("no adjacent pair at level {}".format(level))
-        nodes = self._nodes
-        unique = self._unique
-        xs: List[int] = []
-        ys: List[int] = []
-        for nid in range(2, len(nodes)):
-            triple = nodes[nid]
-            if triple is None:
-                continue
-            if triple[0] == level:
-                xs.append(nid)
-            elif triple[0] == j:
-                ys.append(nid)
-        yset = set(ys)
-        for nid in xs:
-            del unique[nodes[nid]]
-        for nid in ys:
-            del unique[nodes[nid]]
-        # every y-node moves up to `level` (children are deeper than j+1,
-        # so the order invariant holds)
-        for nid in ys:
-            _, lo, hi = nodes[nid]
-            nodes[nid] = (level, lo, hi)
-            unique[(level, lo, hi)] = nid
-        # x-nodes independent of y just sink one level
-        dependent: List[int] = []
-        for nid in xs:
-            _, lo, hi = nodes[nid]
-            if lo in yset or hi in yset:
-                dependent.append(nid)
-            else:
-                nodes[nid] = (j, lo, hi)
-                unique[(j, lo, hi)] = nid
-        # x-nodes depending on y are rebuilt: n = x ? f1 : f0 with
-        # f_b = y ? f_b1 : f_b0 becomes n = y ? (x ? f11 : f01)
-        #                                    : (x ? f10 : f00)
-        for nid in dependent:
-            _, f0, f1 = nodes[nid]
-            if f0 in yset:
-                _, f00, f01 = nodes[f0]
-            else:
-                f00 = f01 = f0
-            if f1 in yset:
-                _, f10, f11 = nodes[f1]
-            else:
-                f10 = f11 = f1
-            new_low = self._mk(j, f00, f10)
-            new_high = self._mk(j, f01, f11)
-            nodes[nid] = (level, new_low, new_high)
-            unique[(level, new_low, new_high)] = nid
-        a, b = self._names[level], self._names[j]
-        self._names[level], self._names[j] = b, a
-        self._level_of[b] = level
-        self._level_of[a] = j
-        self._flush_level_keyed()
-        self.sift_swaps += 1
-
-    def _marked(self, roots: Iterable[int] = ()) -> Dict[int, int]:
-        """Level-width histogram of the nodes reachable from the pins
-        (plus ``roots``) — the live working set, excluding any garbage
-        the adjacent swaps may have shed."""
-        nodes = self._nodes
-        stack = [r for r in self._pins if r > 1]
-        stack.extend(r for r in roots if r > 1)
-        seen = set()
-        counts: Dict[int, int] = {}
-        while stack:
-            n = stack.pop()
-            if n <= 1 or n in seen:
-                continue
-            seen.add(n)
-            level, low, high = nodes[n]
-            counts[level] = counts.get(level, 0) + 1
-            stack.append(low)
-            stack.append(high)
-        return counts
-
-    def sift(
-        self,
-        max_vars: Optional[int] = None,
-        max_growth: Optional[float] = None,
-        collect: bool = False,
-        roots: Iterable[int] = (),
-    ) -> int:
-        """One pass of Rudell's sifting; returns the live-size delta.
-
-        The ``max_vars`` widest levels are each moved through every
-        position via adjacent swaps and parked where the live size was
-        smallest; a direction is abandoned once the size exceeds
-        ``max_growth`` times the best seen.  Sizes are measured over the
-        cones reachable from the pinned roots (plus ``roots``), so the
-        garbage that swaps shed never skews the placement.
-
-        With ``collect=True`` the pass also garbage-collects around each
-        swap, keeping the table itself at the measured size — that frees
-        unpinned ids, so the :meth:`gc` pin contract applies.
-        ``collect=False`` (the automatic-trigger mode) never frees ids;
-        abandoned intermediates linger until the next explicit
-        collection.
-        """
-        roots = tuple(roots)
-        if len(self._names) <= 1:
-            return 0
-        self._op_depth += 1
-        try:
-            if collect:
-                self._collect(roots)
-
-            if collect:
-                def measure() -> int:
-                    self._collect(roots)
-                    return self.node_count()
-            else:
-                def measure() -> int:
-                    return sum(self._marked(roots).values())
-
-            before = measure()
-            limit = max_vars if max_vars is not None else self.sift_max_vars
-            growth = max_growth if max_growth is not None else self.sift_max_growth
-            counts = self._marked(roots)
-            widest = sorted(counts, key=lambda l: -counts[l])[:limit]
-            for name in [self._names[l] for l in widest]:
-                self._sift_one(name, growth, measure)
-            self.sift_passes += 1
-            after = measure()
-            self._next_sift_at = max(self.sift_watermark, 2 * self.node_count())
-            return after - before
-        finally:
-            self._op_depth -= 1
-
-    def _sift_one(self, name: str, max_growth: float, measure) -> None:
-        bottom = len(self._names) - 1
-        cur = self._level_of[name]
-        best = measure()
-        best_pos = cur
-        # sweep to the bottom, then all the way to the top, then settle
-        while cur < bottom:
-            self.swap_adjacent(cur)
-            cur += 1
-            size = measure()
-            if size < best:
-                best, best_pos = size, cur
-            elif size > best * max_growth:
-                break
-        while cur > 0:
-            self.swap_adjacent(cur - 1)
-            cur -= 1
-            size = measure()
-            if size < best:
-                best, best_pos = size, cur
-            elif size > best * max_growth and cur < best_pos:
-                break
-        while cur < best_pos:
-            self.swap_adjacent(cur)
-            cur += 1
-        while cur > best_pos:
-            self.swap_adjacent(cur - 1)
-            cur -= 1
-
-    def _maybe_sift(self, *operands: int) -> None:
-        """Watermark check at public-operation entry; the triggering
-        call's operands count as roots so their cones are measured (and,
-        never being freed here, stay valid)."""
-        if (
-            not self.sift_enabled
-            or self._op_depth != 0
-            or self.node_count() < self._next_sift_at
-        ):
-            return
-        self.sift(collect=False, roots=operands)
 
     # -- core operations ----------------------------------------------------
 
@@ -483,13 +246,7 @@ class BDD:
         out = self._ite_terminal(f, g, h)
         if out is not None:
             return out
-        if self._op_depth == 0:
-            self._maybe_sift(f, g, h)
-        self._op_depth += 1
-        try:
-            return self._ite(f, g, h)
-        finally:
-            self._op_depth -= 1
+        return self._ite(f, g, h)
 
     def _ite(self, f: int, g: int, h: int) -> int:
         nodes = self._nodes
@@ -582,14 +339,8 @@ class BDD:
 
     def exists(self, names: Sequence[str], f: int) -> int:
         """∃ names . f"""
-        if self._op_depth == 0:
-            self._maybe_sift(f)
         levels = tuple(sorted(self._level_of[n] for n in names))
-        self._op_depth += 1
-        try:
-            return self._exists(levels, f)
-        finally:
-            self._op_depth -= 1
+        return self._exists(levels, f)
 
     def _exists(self, levels: Tuple[int, ...], f: int) -> int:
         if f <= 1 or not levels:
@@ -661,14 +412,8 @@ class BDD:
         by ``exists`` would build never exists.  This is the primitive
         partitioned image computation reduces to.
         """
-        if self._op_depth == 0:
-            self._maybe_sift(f, g)
         levels = tuple(sorted(self._level_of[n] for n in names))
-        self._op_depth += 1
-        try:
-            return self._and_exists(levels, f, g)
-        finally:
-            self._op_depth -= 1
+        return self._and_exists(levels, f, g)
 
     def _and_exists(self, levels: Tuple[int, ...], f: int, g: int) -> int:
         nodes = self._nodes
@@ -757,91 +502,79 @@ class BDD:
         """
         if not mapping:
             return f
-        if self._op_depth == 0:
-            self._maybe_sift(f)
-        self._op_depth += 1
-        try:
-            pairs = {
-                self._level_of[a]: self.variable(b) for a, b in mapping.items()
-            }
-            nodes = self._nodes
-            cache: Dict[int, int] = {}
-            vals: List[int] = []
-            tasks: List[Tuple] = [(_CALL, f)]
-            while tasks:
-                frame = tasks.pop()
-                if frame[0] == _CALL:
-                    n = frame[1]
-                    if n <= 1:
-                        vals.append(n)
-                        continue
-                    hit = cache.get(n)
-                    if hit is not None:
-                        vals.append(hit)
-                        continue
-                    level, low, high = nodes[n]
-                    tasks.append((_JOIN, n, level))
-                    tasks.append((_CALL, high))
-                    tasks.append((_CALL, low))
-                else:
-                    _, n, level = frame
-                    high = vals.pop()
-                    low = vals.pop()
-                    var = pairs.get(level)
-                    if var is None:
-                        var = self._mk(level, FALSE, TRUE)
-                    out = self._ite_terminal(var, high, low)
-                    if out is None:
-                        out = self._ite(var, high, low)
-                    cache[n] = out
-                    vals.append(out)
-            return vals[0]
-        finally:
-            self._op_depth -= 1
+        pairs = {
+            self._level_of[a]: self.variable(b) for a, b in mapping.items()
+        }
+        nodes = self._nodes
+        cache: Dict[int, int] = {}
+        vals: List[int] = []
+        tasks: List[Tuple] = [(_CALL, f)]
+        while tasks:
+            frame = tasks.pop()
+            if frame[0] == _CALL:
+                n = frame[1]
+                if n <= 1:
+                    vals.append(n)
+                    continue
+                hit = cache.get(n)
+                if hit is not None:
+                    vals.append(hit)
+                    continue
+                level, low, high = nodes[n]
+                tasks.append((_JOIN, n, level))
+                tasks.append((_CALL, high))
+                tasks.append((_CALL, low))
+            else:
+                _, n, level = frame
+                high = vals.pop()
+                low = vals.pop()
+                var = pairs.get(level)
+                if var is None:
+                    var = self._mk(level, FALSE, TRUE)
+                out = self._ite_terminal(var, high, low)
+                if out is None:
+                    out = self._ite(var, high, low)
+                cache[n] = out
+                vals.append(out)
+        return vals[0]
 
     def restrict(self, assignment: Dict[str, bool], f: int) -> int:
         """Partial evaluation: fix some variables to constants."""
-        if self._op_depth == 0:
-            self._maybe_sift(f)
-        self._op_depth += 1
-        try:
-            fixed = {self._level_of[n]: v for n, v in assignment.items()}
-            nodes = self._nodes
-            cache: Dict[int, int] = {}
-            vals: List[int] = []
-            tasks: List[Tuple] = [(_CALL, f)]
-            while tasks:
-                frame = tasks.pop()
-                tag = frame[0]
-                if tag == _CALL:
-                    n = frame[1]
-                    if n <= 1:
-                        vals.append(n)
-                        continue
-                    hit = cache.get(n)
-                    if hit is not None:
-                        vals.append(hit)
-                        continue
-                    level, low, high = nodes[n]
-                    if level in fixed:
-                        tasks.append((_FIX, n))
-                        tasks.append((_CALL, high if fixed[level] else low))
-                    else:
-                        tasks.append((_JOIN, n, level))
-                        tasks.append((_CALL, high))
-                        tasks.append((_CALL, low))
-                elif tag == _FIX:
-                    cache[frame[1]] = vals[-1]
+        fixed = {self._level_of[n]: v for n, v in assignment.items()}
+        nodes = self._nodes
+        cache: Dict[int, int] = {}
+        vals: List[int] = []
+        tasks: List[Tuple] = [(_CALL, f)]
+        while tasks:
+            frame = tasks.pop()
+            tag = frame[0]
+            if tag == _CALL:
+                n = frame[1]
+                if n <= 1:
+                    vals.append(n)
+                    continue
+                hit = cache.get(n)
+                if hit is not None:
+                    vals.append(hit)
+                    continue
+                level, low, high = nodes[n]
+                if level in fixed:
+                    tasks.append((_FIX, n))
+                    tasks.append((_CALL, high if fixed[level] else low))
                 else:
-                    _, n, level = frame
-                    high = vals.pop()
-                    low = vals.pop()
-                    out = low if low == high else self._mk(level, low, high)
-                    cache[n] = out
-                    vals.append(out)
-            return vals[0]
-        finally:
-            self._op_depth -= 1
+                    tasks.append((_JOIN, n, level))
+                    tasks.append((_CALL, high))
+                    tasks.append((_CALL, low))
+            elif tag == _FIX:
+                cache[frame[1]] = vals[-1]
+            else:
+                _, n, level = frame
+                high = vals.pop()
+                low = vals.pop()
+                out = low if low == high else self._mk(level, low, high)
+                cache[n] = out
+                vals.append(out)
+        return vals[0]
 
     # -- serialization -------------------------------------------------------
 
@@ -853,13 +586,13 @@ class BDD:
     def dump(self, roots: Sequence[int]) -> Dict[str, object]:
         """Serialize the cones of ``roots`` to a JSON-safe dict.
 
-        Nodes are keyed by *variable name*, not level: levels move under
-        :meth:`sift`, and the loading manager may hold a different order
-        altogether, so names are the only stable identity.  The node list
-        is in bottom-up topological order (children precede parents);
+        Nodes are keyed by *variable name*, not level: the loading
+        manager may have registered its variables in another order, so
+        names are the only stable identity.  The node list is in
+        bottom-up topological order (children precede parents);
         references are ``0``/``1`` for the terminals and ``k + 2`` for
-        the ``k``-th list entry.  The dumping manager's current variable
-        order rides along so a fresh manager can reproduce it.
+        the ``k``-th list entry.  The dumping manager's variable order
+        rides along so a fresh manager can reproduce it.
         """
         nodes = self._nodes
         index: Dict[int, int] = {}

@@ -160,7 +160,9 @@ def never_present_verdicts(
     :class:`~repro.errors.VerificationError`.  The returned iterator does
     the work.  It builds the explicit LTS or the symbolic checker with
     the first verdict and queries it once per signal, so a caller may
-    stop at its first violated obligation.
+    stop at its first violated obligation.  Each symbolic verdict folds
+    the BDD manager's counts since the previous one into
+    :data:`repro.perf.PERF` (:meth:`repro.mc.bdd.BDD.cache_stats`).
     """
     if backend not in BACKENDS:
         raise ValueError("unknown backend {!r}".format(backend))
@@ -225,7 +227,12 @@ def never_present_verdicts(
             from repro.mc.symbolic import SymbolicChecker
 
             chk = SymbolicChecker(flat, alphabet=alphabet, store=store)
-            query = chk.check_never_present
+
+            def query(signal):
+                ce = chk.check_never_present(signal)
+                chk.bdd.cache_stats()
+                return ce
+
             figures = lambda: {
                 "states": chk.state_count(),
                 "iterations": chk.iterations,

@@ -77,11 +77,11 @@ class SymbolicChecker:
     naming the present inputs (events/booleans) and their values.
     Without it, inputs are free.
 
-    ``partitioned`` selects the image strategy (see module docstring);
-    ``sift`` enables the BDD manager's dynamic variable reordering on
-    top of the dataflow seed order.  Every BDD the checker retains
-    (relation parts, reachability rings, cached fixpoints) is pinned, so
-    callers may invoke :meth:`repro.mc.bdd.BDD.gc` between queries.
+    ``partitioned`` selects the image strategy (see module docstring).
+    The variable order is the dataflow registration order below, fixed
+    for the checker's life.  Every BDD the checker retains (relation
+    parts, reachability rings, cached fixpoints) is pinned, so callers
+    may invoke :meth:`repro.mc.bdd.BDD.gc` between queries.
 
     ``store`` (an :class:`repro.mc.store.MCStore`) persists the ordered
     transition partition and the reachable-set fixpoint — rings included,
@@ -97,7 +97,6 @@ class SymbolicChecker:
         design,
         alphabet: Optional[Sequence[Dict[str, object]]] = None,
         partitioned: bool = True,
-        sift: bool = False,
         store=None,
     ):
         comp = flatten_program(design) if isinstance(design, Program) else design
@@ -109,7 +108,7 @@ class SymbolicChecker:
                 )
         comp = normalize_component(comp, lower_clocks=False, to_core=True)
         self.component = comp
-        self.bdd = BDD(sift=sift)
+        self.bdd = BDD()
         self.partitioned = partitioned
         self._store = store
         self._alphabet = (
@@ -503,10 +502,7 @@ class SymbolicChecker:
 
     def _store_key(self) -> str:
         """Content address of this checker's fixpoint: normalized
-        component + alphabet + image strategy (``sift`` only moves
-        levels, never changes any answer, so it stays out of the key —
-        but the payload's name-keyed BDD dump is order-independent, so
-        either setting can serve the other)."""
+        component + alphabet + image strategy."""
         if self._reach_key is None:
             from repro.mc.store import design_content_key, store_key
 
@@ -647,15 +643,6 @@ class SymbolicChecker:
         return {
             slot: assignment.get(slot, False) for slot in self._state_vars
         }
-
-    def _state_bdd(self, state: Dict[str, bool]) -> int:
-        bdd = self.bdd
-        return bdd.AND(
-            *[
-                bdd.variable(s) if v else bdd.NOT(bdd.variable(s))
-                for s, v in state.items()
-            ]
-        )
 
     def _next_state_bdd(self, state: Dict[str, bool]) -> int:
         bdd = self.bdd

@@ -21,10 +21,10 @@ phases so benchmark deltas are attributable:
   ``(state, inputs)`` memo);
 - ``mc.reactions`` — explicit model-checker work;
 - ``bdd.apply_hits`` / ``bdd.apply_misses`` / ``bdd.cache_clears`` /
-  ``bdd.gc_collections`` / ``bdd.gc_reclaimed`` / ``bdd.sift_passes`` /
-  ``bdd.sift_swaps`` — cache, garbage-collection and dynamic-reordering
-  behaviour of the symbolic backend (folded in by
-  :meth:`repro.mc.bdd.BDD.cache_stats`);
+  ``bdd.gc_collections`` / ``bdd.gc_reclaimed`` — cache and
+  garbage-collection behaviour of the symbolic backend, folded in by
+  :meth:`repro.mc.bdd.BDD.cache_stats` once per symbolic verdict
+  (:func:`repro.mc.harness.never_present_verdicts`);
 - ``sweep.runs`` / ``sweep.tasks`` — work dispatched through the shared
   sweep executor (:mod:`repro.perf.sweep`);
 - ``faults.injected`` / ``faults.drops`` / ``faults.duplicates`` /

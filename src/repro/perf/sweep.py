@@ -1,7 +1,6 @@
 """Shared sweep executor for multi-point experiments.
 
-Every experiment in this repo that walks a parameter grid — capacity
-sweeps in :func:`repro.desync.verification.verified_buffer_sizes`, the
+Every experiment in this repo that walks a parameter grid — the
 rate/burst/drop/jitter scenario sweeps of
 :mod:`repro.workloads.scenarios`, the benchmark grids under
 ``benchmarks/`` — used to hand-roll the same loop.  :func:`sweep` is

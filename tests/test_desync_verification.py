@@ -1,7 +1,8 @@
 """Tests for the closed estimation/verification loop (Section 5.2)."""
 
-from repro.designs import modular_producer_consumer
+from repro.designs import modular_producer_consumer, toggle_producer
 from repro.desync import verified_buffer_sizes
+from repro.lang.ast import Program
 from repro.sim import stimuli
 
 
@@ -92,3 +93,18 @@ class TestVerifiedSizes:
         )
         text = result.render()
         assert "PROVEN" in text and "round 1" in text
+
+    def test_design_without_channels_is_proven_in_round_one(self):
+        # no channel, no alarm to check: the LTS is still explored, so
+        # the round reports its state count
+        result = verified_buffer_sizes(
+            Program("solo", [toggle_producer()]),
+            lambda: stimuli.periodic("p_act", 1),
+            horizon=10,
+            alphabet=[{"p_act": True}, {}],
+        )
+        assert result.proven
+        assert result.sizes == {}
+        assert [(r.round, r.states, r.counterexample) for r in result.rounds] == [
+            (1, 2, None)
+        ]

@@ -286,53 +286,6 @@ class TestGarbageCollection:
         assert bdd.restrict({"a": True, "b": True}, rebuilt) == TRUE
 
 
-class TestSifting:
-    def _interleaved(self, bdd):
-        # f = (a0&b0) | (a1&b1) | (a2&b2) under the *bad* order
-        # a0 < a1 < a2 < b0 < b1 < b2 — the textbook case where sifting
-        # must shrink the table (good order interleaves the pairs)
-        for n in ["a0", "a1", "a2", "b0", "b1", "b2"]:
-            bdd.variable(n)
-        return bdd.OR(
-            *[
-                bdd.AND(bdd.variable("a{}".format(i)), bdd.variable("b{}".format(i)))
-                for i in range(3)
-            ]
-        )
-
-    def test_swap_adjacent_preserves_functions(self, bdd):
-        f = self._interleaved(bdd)
-        table = _truth_table(bdd, f, ["a0", "a1", "a2", "b0", "b1", "b2"])
-        bdd.swap_adjacent(2)  # a2 <-> b0
-        assert bdd.order()[2:4] == ["b0", "a2"]
-        assert _truth_table(bdd, f, ["a0", "a1", "a2", "b0", "b1", "b2"]) == table
-
-    def test_sift_shrinks_and_preserves(self):
-        bdd = BDD()
-        f = self._interleaved(bdd)
-        bdd.pin(f)
-        table = _truth_table(bdd, f, ["a0", "a1", "a2", "b0", "b1", "b2"])
-        before = bdd.node_count()
-        delta = bdd.sift(max_vars=6, collect=True)
-        assert delta < 0
-        assert bdd.node_count() < before
-        assert bdd.sift_passes == 1
-        assert _truth_table(bdd, f, ["a0", "a1", "a2", "b0", "b1", "b2"]) == table
-
-    def test_watermark_triggers_automatic_pass(self):
-        bdd = BDD(sift=True, sift_watermark=16, sift_max_vars=6)
-        f = self._interleaved(bdd)
-        table = _truth_table(bdd, f, ["a0", "a1", "a2", "b0", "b1", "b2"])
-        # keep operating; the table is past the watermark so a pass fires
-        g = bdd.AND(f, bdd.variable("a0"))
-        assert bdd.sift_passes >= 1
-        assert _truth_table(bdd, f, ["a0", "a1", "a2", "b0", "b1", "b2"]) == table
-        assert bdd.restrict(
-            {"a0": True, "b0": True, "a1": False, "a2": False,
-             "b1": False, "b2": False}, g
-        ) == TRUE
-
-
 class TestCacheStats:
     def test_stats_keys_and_perf_export(self):
         from repro.perf import PERF
@@ -345,8 +298,7 @@ class TestCacheStats:
         stats = bdd.cache_stats()
         for key in (
             "apply_hits", "apply_misses", "cache_clears", "apply_cache_size",
-            "node_count", "gc_collections", "gc_reclaimed", "sift_passes",
-            "sift_swaps",
+            "node_count", "gc_collections", "gc_reclaimed",
         ):
             assert key in stats
         assert stats["gc_collections"] == 1
@@ -354,6 +306,29 @@ class TestCacheStats:
         # deltas, not absolutes: a second export adds nothing new
         bdd.cache_stats()
         assert PERF.get("bdd.gc_collections") == 1
+
+
+def _cache_workload(bdd):
+    """Formulas exercising every cached operation (ite, exists,
+    and_exists), as name-keyed dumps so two managers compare."""
+    xs = [bdd.variable("x{}".format(i)) for i in range(6)]
+    f = bdd.OR(*[bdd.AND(xs[i], xs[i + 3]) for i in range(3)])
+    g = bdd.XOR(xs[0], xs[5])
+    return bdd.dump(
+        [f, g, bdd.exists(["x1", "x4"], f), bdd.and_exists(["x0", "x3"], f, g)]
+    )
+
+
+class TestApplyCacheLimit:
+    def test_overflow_flushes_without_changing_results(self, monkeypatch):
+        reference = BDD()
+        expected = _cache_workload(reference)
+        assert reference.cache_clears == 0
+        monkeypatch.setattr("repro.mc.bdd.APPLY_CACHE_LIMIT", 4)
+        bdd = BDD()
+        assert _cache_workload(bdd) == expected
+        assert bdd.cache_clears > 0
+        assert bdd.cache_stats()["apply_cache_size"] <= 4
 
 
 # -- dump / load round trips (the persistent-store serialization path) --------
@@ -403,10 +378,10 @@ class TestDumpLoad:
 
 @settings(max_examples=60, deadline=None)
 @given(formulas())
-def test_prop_dump_gc_sift_load_preserves_semantics(f):
-    """The store's exact lifecycle: build, dump, then garbage-collect and
-    reorder the manager, then load the payload back — sat counts and
-    verdicts must come through untouched (satellite obligation)."""
+def test_prop_dump_gc_load_preserves_semantics(f):
+    """The store's exact lifecycle: build, dump, then garbage-collect the
+    manager and load the payload back — sat counts and verdicts must come
+    through untouched, also in a manager whose variable order differs."""
     bdd = BDD()
     for n in NAMES:
         bdd.variable(n)
@@ -415,16 +390,25 @@ def test_prop_dump_gc_sift_load_preserves_semantics(f):
     expected_sem = _semantics(bdd, node)
     payload = bdd.dump([node])
 
-    # pinned-roots path: the node survives collection and resifting...
+    # pinned-roots path: the node survives collection...
     bdd.pin(node)
     bdd.gc()
-    bdd.sift(collect=True)
     assert bdd.sat_count(node, n_vars=len(NAMES)) == expected_sat
 
-    # ...and the payload reloads identically into the mutated manager
+    # ...and the payload reloads identically into the collected manager
     (again,) = bdd.load(payload)
     assert again == node
     assert bdd.sat_count(again, n_vars=len(NAMES)) == expected_sat
+
+    # a manager registering the names in reverse order rebuilds the
+    # payload under its own order: the case name-keyed nodes exist for
+    reversed_order = BDD()
+    for n in reversed(NAMES):
+        reversed_order.variable(n)
+    (r,) = reversed_order.load(payload)
+    assert reversed_order.order() == NAMES[::-1]
+    assert reversed_order.sat_count(r, n_vars=len(NAMES)) == expected_sat
+    assert _semantics(reversed_order, r) == expected_sem
 
     # a fresh manager (different life history) agrees on the semantics
     fresh = BDD()

@@ -16,6 +16,7 @@ from repro.errors import VerificationError
 from repro.lang.serializer import program_to_dict
 from repro.mc.store import STORE_ENV
 from repro.perf import PERF
+from repro.perf.sweep import run_task
 from repro.service import (
     CANCELLED,
     DONE,
@@ -107,6 +108,28 @@ class TestRunnerDeterminism:
         with pytest.raises(VerificationError, match="ghost"):
             execute({"kind": "verify", "design": "producer_consumer",
                      "params": {"never": "ghost"}})
+
+
+class TestJobCounters:
+    def test_symbolic_jobs_record_bdd_counters(self, monkeypatch):
+        # a job's counters are its run_task scope; each symbolic verdict
+        # folds its BDD counts there once, so a rerun in a fresh scope
+        # reports the same figures
+        monkeypatch.delenv(STORE_ENV, raising=False)
+        verify = dict(VERIFY, params={"backend": "symbolic", "never": "y"})
+        prove = {
+            "kind": "prove", "design": "boolean_producer_consumer",
+            "params": {"backend": "symbolic", "fifo": "boolean",
+                       "capacities": 1},
+        }
+        for spec in (verify, prove):
+            runs = [run_task(execute, 0, spec).counters for _ in range(2)]
+            bdd = [
+                {k: v for k, v in counters.items() if k.startswith("bdd.")}
+                for counters in runs
+            ]
+            assert bdd[0]["bdd.apply_misses"] > 0
+            assert bdd[0] == bdd[1]
 
 
 class TestResultCache:
