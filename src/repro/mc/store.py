@@ -26,13 +26,24 @@ Layout and durability
 ---------------------
 
 Entries live under ``<root>/<key[:2]>/<key>.json`` wrapped in an
-envelope carrying a format stamp (:data:`STORE_FORMAT`) and the kind.
+envelope carrying a format stamp (:data:`STORE_FORMAT`) and the kind,
+encoded as one :func:`repro.service.jobs.canonical_json` string.
 Writes go through a same-directory temp file plus :func:`os.replace`, so
 concurrent readers (and a crash mid-write) only ever see complete
-entries.  A byte-size cap is enforced LRU-by-mtime after each put
-(reads refresh mtime); an entry that does not decode to an envelope of
-the current format and the requested kind (truncated, garbage, stale)
-is a miss and is unlinked.  Counters are exported through
+entries.  An entry that does not decode to an envelope of the current
+format and the requested kind (truncated, garbage, stale) is a miss and
+is unlinked.
+
+A byte-size cap is enforced LRU-by-mtime (reads refresh mtime).  The
+byte total of the entries lives in a ledger file at the root
+(:data:`LEDGER_NAME`), shared by every process and thread that opens
+the store: each rename or unlink of an entry happens under an exclusive
+``flock`` of the ledger, and the ledger is updated under the same lock,
+so the cap holds across the worker processes of one service.  A put
+therefore costs the same however many entries the store holds; the
+store lists its entries only when the total passes the cap (then it
+evicts down to the cap and rewrites the exact total), or to rebuild a
+ledger that is missing or unreadable.  Counters are exported through
 :data:`repro.perf.PERF` as ``mc.store.hits`` / ``mc.store.misses`` /
 ``mc.store.puts`` / ``mc.store.evictions`` / ``mc.store.errors``.
 
@@ -45,11 +56,14 @@ cap (default 256 MiB).
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import os
 import tempfile
 import threading
-from typing import Any, Dict, Optional
+from types import SimpleNamespace
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.perf import PERF
 from repro.service.jobs import canonical_json, _sha256
@@ -57,6 +71,12 @@ from repro.service.jobs import canonical_json, _sha256
 #: format stamp of the on-disk envelope; bumping it invalidates every
 #: existing entry at once (they read back as misses and are dropped)
 STORE_FORMAT = "mc-store-v1"
+
+#: name of the byte ledger at the store root: the byte total of every
+#: entry as one zero-padded decimal line of fixed width
+LEDGER_NAME = "ledger"
+_LEDGER_LINE = b"%020d\n"
+_LEDGER_BYTES = len(_LEDGER_LINE % 0)
 
 #: default LRU byte cap (override per store or via REPRO_MC_STORE_LIMIT)
 DEFAULT_LIMIT_BYTES = 256 * 1024 * 1024
@@ -134,7 +154,7 @@ class MCStore:
             and (kind is None or envelope.get("kind") == kind)
         ):
             # corrupt, stale format or kind collision: drop it and miss
-            self._remove(path)
+            self._drop(path)
             self._miss()
             return None
         try:
@@ -147,18 +167,31 @@ class MCStore:
         return envelope.get("payload")
 
     def put(self, key: str, kind: str, payload: Any) -> None:
-        """Atomically persist ``payload`` under ``key``; then enforce the
-        byte cap by evicting least-recently-used entries."""
+        """Atomically persist ``payload`` under ``key``, add its net size
+        to the ledger and, when the total passes the byte cap, evict
+        least-recently-used entries down to it."""
         path = self._path(key)
-        envelope = {"format": STORE_FORMAT, "kind": kind, "payload": payload}
+        # one C-encoder call; json.dump would stream the same bytes
+        # through the pure-Python encoder
+        data = canonical_json(
+            {"format": STORE_FORMAT, "kind": kind, "payload": payload}
+        ).encode("utf-8")
         directory = os.path.dirname(path)
         try:
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(envelope, fh, sort_keys=True, separators=(",", ":"))
-                os.replace(tmp, path)
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+                with self._ledger() as ledger:
+                    try:
+                        replaced = os.stat(path).st_size
+                    except FileNotFoundError:
+                        replaced = 0
+                    os.replace(tmp, path)
+                    ledger.total += len(data) - replaced
+                    if ledger.total > self.limit_bytes:
+                        ledger.total, _ = self._evict(self.limit_bytes)
             except BaseException:
                 try:
                     os.unlink(tmp)
@@ -166,14 +199,48 @@ class MCStore:
                     pass
                 raise
         except OSError:
-            with self._lock:
-                self.errors += 1
-            PERF.incr("mc.store.errors")
+            self._error()
             return
         with self._lock:
             self.puts += 1
         PERF.incr("mc.store.puts")
-        self._enforce_limit()
+
+    # -- the byte ledger -----------------------------------------------------
+
+    @contextlib.contextmanager
+    def _ledger(self) -> Iterator[SimpleNamespace]:
+        """Lock the ledger for one read-modify-write.
+
+        Yields a namespace whose ``total`` is the recorded byte total,
+        rebuilt by one scan when the file is missing or unreadable, and
+        writes ``total`` back when the block completes.  Every change to
+        the set of entries happens inside such a block.  The file is
+        opened anew each time: an ``flock`` belongs to the open file
+        description, which a forked child shares.  For the same reason
+        the lock is released explicitly, not by closing: a child forked
+        during the block holds a duplicate of the descriptor."""
+        fd = os.open(
+            os.path.join(self.root, LEDGER_NAME), os.O_RDWR | os.O_CREAT, 0o644
+        )
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            try:
+                raw = os.pread(fd, 2 * _LEDGER_BYTES, 0)
+                if (len(raw) == _LEDGER_BYTES and raw.endswith(b"\n")
+                        and raw[:-1].isdigit()):
+                    ledger = SimpleNamespace(total=int(raw))
+                else:
+                    ledger = SimpleNamespace(
+                        total=sum(size for _, size, _ in self._entries())
+                    )
+                yield ledger
+                line = _LEDGER_LINE % ledger.total
+                os.pwrite(fd, line, 0)
+                os.ftruncate(fd, len(line))
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
 
     # -- maintenance ---------------------------------------------------------
 
@@ -204,39 +271,65 @@ class MCStore:
         out.sort()
         return out
 
-    def _enforce_limit(self) -> None:
+    def _evict(self, limit: int) -> Tuple[int, int]:
+        """Unlink least-recently-used entries until at most ``limit``
+        bytes remain; returns the bytes left and the number evicted.
+        Runs inside a ledger block, so the scan's sizes are current."""
         entries = self._entries()
         total = sum(size for _, size, _ in entries)
+        evicted = 0
         for _, size, path in entries:
-            if total <= self.limit_bytes:
+            if total <= limit:
                 break
             if self._remove(path):
                 total -= size
-                with self._lock:
-                    self.evictions += 1
-                PERF.incr("mc.store.evictions")
+                evicted += 1
+        if evicted:
+            with self._lock:
+                self.evictions += evicted
+            PERF.incr("mc.store.evictions", evicted)
+        return total, evicted
 
     def prune(self, limit_bytes: Optional[int] = None) -> int:
         """Evict LRU entries down to ``limit_bytes`` (default: the
-        store's cap); returns the number evicted."""
-        before = self.evictions
+        store's cap, which this never changes); returns the number
+        evicted."""
+        limit = self.limit_bytes
         if limit_bytes is not None:
-            old, self.limit_bytes = self.limit_bytes, max(1, int(limit_bytes))
-            try:
-                self._enforce_limit()
-            finally:
-                self.limit_bytes = old
-        else:
-            self._enforce_limit()
-        return self.evictions - before
+            limit = max(1, int(limit_bytes))
+        try:
+            with self._ledger() as ledger:
+                ledger.total, evicted = self._evict(limit)
+        except OSError:
+            self._error()
+            return 0
+        return evicted
 
     def clear(self) -> int:
         """Drop every entry (statistics survive); returns count removed."""
         removed = 0
-        for _, _, path in self._entries():
-            if self._remove(path):
-                removed += 1
+        try:
+            with self._ledger() as ledger:
+                ledger.total = 0
+                for _, size, path in self._entries():
+                    if self._remove(path):
+                        removed += 1
+                    else:
+                        ledger.total += size
+        except OSError:
+            self._error()
         return removed
+
+    def _drop(self, path: str) -> None:
+        """Unlink a corrupt entry and take its size off the ledger; on a
+        ledger error the entry stays until a put overwrites it."""
+        try:
+            with self._ledger() as ledger:
+                size = os.stat(path).st_size
+                if self._remove(path):
+                    ledger.total -= size
+        except OSError:
+            pass
 
     def _remove(self, path: str) -> bool:
         try:
@@ -244,6 +337,11 @@ class MCStore:
             return True
         except OSError:
             return False
+
+    def _error(self) -> None:
+        with self._lock:
+            self.errors += 1
+        PERF.incr("mc.store.errors")
 
     def _miss(self) -> None:
         with self._lock:
