@@ -40,6 +40,7 @@ from repro.mc import (
     input_alphabet,
     verify_composed,
 )
+from repro.perf import PERF
 
 from _report import emit, quick, table
 
@@ -221,6 +222,12 @@ def store_put_table():
     }
 
 
+def store_hit_rate(tables):
+    """The share of store lookups that hit, in one pass's counts."""
+    hits = tables.counts.get("mc.store.hits", 0)
+    return hits / (hits + tables.counts.get("mc.store.misses", 0))
+
+
 def run_experiment():
     # honor REPRO_MC_STORE so a CI leg can run the bench twice against
     # one persistent root (the second invocation's "cold" pass is then
@@ -231,26 +238,24 @@ def run_experiment():
         scratch = tempfile.mkdtemp(prefix="a13-store-")
         store = MCStore(scratch)
     try:
-        cold = run_pass(store)
-        before = store.stats()
-        warm = run_pass(store)
-        after = store.stats()
+        # each pass counts its store hits and misses in a scope of its own
+        with PERF.scope() as cold_counts:
+            cold = run_pass(store)
+        with PERF.scope() as warm_counts:
+            warm = run_pass(store)
+        footprint = store.stats()
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
-    cold_lookups = before["hits"] + before["misses"]
-    lookups = (after["hits"] - before["hits"]) + (
-        after["misses"] - before["misses"])
-    warm_hit_rate = (after["hits"] - before["hits"]) / lookups
     return {
         "cold": cold,
         "warm": warm,
-        "cold_hit_rate": before["hits"] / cold_lookups,
-        "warm_hit_rate": warm_hit_rate,
+        "cold_hit_rate": store_hit_rate(cold_counts),
+        "warm_hit_rate": store_hit_rate(warm_counts),
         "warm_speedup": cold["wall_seconds"] / warm["wall_seconds"],
         "store_root_persistent": scratch is None,
-        "store_entries": after["entries"],
-        "store_bytes": after["bytes"],
+        "store_entries": footprint["entries"],
+        "store_bytes": footprint["bytes"],
         "store_put": store_put_table(),
     }
 

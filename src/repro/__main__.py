@@ -308,6 +308,7 @@ def cmd_verify(args) -> int:
     persistent store."""
     from repro.mc.harness import never_present_verdicts
     from repro.mc.store import MCStore, default_store
+    from repro.perf import PERF
 
     prog = _target(args)
     contracts = {}
@@ -318,23 +319,23 @@ def cmd_verify(args) -> int:
                 "verify: bad --contract {!r}: want SIGNAL=NAME".format(pair))
         contracts[sig] = cname
     store = MCStore(args.store) if args.store else default_store()
-    before = store.stats() if store is not None else None
-    verdict = next(never_present_verdicts(
-        prog,
-        args.backend,
-        [args.never],
-        int_values=_int_values(args),
-        always_present=args.always or (),
-        never_present=args.never_input or (),
-        max_states=args.max_states,
-        depth=args.depth,
-        contracts=contracts,
-        store=store,
-    ))
-    after = store.stats() if store is not None else None
+    with PERF.scope() as scope:
+        verdict = next(never_present_verdicts(
+            prog,
+            args.backend,
+            [args.never],
+            int_values=_int_values(args),
+            always_present=args.always or (),
+            never_present=args.never_input or (),
+            max_states=args.max_states,
+            depth=args.depth,
+            contracts=contracts,
+            store=store,
+        ))
+    counts = {name: int(scope.counts.get("mc.store." + name, 0))
+              for name in ("hits", "misses", "puts")}
     # answered from the store alone: it hit and explored nothing new
-    served = after is not None and after["hits"] > before["hits"] \
-        and after["misses"] == before["misses"]
+    served = counts["hits"] > 0 and counts["misses"] == 0
     print(_VERIFY_FIGURES[args.backend].format(**verdict.figures)
           + (" [store hit]" if served else ""))
     if verdict.verdict == "proven":
@@ -344,13 +345,10 @@ def cmd_verify(args) -> int:
             args.depth, args.never))
     else:
         print(verdict.counterexample.render())
-    if after is not None:
-        print("store: {} hit(s), {} miss(es), {} put(s); {} entries".format(
-            after["hits"] - before["hits"],
-            after["misses"] - before["misses"],
-            after["puts"] - before["puts"],
-            after["entries"],
-        ))
+    if store is not None:
+        print("store: {hits} hit(s), {misses} miss(es), {puts} put(s); "
+              "{entries} entries".format(
+                  entries=store.stats()["entries"], **counts))
     return 0 if verdict.holds else 1
 
 
@@ -905,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.set_defaults(fn=cmd_mc)
 
-    mp = msub.add_parser("stats", help="store footprint and hit counters")
+    mp = msub.add_parser("stats", help="store footprint on disk")
     _mc_store_arg(mp)
     mp = msub.add_parser("prune", help="evict LRU entries down to a byte cap")
     mp.add_argument("--limit", type=int, metavar="BYTES",

@@ -15,12 +15,13 @@ exploration:
 - final ``verify`` verdicts from the service runner and the compose
   layer (:mod:`repro.mc.compose`).
 
-Addressing reuses the exact canonical-JSON recipe of
-:mod:`repro.service.jobs`: a key is the sha256 of
-``{"kind", "design", "params"}`` where ``design`` is the content hash of
-the resolved program.  A one-token design edit therefore changes the
-key, and no stale artifact can ever be served (tested by the service
-invalidation suite).
+Addressing: a key (:func:`store_key`) is the sha256 of the canonical
+JSON of ``{"kind", "design", "params"}``, where ``design`` is the
+content hash of the design (:func:`design_content_key`); the service
+keys its jobs with the same two functions
+(:func:`repro.service.jobs.job_key`).  A one-token design edit
+therefore changes the key, and no stale artifact can ever be served
+(tested by the service invalidation suite).
 
 Layout and durability
 ---------------------
@@ -43,9 +44,14 @@ so the cap holds across the worker processes of one service.  A put
 therefore costs the same however many entries the store holds; the
 store lists its entries only when the total passes the cap (then it
 evicts down to the cap and rewrites the exact total), or to rebuild a
-ledger that is missing or unreadable.  Counters are exported through
-:data:`repro.perf.PERF` as ``mc.store.hits`` / ``mc.store.misses`` /
-``mc.store.puts`` / ``mc.store.evictions`` / ``mc.store.errors``.
+ledger that is missing or unreadable.
+
+Counters live only in :data:`repro.perf.PERF`, as ``mc.store.hits`` /
+``mc.store.misses`` / ``mc.store.puts`` / ``mc.store.evictions`` /
+``mc.store.errors``, so they cover every instance and every job scope
+alike; :meth:`MCStore.stats` reports the on-disk footprint, and a
+caller that wants the counts of one call reads them from a
+:meth:`~repro.perf.PerfCounters.scope` around it.
 
 Enablement: pass a root path explicitly, or set the ``REPRO_MC_STORE``
 environment variable to a directory and call :func:`default_store`
@@ -88,18 +94,20 @@ LIMIT_ENV = "REPRO_MC_STORE_LIMIT"
 
 def design_content_key(design) -> str:
     """Content hash of a Component/Program — identical for structurally
-    equal designs, the same recipe :func:`repro.service.jobs.design_key`
-    applies to resolved job designs."""
+    equal designs.  A component's is :func:`repro.sim.plan.component_key`,
+    and :func:`repro.service.jobs.design_key` is this of the resolved
+    job design."""
     from repro.lang.ast import Component, Program
-    from repro.lang.serializer import component_to_dict, program_to_dict
 
     if isinstance(design, Program):
-        payload = program_to_dict(design)
-    elif isinstance(design, Component):
-        payload = component_to_dict(design)
-    else:
-        raise TypeError("cannot key {!r}".format(type(design).__name__))
-    return _sha256(canonical_json(payload))
+        from repro.lang.serializer import program_to_dict
+
+        return _sha256(canonical_json(program_to_dict(design)))
+    if isinstance(design, Component):
+        from repro.sim.plan import component_key
+
+        return component_key(design)
+    raise TypeError("cannot key {!r}".format(type(design).__name__))
 
 
 def store_key(kind: str, design_key: str, params: Dict[str, Any]) -> str:
@@ -120,12 +128,6 @@ class MCStore:
         if limit_bytes < 1:
             raise ValueError("store limit must be >= 1 byte")
         self.limit_bytes = limit_bytes
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.evictions = 0
-        self.errors = 0
         os.makedirs(self.root, exist_ok=True)
 
     # -- paths ---------------------------------------------------------------
@@ -144,7 +146,7 @@ class MCStore:
             with open(path, "r", encoding="utf-8") as fh:
                 envelope = json.load(fh)
         except OSError:
-            self._miss()
+            PERF.incr("mc.store.misses")
             return None
         except ValueError:  # truncated or undecodable
             envelope = None
@@ -155,14 +157,12 @@ class MCStore:
         ):
             # corrupt, stale format or kind collision: drop it and miss
             self._drop(path)
-            self._miss()
+            PERF.incr("mc.store.misses")
             return None
         try:
             os.utime(path)  # refresh LRU recency
         except OSError:
             pass
-        with self._lock:
-            self.hits += 1
         PERF.incr("mc.store.hits")
         return envelope.get("payload")
 
@@ -199,10 +199,8 @@ class MCStore:
                     pass
                 raise
         except OSError:
-            self._error()
+            PERF.incr("mc.store.errors")
             return
-        with self._lock:
-            self.puts += 1
         PERF.incr("mc.store.puts")
 
     # -- the byte ledger -----------------------------------------------------
@@ -285,8 +283,6 @@ class MCStore:
                 total -= size
                 evicted += 1
         if evicted:
-            with self._lock:
-                self.evictions += evicted
             PERF.incr("mc.store.evictions", evicted)
         return total, evicted
 
@@ -301,12 +297,12 @@ class MCStore:
             with self._ledger() as ledger:
                 ledger.total, evicted = self._evict(limit)
         except OSError:
-            self._error()
+            PERF.incr("mc.store.errors")
             return 0
         return evicted
 
     def clear(self) -> int:
-        """Drop every entry (statistics survive); returns count removed."""
+        """Drop every entry; returns the number removed."""
         removed = 0
         try:
             with self._ledger() as ledger:
@@ -317,7 +313,7 @@ class MCStore:
                     else:
                         ledger.total += size
         except OSError:
-            self._error()
+            PERF.incr("mc.store.errors")
         return removed
 
     def _drop(self, path: str) -> None:
@@ -338,32 +334,17 @@ class MCStore:
         except OSError:
             return False
 
-    def _error(self) -> None:
-        with self._lock:
-            self.errors += 1
-        PERF.incr("mc.store.errors")
-
-    def _miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-        PERF.incr("mc.store.misses")
-
     # -- reporting -----------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
+        """The on-disk footprint (the counts are ``mc.store.*`` in
+        :data:`repro.perf.PERF`)."""
         entries = self._entries()
-        lookups = self.hits + self.misses
         return {
             "root": self.root,
             "entries": len(entries),
             "bytes": sum(size for _, size, _ in entries),
             "limit_bytes": self.limit_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "errors": self.errors,
-            "hit_rate": (self.hits / lookups) if lookups else 0.0,
         }
 
 
@@ -377,8 +358,9 @@ _default_root: Optional[str] = None
 def default_store() -> Optional[MCStore]:
     """The store named by ``REPRO_MC_STORE``, or ``None`` when unset.
 
-    One instance per process per root, so counters accumulate across the
-    service handlers, the CLI and the benches alike; changing the
+    One instance per process per root, shared by the service handlers,
+    the CLI and the benches alike (its counts are ``mc.store.*`` in
+    :data:`repro.perf.PERF`, whichever instance made them); changing the
     environment variable mid-process switches (and re-creates) it.
     """
     global _default, _default_root

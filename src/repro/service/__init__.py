@@ -13,13 +13,12 @@ perf layers bought:
   two structurally equal designs share one key);
 - :mod:`repro.service.runner` — the deterministic per-job executor, a
   module-level function that also runs inside pool workers;
-- :mod:`repro.service.cache` — the thread-safe LRU result cache keyed by
-  job key; resubmitted designs are near-free and the hit/miss/eviction
-  counters are exported through :data:`repro.perf.PERF`;
 - :mod:`repro.service.scheduler` — priority queues, job states,
   cancellation, in-flight coalescing and backfill over a persistent
   worker pool (generalizing :mod:`repro.perf.sweep` from
-  one-grid-one-pool to a long-lived service);
+  one-grid-one-pool to a long-lived service); a resubmitted job key is
+  served from the job table, which keeps every ``done`` envelope, and
+  the hit/miss counts live in :data:`repro.perf.PERF`;
 - :mod:`repro.service.server` / :mod:`repro.service.client` — a
   line-delimited JSON socket API (``repro serve`` / ``repro submit``)
   with streaming progress events;
@@ -48,7 +47,6 @@ from repro.service.jobs import (
     resolve_program,
     result_digest,
 )
-from repro.service.cache import ResultCache
 from repro.service.runner import execute
 from repro.service.scheduler import JobRecord, Scheduler
 from repro.service.server import ServiceServer
@@ -64,7 +62,6 @@ __all__ = [
     "RUNNING",
     "JobSpec",
     "JobRecord",
-    "ResultCache",
     "Scheduler",
     "ServiceClient",
     "ServiceServer",

@@ -20,12 +20,14 @@ A job is ``(kind, design, params, priority)``:
   priority band.  It does **not** enter the job key: priority changes
   scheduling, never the result.
 
-Content addressing: :func:`design_key` hashes the *resolved program's*
-canonical serialization (identity and source spans ignored — the same
-recipe :func:`repro.sim.plan.component_key` uses per component), and
-:func:`job_key` extends that with kind and params.  Two submissions of
-structurally equal designs with equal parameters therefore share one key,
-which is what makes the result cache and in-flight coalescing sound.
+Content addressing: :func:`design_key` is
+:func:`repro.mc.store.design_content_key` of the *resolved program* (its
+canonical serialization, identity and source spans ignored), and
+:func:`job_key` is :func:`repro.mc.store.store_key` of kind, design key
+and params — one recipe for job results and store entries.  Two
+submissions of structurally equal designs with equal parameters
+therefore share one key, which is what makes serving repeats and
+in-flight coalescing sound.
 """
 
 from __future__ import annotations
@@ -152,21 +154,18 @@ def _memoize(key: str, program):
 def design_key(design: Any) -> str:
     """Content hash of the resolved design: equal for structurally equal
     programs regardless of how the spec named them."""
-    from repro.lang.serializer import program_to_dict
+    from repro.mc.store import design_content_key
 
-    program = resolve_program(design)
-    return _sha256(canonical_json(program_to_dict(program)))
+    return design_content_key(resolve_program(design))
 
 
 def job_key(spec: JobSpec) -> str:
-    """The content address results are cached under: design content plus
-    kind plus parameters.  Priority is deliberately excluded."""
-    payload = {
-        "kind": spec.kind,
-        "design": design_key(spec.design),
-        "params": spec.params,
-    }
-    return _sha256(canonical_json(payload))
+    """The content address results are served under: the store key of
+    kind, design content and parameters.  Priority is deliberately
+    excluded."""
+    from repro.mc.store import store_key
+
+    return store_key(spec.kind, design_key(spec.design), spec.params)
 
 
 def result_digest(result: Any) -> str:

@@ -17,12 +17,15 @@ results gathered at the end — into a long-lived service:
   scopes and error capture are shared code, and a dispatcher thread
   backfills a free slot with the highest-priority pending job the
   moment one opens — no barriers between batches;
-- **results are content-addressed**: before queueing, the scheduler
-  consults the :class:`~repro.service.cache.ResultCache`; a hit
-  completes the job instantly (``cache_hit=True``).  A miss that
-  matches a job already pending or running is *coalesced* — it waits on
-  the in-flight twin instead of recomputing — and counted under
-  ``service.jobs_coalesced``;
+- **results are content-addressed**: the job table keeps the envelope
+  of every key that finished ``done``, and a resubmitted key is served
+  from it instantly (``cache_hit=True``).  A key already pending or
+  running is *coalesced* instead — it waits on the in-flight twin
+  rather than recomputing — and counted under
+  ``service.jobs_coalesced``.  One critical section decides between
+  serving, coalescing and queueing, so a resubmission racing its twin's
+  completion never runs the job twice.  The table has no bound: every
+  record keeps its envelope for the ``result`` op anyway;
 - **events**: every state change is broadcast to subscriber queues,
   which is what the socket server's ``watch`` op streams.
 
@@ -52,7 +55,6 @@ from repro.perf.sweep import (
     submit_task,
     worker_pool,
 )
-from repro.service.cache import ResultCache
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -119,13 +121,10 @@ class JobRecord:
 
 class Scheduler:
     """The verification-job platform: priority queue, persistent pool,
-    result cache, progress events."""
+    served results, progress events."""
 
-    def __init__(
-        self, workers: int = 1, cache: Optional[ResultCache] = None
-    ) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        self.cache = cache if cache is not None else ResultCache()
         self._lock = threading.RLock()
         self._shutdown_lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
@@ -133,6 +132,8 @@ class Scheduler:
         self._jobs: Dict[str, JobRecord] = {}
         self._order: List[str] = []
         self._inflight_by_key: Dict[str, List[str]] = {}
+        # key -> envelope of the job of that key that finished done
+        self._done_by_key: Dict[str, Dict[str, Any]] = {}
         self._subscribers: List["queue.Queue"] = []
         self._seq = itertools.count()
         self._inflight = 0
@@ -164,7 +165,12 @@ class Scheduler:
         """A pool whose workers are already forked.  The executor forks
         lazily, on its first task; doing that here, before the dispatcher
         and any socket handler thread run, keeps a child from inheriting
-        an import lock another thread holds."""
+        an import lock another thread holds.  Job keys are store keys, so
+        this process imports the store anyway: importing it before the
+        fork lets the workers inherit it instead of each importing it
+        for its first job."""
+        import repro.mc.store  # noqa: F401
+
         pool = worker_pool(runner.execute, self.workers)
         for f in [pool.submit(os.getpid) for _ in range(self.workers)]:
             f.result()
@@ -209,15 +215,16 @@ class Scheduler:
     ) -> str:
         """Queue one job; returns its id immediately.
 
-        Cache hits complete synchronously; a job whose key is already
-        pending or running coalesces onto the in-flight twin.
+        A key that already finished ``done`` is served synchronously; a
+        job whose key is pending or running coalesces onto the in-flight
+        twin.  Either way counts one ``service.cache_hits`` or one
+        ``service.cache_misses``.
         """
         if isinstance(spec, dict):
             spec = spec_from_dict(spec)
         if priority is not None:
             spec = spec._replace(priority=int(priority))
         key = job_key(spec)
-        cached = self.cache.get(key)
         with self._cv:
             seq = next(self._seq)
             job_id = "J{:06d}".format(seq)
@@ -225,12 +232,15 @@ class Scheduler:
             self._jobs[job_id] = record
             self._order.append(job_id)
             PERF.incr("service.jobs_submitted")
-            if cached is not None:
+            envelope = self._done_by_key.get(key)
+            if envelope is not None:
+                PERF.incr("service.cache_hits")
                 record.cache_hit = True
                 record.seconds = 0.0
-                record.envelope = cached
+                record.envelope = envelope
                 self._finish_locked(record, DONE)
                 return job_id
+            PERF.incr("service.cache_misses")
             twins = self._inflight_by_key.get(key)
             if twins is not None:
                 record.coalesced = True
@@ -311,7 +321,15 @@ class Scheduler:
                 "queued": sum(1 for r in self._jobs.values() if r.state == PENDING),
                 "states": dict(sorted(by_state.items())),
             }
-        out["result_cache"] = self.cache.stats()
+            served = len(self._done_by_key)
+        hits = PERF.get("service.cache_hits")
+        misses = PERF.get("service.cache_misses")
+        out["result_cache"] = {
+            "size": served,
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
         out["plan_cache"] = plan_cache_stats()
         from repro.mc.store import global_stats
 
@@ -451,7 +469,7 @@ class Scheduler:
                 self._finish_locked(record, FAILED)
             else:
                 record.envelope = task.value
-                self.cache.put(record.key, task.value)
+                self._done_by_key[record.key] = task.value
                 self._finish_locked(record, DONE)
             for follower_id in followers:
                 if follower_id == job_id:

@@ -3,9 +3,9 @@
 Spins up a real :class:`~repro.service.server.ServiceServer` (process
 pool, ephemeral port), pushes a small mixed batch over the socket,
 asserts every job's digest is byte-identical to in-process sequential
-execution, resubmits the batch to check the warm result cache serves it,
-and shuts down cleanly.  Exits non-zero on any mismatch — CI runs this
-next to the soak smoke.
+execution, resubmits the batch to check that the scheduler serves every
+repeat from its finished jobs, and shuts down cleanly.  Exits non-zero
+on any mismatch — CI runs this next to the soak smoke.
 
 Run directly with ``python -m repro.service.smoke [--workers N]``.
 """
@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import Dict, List
 
-from repro.service import ResultCache, Scheduler, ServiceClient, ServiceServer
+from repro.service import Scheduler, ServiceClient, ServiceServer
 from repro.service import runner
 
 
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     # sequential in-process reference
     reference = [runner.execute(dict(spec)) for spec in batch]
 
-    scheduler = Scheduler(workers=args.workers, cache=ResultCache(1024))
+    scheduler = Scheduler(workers=args.workers)
     server = ServiceServer(scheduler, port=0)
     failures = 0
     with server:
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
                     print("FAIL {}: digest mismatch for {!r}".format(
                         summary["id"], spec))
                     failures += 1
-            # warm resubmission: every job must be served from the cache
+            # warm resubmission: every job must be served from the job table
             warm_ids = client.submit(batch)
             warm = client.wait(warm_ids, timeout=60)
             served = sum(1 for s in warm if s.get("cache_hit"))

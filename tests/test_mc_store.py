@@ -50,6 +50,11 @@ def disk_bytes(root):
     return total
 
 
+def count(tables, name):
+    """One ``mc.store.*`` count of the tables of a ``PERF.scope()``."""
+    return tables.counts.get("mc.store." + name, 0)
+
+
 def ledger_bytes(root):
     with open(os.path.join(str(root), LEDGER_NAME), "rb") as fh:
         return int(fh.read())
@@ -92,22 +97,25 @@ class TestKeys:
 class TestMCStore:
     def test_round_trip(self, tmp_path):
         store = MCStore(str(tmp_path))
-        store.put("ab" * 32, "verdict", {"holds": True})
-        assert store.get("ab" * 32, kind="verdict") == {"holds": True}
-        assert store.hits == 1 and store.puts == 1
+        with PERF.scope() as counts:
+            store.put("ab" * 32, "verdict", {"holds": True})
+            assert store.get("ab" * 32, kind="verdict") == {"holds": True}
+        assert count(counts, "hits") == 1 and count(counts, "puts") == 1
 
     def test_absent_key_is_a_miss(self, tmp_path):
         store = MCStore(str(tmp_path))
-        assert store.get("cd" * 32) is None
-        assert store.misses == 1
+        with PERF.scope() as counts:
+            assert store.get("cd" * 32) is None
+        assert count(counts, "misses") == 1
 
     def test_kind_mismatch_is_a_miss_and_drops_the_entry(self, tmp_path):
         store = MCStore(str(tmp_path))
-        store.put("ab" * 32, "verdict", 1)
-        assert store.get("ab" * 32, kind="explicit-lts") is None
-        # the colliding entry was dropped, not served later
-        assert store.get("ab" * 32, kind="verdict") is None
-        assert store.misses == 2
+        with PERF.scope() as counts:
+            store.put("ab" * 32, "verdict", 1)
+            assert store.get("ab" * 32, kind="explicit-lts") is None
+            # the colliding entry was dropped, not served later
+            assert store.get("ab" * 32, kind="verdict") is None
+        assert count(counts, "misses") == 2
 
     def test_stale_format_is_a_miss(self, tmp_path):
         store = MCStore(str(tmp_path))
@@ -135,8 +143,9 @@ class TestMCStore:
         os.makedirs(os.path.dirname(path))
         with open(path, "wb") as fh:
             fh.write(raw)
-        assert store.get(key, kind="verdict") is None
-        assert store.misses == 1
+        with PERF.scope() as counts:
+            assert store.get(key, kind="verdict") is None
+        assert count(counts, "misses") == 1
         assert not os.path.exists(path)
         store.put(key, "verdict", {"holds": True})
         assert store.get(key, kind="verdict") == {"holds": True}
@@ -161,10 +170,11 @@ class TestMCStore:
 
     def test_lru_eviction_under_byte_cap(self, tmp_path):
         store = MCStore(str(tmp_path), limit_bytes=1)
-        store.put("aa" * 32, "verdict", 1)
-        store.put("bb" * 32, "verdict", 2)
+        with PERF.scope() as counts:
+            store.put("aa" * 32, "verdict", 1)
+            store.put("bb" * 32, "verdict", 2)
         # cap of one byte: each put evicts everything older
-        assert store.evictions >= 1
+        assert count(counts, "evictions") >= 1
         assert store.stats()["entries"] <= 1
 
     def test_get_refreshes_recency(self, tmp_path):
@@ -189,24 +199,30 @@ class TestMCStore:
 
     def test_stats_shape(self, tmp_path):
         store = MCStore(str(tmp_path))
-        store.put("aa" * 32, "verdict", 1)
-        store.get("aa" * 32)
-        store.get("bb" * 32)
+        with PERF.scope() as counts:
+            store.put("aa" * 32, "verdict", 1)
+            store.get("aa" * 32)
+            store.get("bb" * 32)
         st = store.stats()
-        assert st["entries"] == 1 and st["hits"] == 1 and st["misses"] == 1
-        assert st["puts"] == 1 and 0.0 < st["hit_rate"] < 1.0
+        # the footprint on disk; the counts live only in PERF
+        assert sorted(st) == ["bytes", "entries", "limit_bytes", "root"]
+        assert st["entries"] == 1
+        assert count(counts, "hits") == 1 and count(counts, "misses") == 1
+        assert count(counts, "puts") == 1
         assert st["root"] == store.root
 
 
 class TestLedger:
     def test_puts_below_the_cap_never_scan(self, tmp_path, monkeypatch):
         store = MCStore(str(tmp_path), limit_bytes=10 ** 9)
-        store.put(key(0), "verdict", 0)  # writes the ledger
-        scans = count_scans(monkeypatch)
-        for i in range(1, 201):
-            store.put(key(i), "verdict", {"i": i})
+        with PERF.scope() as counts:
+            store.put(key(0), "verdict", 0)  # writes the ledger
+            scans = count_scans(monkeypatch)
+            for i in range(1, 201):
+                store.put(key(i), "verdict", {"i": i})
         assert scans == []
-        assert store.puts == 201 and store.evictions == 0
+        assert count(counts, "puts") == 201
+        assert count(counts, "evictions") == 0
         assert ledger_bytes(tmp_path) == disk_bytes(tmp_path)
 
     def test_ledger_equals_a_scan_after_every_change(self, tmp_path):
@@ -274,14 +290,16 @@ class TestLedger:
             {"format": STORE_FORMAT, "kind": "verdict", "payload": "b" * 100}
         ))
         i = 1
-        while disk_bytes(tmp_path) + size <= cap:
-            b.put(key(i), "verdict", "b" * 100)
-            i += 1
-        assert b.evictions == 0
+        with PERF.scope() as by_b:
+            while disk_bytes(tmp_path) + size <= cap:
+                b.put(key(i), "verdict", "b" * 100)
+                i += 1
+        assert count(by_b, "evictions") == 0
         # A's own puts total two entries, far below the cap; only the
         # shared ledger knows that B filled the store
-        a.put(key(i), "verdict", "b" * 100)
-        assert a.evictions >= 1
+        with PERF.scope() as by_a:
+            a.put(key(i), "verdict", "b" * 100)
+        assert count(by_a, "evictions") >= 1
         assert disk_bytes(tmp_path) <= cap
         assert ledger_bytes(tmp_path) == disk_bytes(tmp_path)
 
@@ -313,11 +331,12 @@ class TestLedger:
             store.put(key(0), "verdict", 1)
             assert store.get(key(0), kind="verdict") is None
             assert store.get(key(1), kind="verdict") is None
-        assert store.errors == 1 and store.puts == 0 and store.misses == 2
-        assert counters.counts.get("mc.store.errors") == 1
-        # the maintenance calls count the error too instead of raising
-        assert store.prune(limit_bytes=1) == 0 and store.clear() == 0
-        assert store.errors == 3 and os.path.exists(corrupt)
+            assert count(counters, "errors") == 1
+            assert count(counters, "puts") == 0
+            assert count(counters, "misses") == 2
+            # the maintenance calls count the error too instead of raising
+            assert store.prune(limit_bytes=1) == 0 and store.clear() == 0
+        assert count(counters, "errors") == 3 and os.path.exists(corrupt)
         assert "mc.store.puts" not in counters.counts
         assert not [
             name for _, _, names in os.walk(str(tmp_path)) for name in names
@@ -363,9 +382,9 @@ class TestPruneKeepsTheCap:
         assert not a.is_alive() and not b.is_alive()
         assert seen == [cap, cap]
         assert store.limit_bytes == cap
-        evictions = store.evictions
-        store.put(key(9), "verdict", 9)
-        assert store.evictions == evictions
+        with PERF.scope() as counts:
+            store.put(key(9), "verdict", 9)
+        assert count(counts, "evictions") == 0
         assert store.get(key(9), kind="verdict") == 9
 
 
@@ -384,9 +403,19 @@ def stress_payload(k):
     return {"key": k, "blob": "k{}.".format(k) * (50 + (k * 37) % 250)}
 
 
+def root_counts():
+    """The ``mc.store.*`` counts of the root tables (what this thread
+    reads outside any scope, and where new threads count)."""
+    snapshot = PERF.snapshot()
+    return {name: snapshot.get("mc.store." + name, 0)
+            for name in ("hits", "evictions", "errors")}
+
+
 def _stress_process(root, seed, report):
     """One forked process: threads running mixed put/get/prune, with a
     short switch interval; writes its counts to ``report``."""
+    # the fork copied the parent's counts: count from here
+    start = root_counts()
     store = MCStore(root, limit_bytes=STRESS_CAP)
     failures = []
 
@@ -421,10 +450,10 @@ def _stress_process(root, seed, report):
                 failures.append("thread did not finish")
     finally:
         sys.setswitchinterval(interval)
+    counts = {name: n - start[name] for name, n in root_counts().items()}
     with open(report, "w") as fh:
-        json.dump({"hits": store.hits, "evictions": store.evictions,
-                   "errors": store.errors, "failures": failures}, fh)
-    if failures or store.errors:
+        json.dump(dict(counts, failures=failures), fh)
+    if failures or counts["errors"]:
         raise SystemExit(1)
 
 
@@ -526,26 +555,28 @@ class TestSymbolicWarmPath:
         store = MCStore(str(tmp_path))
         flat = flatten_program(designs.boolean_producer_consumer())
         alphabet = input_alphabet(flat)
-        cold = SymbolicChecker(flat, alphabet=alphabet, store=store)
-        n = cold.state_count()
-        ce_cold = cold.check_never_present("y")
-        warm = SymbolicChecker(flat, alphabet=alphabet, store=store)
-        assert warm.state_count() == n
-        ce_warm = warm.check_never_present("y")
+        with PERF.scope() as counts:
+            cold = SymbolicChecker(flat, alphabet=alphabet, store=store)
+            n = cold.state_count()
+            ce_cold = cold.check_never_present("y")
+            warm = SymbolicChecker(flat, alphabet=alphabet, store=store)
+            assert warm.state_count() == n
+            ce_warm = warm.check_never_present("y")
         if ce_cold is None:
             assert ce_warm is None
         else:
             assert ce_warm.inputs == ce_cold.inputs
-        assert store.hits >= 1 and store.puts >= 1
+        assert count(counts, "hits") >= 1 and count(counts, "puts") >= 1
 
     def test_monolithic_mode_keyed_separately(self, tmp_path):
         store = MCStore(str(tmp_path))
         comp = designs.toggle_producer()
         alphabet = input_alphabet(comp)
-        SymbolicChecker(comp, alphabet=alphabet, store=store).state_count()
-        chk = SymbolicChecker(
-            comp, alphabet=alphabet, partitioned=False, store=store
-        )
-        assert chk.state_count() == 2
+        with PERF.scope() as counts:
+            SymbolicChecker(comp, alphabet=alphabet, store=store).state_count()
+            chk = SymbolicChecker(
+                comp, alphabet=alphabet, partitioned=False, store=store
+            )
+            assert chk.state_count() == 2
         # two distinct keys -> two puts, no cross-mode hit on first build
-        assert store.puts == 2
+        assert count(counts, "puts") == 2

@@ -10,7 +10,8 @@ into a fresh store, or warm from the store's ``verify-verdict`` and
 ``prove-certificate`` entries.
 """
 
-from repro.mc.store import STORE_ENV, default_store
+from repro.mc.store import STORE_ENV
+from repro.perf import PERF
 from repro.service import execute
 
 CHAIN = {"name": "gals_relay_chain", "args": {"stages": 1}}
@@ -92,7 +93,7 @@ def test_digests_without_a_store(monkeypatch):
 def test_digests_cold_and_warm_store(monkeypatch, tmp_path):
     monkeypatch.setenv(STORE_ENV, str(tmp_path / "store"))
     assert _digests() == PINNED   # cold: every job computed and stored
-    store = default_store()
-    hits, misses = store.hits, store.misses
-    assert _digests() == PINNED   # warm: one verdict or certificate read each
-    assert (store.hits - hits, store.misses - misses) == (len(JOBS), 0)
+    with PERF.scope() as warm:
+        assert _digests() == PINNED   # warm: one verdict or certificate read each
+    assert (warm.counts.get("mc.store.hits", 0),
+            warm.counts.get("mc.store.misses", 0)) == (len(JOBS), 0)

@@ -11,7 +11,8 @@ from repro import designs
 from repro.__main__ import main
 from repro.lang.serializer import program_to_dict
 from repro.mc.store import STORE_ENV, default_store
-from repro.service import ResultCache, Scheduler, ServiceClient, ServiceServer
+from repro.perf import PERF
+from repro.service import Scheduler, ServiceClient, ServiceServer
 
 
 def verify_job(design):
@@ -30,6 +31,14 @@ def store_env(monkeypatch, tmp_path):
     return store
 
 
+def store_counts():
+    """The root's ``mc.store.*`` counts, where the scheduler's dispatcher
+    thread folds each inline job's scope; compare two of them."""
+    snapshot = PERF.snapshot()
+    return {name: snapshot.get("mc.store." + name, 0)
+            for name in ("hits", "misses", "puts")}
+
+
 def edited_program_dict():
     """A one-token edit of ``gals_relay_chain(1)``: rename the observer
     output in the serialized design document."""
@@ -45,22 +54,22 @@ class TestInvalidation:
         base = {"program": program_to_dict(designs.gals_relay_chain(1))}
         job = verify_job(base)
 
-        with Scheduler(workers=0, cache=ResultCache(64)) as sched:
+        with Scheduler(workers=0) as sched:
             a = sched.submit(job)
             assert sched.wait([a], timeout=120)
-            baseline = dict(store_env.stats())
-            # same design, same scheduler: ResultCache serves it
+            baseline = store_counts()
+            # same design, same scheduler: the job table serves it
             b = sched.submit(dict(job))
             assert sched.job(b).cache_hit
-            assert store_env.stats()["misses"] == baseline["misses"]
+            assert store_counts()["misses"] == baseline["misses"]
 
-        # fresh scheduler (cold ResultCache): the disk store serves the
+        # fresh scheduler (empty job table): the disk store serves the
         # verdict without re-exploring
-        with Scheduler(workers=0, cache=ResultCache(64)) as sched:
+        with Scheduler(workers=0) as sched:
             c = sched.submit(dict(job))
             assert sched.wait([c], timeout=120)
             assert not sched.job(c).cache_hit
-            after = store_env.stats()
+            after = store_counts()
             assert after["hits"] > baseline["hits"]
             assert after["puts"] == baseline["puts"]
 
@@ -68,30 +77,31 @@ class TestInvalidation:
         # the obligation is re-verified (new puts, no new verdict hits)
         edited = verify_job({"program": edited_program_dict()})
         edited["params"]["never"] = "dup2"
-        before = store_env.stats()
-        with Scheduler(workers=0, cache=ResultCache(64)) as sched:
+        before = store_counts()
+        with Scheduler(workers=0) as sched:
             d = sched.submit(edited)
             assert sched.wait([d], timeout=120)
             assert not sched.job(d).cache_hit
-        after = store_env.stats()
+        after = store_counts()
         assert after["puts"] > before["puts"]
 
     def test_warm_verdict_is_byte_identical(self, store_env):
         job = verify_job({"program": program_to_dict(
             designs.gals_relay_chain(1))})
         envelopes = []
+        before = store_counts()
         for _ in range(2):
-            with Scheduler(workers=0, cache=ResultCache(64)) as sched:
+            with Scheduler(workers=0) as sched:
                 i = sched.submit(dict(job))
                 assert sched.wait([i], timeout=120)
                 envelopes.append(sched.job(i).envelope)
         assert envelopes[0] == envelopes[1]
-        assert store_env.stats()["hits"] >= 1
+        assert store_counts()["hits"] - before["hits"] >= 1
 
 
 class TestStatsSurfaces:
     def test_scheduler_stats_exposes_mc_store(self, store_env):
-        with Scheduler(workers=0, cache=ResultCache(8)) as sched:
+        with Scheduler(workers=0) as sched:
             i = sched.submit(verify_job(
                 {"program": program_to_dict(designs.gals_relay_chain(1))}))
             assert sched.wait([i], timeout=120)
@@ -105,13 +115,13 @@ class TestStatsSurfaces:
 
     def test_disabled_store_still_reports_shape(self, monkeypatch):
         monkeypatch.delenv(STORE_ENV, raising=False)
-        with Scheduler(workers=0, cache=ResultCache(8)) as sched:
+        with Scheduler(workers=0) as sched:
             mc = sched.stats()["mc_store"]
         assert mc["enabled"] is False
         assert "root" not in mc
 
     def test_socket_stats_exposes_mc_store(self, store_env):
-        scheduler = Scheduler(workers=1, cache=ResultCache(16))
+        scheduler = Scheduler(workers=1)
         server = ServiceServer(scheduler, port=0)
         server.start()
         client = ServiceClient(*server.address)
@@ -161,5 +171,6 @@ class TestMcCli:
         capsys.readouterr()
         assert main(["mc", "stats", "--store", store_dir]) == 0
         stats = json.loads(capsys.readouterr().out)
-        # counters are per-instance; the on-disk footprint persists
+        # the on-disk footprint; the counts live in PERF
+        assert sorted(stats) == ["bytes", "entries", "limit_bytes", "root"]
         assert stats["entries"] >= 1 and stats["bytes"] > 0
