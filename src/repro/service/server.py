@@ -17,7 +17,8 @@ closing the connection.  Ops:
 ``wait``    ``{"ids": optional, "timeout": optional}`` → blocks, then
             summaries
 ``watch``   ``{"ids": optional}`` → **streams** one event line per state
-            change until every watched job is terminal, then a final
+            change; each job's stream ends with its terminal event, and
+            once every watched job's has gone out, a final
             ``{"ok": true, "done": true}``
 ``shutdown``stops the scheduler and the server
 ==========  ================================================================
@@ -30,11 +31,13 @@ domain as running ``repro verify`` yourself.
 from __future__ import annotations
 
 import json
+import queue
 import socket
 import socketserver
 import threading
 from typing import Any, Dict, Optional
 
+from repro.service.jobs import TERMINAL_STATES
 from repro.service.scheduler import Scheduler
 
 BANNER = "repro-service/1"
@@ -150,32 +153,42 @@ class _Handler(socketserver.StreamRequestHandler):
         events = scheduler.subscribe()
         try:
             watched = set(ids) if ids is not None else None
+            # ids whose terminal event went out: a job's stream ends there
+            reported = set()
 
-            def all_done() -> bool:
+            def send(event: Dict[str, Any]) -> None:
+                if event["state"] in TERMINAL_STATES:
+                    reported.add(event["id"])
+                self._send({"ok": True, **event})
+
+            def unreported() -> bool:
                 records = (
                     [scheduler.job(i) for i in watched]
                     if watched is not None
                     else scheduler.jobs()
                 )
-                return all(r is None or r.done for r in records)
+                return any(
+                    r is not None and r.job_id not in reported for r in records
+                )
 
             # replay current terminal states so a late watcher still sees
-            # every job it asked about
+            # every job it asked about; a job that ends after subscribe()
+            # has its terminal event queued, so the loop below sends it
             for record in scheduler.jobs():
                 if watched is not None and record.job_id not in watched:
                     continue
                 if record.done:
-                    event = {"event": "job"}
-                    event.update(record.summary())
-                    self._send({"ok": True, **event})
-            while not all_done():
+                    send({"event": "job", **record.summary()})
+            while unreported():
                 try:
                     event = events.get(timeout=0.5)
-                except Exception:
+                except queue.Empty:
                     continue
-                if watched is not None and event.get("id") not in watched:
+                if event["id"] in reported:
                     continue
-                self._send({"ok": True, **event})
+                if watched is not None and event["id"] not in watched:
+                    continue
+                send(event)
             self._send({"ok": True, "done": True})
         finally:
             scheduler.unsubscribe(events)
