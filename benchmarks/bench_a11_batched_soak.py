@@ -30,6 +30,7 @@ from repro.designs import modular_producer_consumer
 from repro.desync import desynchronize
 from repro.faults.soak import jittered_stimulus
 from repro.lang.analysis import flatten_program
+from repro.perf import PERF
 from repro.sim import Reactor
 from repro.sim.batch import simulate_batch
 from repro.sim.plan import clear_plan_cache, shared_plan
@@ -76,9 +77,10 @@ def _cell(comp, plan, n_lanes, rate):
         sequential.append([reactor.react(row) for row in rows])
     t_seq = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    report = simulate_batch(comp, [iter(rows) for rows in lanes], plan=plan)
-    t_batch = time.perf_counter() - t0
+    with PERF.scope() as counts:
+        t0 = time.perf_counter()
+        report = simulate_batch(comp, [iter(rows) for rows in lanes], plan=plan)
+        t_batch = time.perf_counter() - t0
 
     for k in range(n_lanes):
         assert repr(report.traces[k].instants) == repr(sequential[k]), (
@@ -92,7 +94,7 @@ def _cell(comp, plan, n_lanes, rate):
         "instants": instants,
         "sequential_s": t_seq,
         "batch_s": t_batch,
-        "batch_memo_hits": report.stats["memo_hits"],
+        "batch_memo_hits": counts.counts.get("batch.memo_hits", 0),
         "batch_speedup": t_seq / t_batch if t_batch else 0.0,
     }
 

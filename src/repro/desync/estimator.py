@@ -185,13 +185,13 @@ def estimate_buffer_sizes(
 
     A *sequence* of factories estimates against several environments at
     once: each iteration runs every factory as an independent lane of one
-    compiled plan (:func:`repro.sim.batch.simulate_batch`), dispatched
-    through :func:`repro.perf.sweep.sweep`; the observed miss counters
-    are the worst (max) over lanes and alarms are summed, so the grown
-    sizes cover every simulated environment.  ``workers > 1`` splits the
-    lanes of each iteration into that many sweep chunks across a process
-    pool (the program, factories and oracle must then pickle).  The
-    single-factory path is unchanged.
+    compiled plan (:func:`repro.sim.batch.simulate_batch`); the observed
+    miss counters are the worst (max) over lanes and alarms are summed,
+    so the grown sizes cover every simulated environment.  ``workers >
+    1`` splits the lanes of each iteration into that many chunks across
+    a :func:`repro.perf.sweep.sweep` process pool (the program, factories
+    and oracle must then pickle).  The single-factory path is unchanged.
+    An empty sequence raises :class:`ValueError`.
 
     Convergence means the last simulation raised no alarm; the final
     ``sizes`` then satisfy the Lemma 2 condition *for the simulated
@@ -204,7 +204,8 @@ def estimate_buffer_sizes(
     loop of :func:`repro.desync.verification.verified_buffer_sizes` does
     not recompile when it revisits a sizes vector.
 
-    ``max_capacity`` clamps per-signal growth.  Growth can stall before
+    ``max_capacity`` clamps per-signal growth; a cap below a channel's
+    initial size raises :class:`ValueError`.  Growth can stall before
     the alarms clear — with ``kind="chain"`` the ripple conservatism may
     keep raising alarms no matter the depth, and the clamp bounds the
     otherwise-divergent growth.  Either way, once the sizes vector stops
@@ -219,6 +220,8 @@ def estimate_buffer_sizes(
         factories: Optional[List[StimulusFactory]] = None
     else:
         factories = list(stimulus_factory)
+        if not factories:
+            raise ValueError("no stimulus factory: nothing to simulate")
         if len(factories) == 1:
             # one environment: identical to the classic path
             stimulus_factory, factories = factories[0], None
@@ -233,6 +236,13 @@ def estimate_buffer_sizes(
         sizes = {ch.signal: int(initial) for ch in probe.channels}
         # a uniform probe IS the first iteration's network — seed the cache
         cache.seed(_sizes_key(kind, sizes), probe)
+    if max_capacity is not None:
+        for signal, size in sorted(sizes.items()):
+            if size > max_capacity:
+                raise ValueError(
+                    "max_capacity {} is below the initial size {} of "
+                    "channel {!r}".format(max_capacity, size, signal)
+                )
 
     history: List[EstimationStep] = []
     converged = False
@@ -272,19 +282,14 @@ def estimate_buffer_sizes(
                 ),
                 oracle,
             )
-
-            def _batch_task(chunk):
-                batch = simulate_batch(
-                    reactor.component,
-                    [factory() for factory in chunk],
-                    n=horizon,
-                    oracle=oracle,
-                    plan=reactor.plan,
-                )
-                return _fold_lane_counts(result, batch)
-
-            report = sweep(_batch_task, [factories])
-            (misses, alarms), = report.values()
+            batch = simulate_batch(
+                reactor.component,
+                [factory() for factory in factories],
+                n=horizon,
+                oracle=oracle,
+                plan=reactor.plan,
+            )
+            misses, alarms = _fold_lane_counts(result, batch)
         else:
             result, reactor = cache.prepared(
                 _sizes_key(kind, sizes),

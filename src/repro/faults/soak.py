@@ -227,12 +227,11 @@ def soak_batch(
     once per plan halves the event-simulation work of a scenario sweep
     (and the capacity-inflation estimates share one
     :class:`~repro.desync.estimator.DesignCache`).  Each plan's report is
-    byte-identical to what :func:`soak` would return for it.  Tasks are
-    dispatched through :func:`repro.perf.sweep.sweep`, so per-plan
-    counter deltas stay attributable.
+    byte-identical to what :func:`soak` would return for it.  The plans
+    run in order in this thread; counters go to the caller's
+    :data:`repro.perf.PERF` tables, so to count one plan, soak it alone
+    in a :meth:`repro.perf.PerfCounters.scope`.
     """
-    from repro.perf.sweep import sweep
-
     reference = _net_from(program, workload, net_kwargs).run(
         horizon, max_events=max_events
     )
@@ -241,14 +240,13 @@ def soak_batch(
         from repro.desync.estimator import DesignCache
 
         estimate_cache = DesignCache()
-
-    def _one(plan: FaultPlan) -> SoakReport:
-        return _soak_against(
+    return [
+        _soak_against(
             reference, program, workload, plan, horizon, signals, estimate,
             max_events, net_kwargs, estimate_cache=estimate_cache,
         )
-
-    return sweep(_one, list(plans)).values()
+        for plan in plans
+    ]
 
 
 # -- verified recovery --------------------------------------------------------
@@ -444,19 +442,16 @@ def recovery_soak_batch(
     """:func:`recovery_soak` for many fault plans sharing **one**
     reference run (see :func:`soak_batch` for the rationale); every
     report is byte-identical to its standalone counterpart."""
-    from repro.perf.sweep import sweep
-
     reference = _net_from(program, workload, net_kwargs).run(
         horizon, max_events=max_events
     )
-
-    def _one(plan: FaultPlan) -> RecoveryReport:
-        return _recovery_against(
+    return [
+        _recovery_against(
             reference, program, workload, plan, config, horizon, signals,
             max_events, net_kwargs,
         )
-
-    return sweep(_one, list(plans)).values()
+        for plan in plans
+    ]
 
 
 # -- capacity inflation under jitter -----------------------------------------

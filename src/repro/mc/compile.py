@@ -22,7 +22,7 @@ from repro.lang.ast import Component, Program
 from repro.lang.types import BOOL, EVENT, INT
 from repro.perf import PERF
 from repro.sim.engine import ABSENT, Reactor
-from repro.mc.lts import LTS, freeze_letter, freeze_outputs
+from repro.mc.lts import LTS, freeze_letter
 
 
 def input_alphabet(
@@ -73,16 +73,10 @@ def boolean_alphabet(component: Component, **kwargs) -> List[Dict[str, object]]:
     return input_alphabet(component, int_values=(0, 1), **kwargs)
 
 
-def _react_outcome(plan, reactor, letter, state, oracle, instant_index, interface):
+def _react_outcome(plan, letter, state, oracle, instant_index):
     """Execute one reaction from ``state``: ``None`` when it is
     inconsistent, else ``(frozen visible outputs, successor state)``."""
-    if plan is not None:
-        return plan.react_frozen(letter, state, oracle, instant_index, ABSENT)
-    reactor.set_state(list(state))
-    outputs = reactor.react(letter)
-    new_state = reactor.state()
-    visible = {k: v for k, v in outputs.items() if k in interface}
-    return freeze_outputs(visible), tuple(new_state)
+    return plan.react_frozen(letter, state, oracle, instant_index, ABSENT)
 
 
 def compile_lts(
@@ -107,7 +101,11 @@ def compile_lts(
     Oracle-driven compilations bypass the store: an oracle is arbitrary
     code outside the content hash.
 
-    The returned LTS carries exploration counters in ``lts.stats``.
+    An exploration counts its attempted reactions in
+    :data:`repro.perf.PERF` as ``mc.reactions`` and its wall time as
+    ``time.mc.explore``; a store hit counts neither (the store counts it
+    under ``mc.store.*``).  Read one call's counts from a
+    :meth:`repro.perf.PerfCounters.scope` around it.
     """
     comp = flatten_program(design) if isinstance(design, Program) else design
     if alphabet is None:
@@ -132,28 +130,23 @@ def compile_lts(
                     "state space exceeds {} states; "
                     "is the design finite-state?".format(max_states)
                 )
-            lts.stats["store"] = "hit"
-            lts.stats["elapsed"] = 0.0
             return lts
     t0 = time.perf_counter()
-    lts = _explore(comp, alphabet, max_states, oracle)
-    elapsed = time.perf_counter() - t0
-    lts.stats["elapsed"] = elapsed
-    PERF.add_time("mc.explore", elapsed)
-    PERF.incr("mc.reactions", int(lts.stats.get("reactions", 0)))
+    lts, reactions = _explore(comp, alphabet, max_states, oracle)
+    PERF.add_time("mc.explore", time.perf_counter() - t0)
+    PERF.incr("mc.reactions", reactions)
     if key is not None:
         from repro.mc.lts import lts_to_dict
 
         store.put(key, "explicit-lts", lts_to_dict(lts))
-        lts.stats["store"] = "miss"
     return lts
 
 
-def _explore(comp, alphabet, max_states, oracle) -> LTS:
-    """Depth-first exploration: every letter in every reachable state."""
+def _explore(comp, alphabet, max_states, oracle) -> Tuple[LTS, int]:
+    """Depth-first exploration: every letter in every reachable state.
+    Returns the LTS and the number of reactions attempted."""
     reactor = Reactor(comp, oracle=oracle)
     plan = reactor.plan
-    interface = frozenset(comp.inputs) | frozenset(comp.outputs)
     letters = [(letter, freeze_letter(letter)) for letter in alphabet]
     lts = LTS(reactor.state())
     frontier = [lts.initial]
@@ -167,9 +160,7 @@ def _explore(comp, alphabet, max_states, oracle) -> LTS:
         state = lts.state_data(sid)
         for letter, frozen in letters:
             try:
-                outcome = _react_outcome(
-                    plan, reactor, letter, state, oracle, reactions, interface
-                )
+                outcome = _react_outcome(plan, letter, state, oracle, reactions)
             except NonDeterministicClockError as exc:
                 raise VerificationError(
                     "design has free clocks; fix them or supply an oracle: "
@@ -190,7 +181,4 @@ def _explore(comp, alphabet, max_states, oracle) -> LTS:
                     "state space exceeds {} states; "
                     "is the design finite-state?".format(max_states)
                 )
-    if plan is not None:
-        lts.stats.update(plan.counters_snapshot())
-    lts.stats["reactions"] = reactions
-    return lts
+    return lts, reactions

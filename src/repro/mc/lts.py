@@ -49,9 +49,6 @@ class LTS:
         self._id_of: Dict[object, int] = {}
         self._succ: Dict[int, Dict[Letter, Transition]] = {}
         self.invalid: Dict[int, List[Letter]] = {}
-        #: exploration statistics filled in by the compiler (reactions
-        #: executed, memo hits/misses, elapsed seconds, workers used, ...)
-        self.stats: Dict[str, object] = {}
         self.initial = self.intern(initial_state_data)
 
     # -- construction -------------------------------------------------------
@@ -153,12 +150,6 @@ def _freeze(value):
     return value
 
 
-#: lts.stats keys that are deterministic functions of the design and
-#: alphabet (wall time, worker counts and memo hit rates are not — they
-#: would make stored payloads differ run to run)
-_STABLE_STATS = ("reactions",)
-
-
 def lts_to_dict(lts: "LTS") -> Dict[str, object]:
     """Serialize an LTS to a JSON-safe dict (see :func:`lts_from_dict`)."""
     if lts.initial != 0:
@@ -176,9 +167,6 @@ def lts_to_dict(lts: "LTS") -> Dict[str, object]:
             for sid, letters in sorted(lts.invalid.items())
             if letters
         ],
-        "stats": {
-            k: lts.stats[k] for k in _STABLE_STATS if k in lts.stats
-        },
     }
 
 
@@ -187,7 +175,8 @@ def lts_from_dict(payload: Dict[str, object]) -> "LTS":
 
     The reconstruction interns states in id order, so state numbering —
     and therefore every downstream counterexample — is identical to the
-    original compile.
+    original compile.  A ``stats`` field, which older entries carry, is
+    ignored.
     """
     if payload.get("format") != LTS_FORMAT:
         raise ValueError(
@@ -208,5 +197,4 @@ def lts_from_dict(payload: Dict[str, object]) -> "LTS":
     for sid, letters in payload.get("invalid", ()):
         for letter in letters:
             lts.mark_invalid_frozen(sid, tuple((n, v) for n, v in letter))
-    lts.stats.update(payload.get("stats", {}))
     return lts

@@ -4,22 +4,20 @@ checker and the BDD backend.
 One registry (:data:`PERF`) accumulates named counters and wall-time
 phases so benchmark deltas are attributable:
 
-- ``sim.<kind>.reactions`` / ``sim.<kind>.sweeps`` /
-  ``sim.<kind>.residual_passes`` — how many reactions the plan executor
-  ran and how many fixpoint passes each one needed (first pass per
-  propagation is a *sweep*, re-passes triggered by the residual worklist
-  are ``residual_passes``); ``<kind>`` attributes the work to the
-  closure plan (``plan``) or the specialized generated code
-  (``plan.spec``);
+- ``sim.<kind>.reactions`` — how many reactions
+  :func:`repro.sim.runner.simulate` ran on a plan; ``<kind>`` attributes
+  the work to the closure plan (``plan``) or the specialized generated
+  code (``plan.spec``);
 - ``plan.cache_hits`` / ``plan.cache_misses`` /
   ``plan.cache_evictions`` — the process-wide compiled-plan cache
   (:func:`repro.sim.plan.shared_plan`);
-- ``batch.<kind>.*`` — the same executor counters for reactions run
-  through :func:`repro.sim.batch.simulate_batch`, plus ``batch.runs`` /
+- ``batch.<kind>.reactions`` — the reactions run through
+  :func:`repro.sim.batch.simulate_batch`, plus ``batch.runs`` /
   ``batch.lanes`` / ``batch.instants`` (campaign volume) and
   ``batch.memo_hits`` (reactions shared across lanes by the run-wide
   ``(state, inputs)`` memo);
-- ``mc.reactions`` — explicit model-checker work;
+- ``mc.reactions`` — explicit model-checker work (reactions attempted by
+  :func:`repro.mc.compile.compile_lts`);
 - ``bdd.apply_hits`` / ``bdd.apply_misses`` / ``bdd.cache_clears`` /
   ``bdd.gc_collections`` / ``bdd.gc_reclaimed`` — cache and
   garbage-collection behaviour of the symbolic backend, folded in by
@@ -41,7 +39,9 @@ phases so benchmark deltas are attributable:
 
 Hot loops keep their own local integers and merge once per call
 (:meth:`PerfCounters.merge`), so instrumentation stays off the per-node
-fast paths.
+fast paths.  Shared objects (a cached plan, an LTS, a trace) hold no
+counts, and a caller reads the counts of one call from a
+:meth:`PerfCounters.scope` around it.
 
 ``PERF`` reads and writes the tables of the current :mod:`contextvars`
 context: the process-wide root, or the innermost

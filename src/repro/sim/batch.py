@@ -25,10 +25,14 @@ The oracle guarantee is unchanged: every lane produces exactly the trace
 exceptions — because lanes execute the same plan sequentially with their
 own state and instant index.  The win is amortization, not reordering.
 
-Counters are merged into :data:`repro.perf.PERF` under
-``batch.<plan-kind>.*`` (``batch.plan.*`` or ``batch.plan.spec.*``) plus
-``batch.lanes`` / ``batch.instants``, so A11 deltas are attributable to
-the path that produced them.
+Each call folds its counts into :data:`repro.perf.PERF` once:
+``batch.<plan-kind>.reactions`` (``batch.plan.*`` or
+``batch.plan.spec.*``: the reactions the lanes ran, memo hits excluded)
+plus ``batch.runs`` / ``batch.lanes`` / ``batch.instants`` /
+``batch.memo_hits``.  The lane loop counts in local integers, so the
+counts of a call are its own even while other threads run the same
+cached plan; read them from a :meth:`repro.perf.PerfCounters.scope`
+around the call.
 """
 
 from __future__ import annotations
@@ -64,11 +68,10 @@ class BatchReport:
     directly.
     """
 
-    def __init__(self, lanes, errors, elapsed, stats):
+    def __init__(self, lanes, errors, elapsed):
         self._lanes: List[List[Row]] = lanes
         self.errors: Tuple[Optional[Tuple[str, str]], ...] = tuple(errors)
         self.elapsed = elapsed
-        self.stats: Dict[str, object] = stats
         self._traces: Optional[Tuple[SimTrace, ...]] = None
 
     @property
@@ -82,11 +85,9 @@ class BatchReport:
     def traces(self) -> Tuple[SimTrace, ...]:
         if self._traces is None:
             out = []
-            for k, rows in enumerate(self._lanes):
+            for rows in self._lanes:
                 trace = SimTrace()
                 trace.instants.extend(rows)
-                trace.stats["instants"] = len(trace)
-                trace.stats["lane"] = k
                 out.append(trace)
             self._traces = tuple(out)
         return self._traces
@@ -149,33 +150,20 @@ def simulate_batch(
                 )
             )
 
-    base = plan.counters_snapshot()
     start = time.perf_counter()
-    lanes, errors, memo_hits = _run_lanes(
+    lanes, errors, reactions, memo_hits = _run_lanes(
         plan, lane_stimuli, oracles, n, capture_errors
     )
     elapsed = time.perf_counter() - start
 
-    total = sum(len(rows) for rows in lanes)
-    delta = {
-        key: value - base.get(key, 0)
-        for key, value in plan.counters_snapshot().items()
-    }
-    PERF.merge(delta, prefix="batch." + plan.kind)
+    PERF.merge({"reactions": reactions}, prefix="batch." + plan.kind)
     PERF.incr("batch.runs")
     PERF.incr("batch.lanes", len(lanes))
-    PERF.incr("batch.instants", total)
+    PERF.incr("batch.instants", sum(len(rows) for rows in lanes))
     if memo_hits:
         PERF.incr("batch.memo_hits", memo_hits)
     PERF.add_time("sim.batch", elapsed)
-    stats: Dict[str, object] = {
-        "lanes": len(lanes),
-        "instants": total,
-        "elapsed": elapsed,
-        "memo_hits": memo_hits,
-    }
-    stats.update(delta)
-    return BatchReport(lanes, errors, elapsed, stats)
+    return BatchReport(lanes, errors, elapsed)
 
 
 def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
@@ -189,6 +177,10 @@ def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
     only through the oracle), so a run-wide memo shares one reaction
     across every lane that reaches the same pair.  Oracle-driven lanes
     and unhashable values fall through to a plain reaction.
+
+    Returns ``(lanes, errors, reactions, memo_hits)``: the recorded rows
+    and captured error of each lane, how many reactions the plan ran
+    (calls that raised are not counted) and how many the memo served.
     """
     names = plan.names
     slots = range(len(names))
@@ -197,7 +189,7 @@ def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
     react_slots = plan.react_slots
     init_state = list(plan.init_state)
     memo: Dict[object, tuple] = {}
-    memo_hits = 0
+    reactions = memo_hits = 0
     for stimulus, lane_oracle in zip(lane_stimuli, oracles):
         recorded: List[Row] = []
         state = init_state[:]
@@ -229,6 +221,7 @@ def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
                     statuses, values, state = react_slots(
                         inputs, state, lane_oracle, index, ABSENT
                     )
+                    reactions += 1
                     if key is not None and len(memo) < MEMO_CAP:
                         memo[key] = (statuses, values, state)
             except SimulationError as exc:
@@ -242,7 +235,7 @@ def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
             )
         lanes.append(recorded)
         errors.append(error)
-    return lanes, errors, memo_hits
+    return lanes, errors, reactions, memo_hits
 
 
 __all__ = [

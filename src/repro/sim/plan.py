@@ -112,9 +112,10 @@ def _set_value(ctx: _Ctx, i: int, v: object, names) -> None:
 class ReactionPlan:
     """A component compiled to a static per-instant evaluation schedule."""
 
-    #: counter-attribution tag: drivers merge this plan's counters into the
-    #: process registry under ``sim.<kind>.*`` (``plan`` here, ``plan.spec``
-    #: for :class:`repro.sim.specialize.SpecializedPlan`)
+    #: counter-attribution tag: ``simulate`` and ``simulate_batch`` count
+    #: the reactions they run on this plan under ``sim.<kind>.*`` /
+    #: ``batch.<kind>.*`` (``plan`` here, ``plan.spec`` for
+    #: :class:`repro.sim.specialize.SpecializedPlan`)
     kind = "plan"
 
     def __init__(self, component: Component):
@@ -207,14 +208,6 @@ class ReactionPlan:
 
         self._init_status: List[int] = [_U] * self.n_signals
         self._init_value: List[object] = [_PENDING] * self.n_signals
-
-        # locally-accumulated perf counters; merged into repro.perf.PERF by
-        # the drivers (simulate / compile_lts) once per call
-        self.counters: Dict[str, int] = {
-            "reactions": 0,
-            "sweeps": 0,
-            "residual_passes": 0,
-        }
 
     # -- schedule construction ----------------------------------------------
 
@@ -619,7 +612,6 @@ class ReactionPlan:
             if status[i] == _U:
                 _set_status(ctx, i, _A, names)
         self._solve(ctx, oracle, instant_index)
-        self.counters["reactions"] += 1
         return ctx
 
     def _next_state(self, ctx: _Ctx, state) -> List[object]:
@@ -713,7 +705,6 @@ class ReactionPlan:
                             if d <= k and not queued[d] and not settled[d]:
                                 queued[d] = 1
                                 nq += 1
-            self.counters["sweeps"] += 1
         self._residual(ctx, nq)
 
     def _residual(self, ctx: _Ctx, nq: int) -> None:
@@ -725,7 +716,6 @@ class ReactionPlan:
         dependents = self.dependents
         dirty = ctx.dirty
         queued = ctx.queued
-        residual = 0
         while True:
             while dirty:
                 i = dirty.pop()
@@ -742,7 +732,6 @@ class ReactionPlan:
                 nq -= 1
                 if settled[k]:
                     continue
-                residual += 1
                 if steps[k](ctx):
                     settled[k] = 1
                 while dirty:
@@ -751,13 +740,8 @@ class ReactionPlan:
                         if not queued[d] and not settled[d]:
                             queued[d] = 1
                             nq += 1
-        if residual:
-            self.counters["residual_passes"] += residual
 
     # -- introspection -------------------------------------------------------
-
-    def counters_snapshot(self) -> Dict[str, int]:
-        return dict(self.counters)
 
     def __repr__(self) -> str:
         return "ReactionPlan({!r}: {} signals, {} steps, {} registers)".format(

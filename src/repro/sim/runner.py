@@ -26,30 +26,22 @@ def simulate(
     to the stimulus length; infinite stimuli require an explicit ``n``.
     A pre-built ``reactor`` can be supplied to continue a run.
 
-    The returned trace carries execution statistics in ``trace.stats``
-    (also merged into :data:`repro.perf.PERF` under the ``sim.`` prefix).
+    The reactions run on the reactor's plan are counted in
+    :data:`repro.perf.PERF` as ``sim.<kind>.reactions`` (``sim.plan.*``
+    for closure plans, ``sim.plan.spec.*`` for specialized ones), and the
+    wall time as ``time.sim.simulate``; read one call's counts from a
+    :meth:`repro.perf.PerfCounters.scope` around it.
     """
     if reactor is None:
         comp = flatten_program(design) if isinstance(design, Program) else design
         reactor = Reactor(comp, oracle=oracle)
-    plan = reactor.plan
-    base = plan.counters_snapshot() if plan is not None else None
     trace = SimTrace()
     rows = stimulus if n is None else itertools.islice(stimulus, n)
     start = time.perf_counter()
     for inputs in rows:
         trace.append(reactor.react(inputs))
     elapsed = time.perf_counter() - start
-    trace.stats["instants"] = len(trace)
-    trace.stats["elapsed"] = elapsed
-    if base is not None:
-        delta = {
-            key: value - base.get(key, 0)
-            for key, value in plan.counters_snapshot().items()
-        }
-        trace.stats.update(delta)
-        # attribution: sim.plan.* for closure plans, sim.plan.spec.* for
-        # specialized ones — so bench deltas name the path that produced them
-        PERF.merge(delta, prefix="sim." + plan.kind)
+    if reactor.plan is not None:
+        PERF.merge({"reactions": len(trace)}, prefix="sim." + reactor.plan.kind)
     PERF.add_time("sim.simulate", elapsed)
     return trace

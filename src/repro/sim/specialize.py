@@ -592,9 +592,10 @@ class SpecializedPlan(ReactionPlan):
 
     Construction compiles the plan normally first (the closure steps
     serve the residual worklist and any over-budget step), then installs
-    the generated sweep.  Execution, counters and introspection are
-    inherited; :attr:`kind` marks the counters for attribution
-    (``sim.plan.spec.*`` vs ``sim.plan.*``)."""
+    the generated sweep.  Execution and introspection are inherited;
+    :attr:`kind` names the reaction counts of ``simulate`` and
+    ``simulate_batch`` (``sim.plan.spec.reactions`` vs
+    ``sim.plan.reactions``)."""
 
     kind = "plan.spec"
 
@@ -610,7 +611,6 @@ class SpecializedPlan(ReactionPlan):
     def _propagate(self, ctx, initial: bool = False) -> None:
         if initial:
             nq = self._sweep_fn(ctx)
-            self.counters["sweeps"] += 1
             if nq or ctx.dirty:
                 self._residual(ctx, nq)
         else:

@@ -15,17 +15,15 @@ class SimTrace:
     (inputs included); absent signals are missing from the entry.  The
     instant index is the tag when converting to a
     :class:`~repro.tags.behavior.Behavior`, so equivalence checks from
-    :mod:`repro.tags` apply directly to simulation output.
+    :mod:`repro.tags` apply directly to simulation output.  A trace holds
+    rows only: the work that produced it is counted in
+    :data:`repro.perf.PERF`.
     """
 
     def __init__(self, instants: Optional[Iterable[Dict[str, object]]] = None):
         self.instants: List[Dict[str, object]] = [
             dict(row) for row in (instants or [])
         ]
-        #: execution statistics filled in by :func:`repro.sim.runner.simulate`
-        #: (instants, elapsed seconds, and — on the compiled fast path —
-        #: reactions / sweeps / residual_passes of the reaction plan)
-        self.stats: Dict[str, object] = {}
 
     def append(self, row: Dict[str, object]) -> None:
         self.instants.append(dict(row))

@@ -90,6 +90,45 @@ class TestEstimator:
         assert "iter 1" in text and "final sizes" in text
 
 
+def sustained_mismatch():
+    return stimuli.merge(
+        stimuli.periodic("p_act", 1), stimuli.periodic("x_rreq", 3)
+    )
+
+
+class TestEstimatorInputs:
+    """Inputs the loop cannot honour raise before any round runs."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("initial", [4, {"x": 4}])
+    def test_cap_below_initial_size_raises(self, workers, lanes, initial):
+        envs = sustained_mismatch if lanes == 1 else [sustained_mismatch] * lanes
+        with pytest.raises(ValueError, match=(
+            "max_capacity 2 is below the initial size 4 of channel 'x'"
+        )):
+            estimate_buffer_sizes(
+                producer_consumer(), envs, horizon=30, initial=initial,
+                max_capacity=2, workers=workers,
+            )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_no_stimulus_factory_raises(self, workers):
+        with pytest.raises(ValueError, match="no stimulus factory"):
+            estimate_buffer_sizes(
+                producer_consumer(), [], horizon=30, workers=workers
+            )
+
+    def test_cap_at_initial_size_is_accepted(self):
+        report = estimate_buffer_sizes(
+            producer_consumer(), sustained_mismatch, horizon=30, initial=2,
+            max_capacity=2,
+        )
+        assert not report.converged
+        assert report.sizes == {"x": 2}
+        assert [step.sizes for step in report.history] == [{"x": 2}]
+
+
 class TestConditions:
     def run_trace(self, capacity=3, reader_period=2, n=20):
         res = desynchronize(producer_consumer(), capacities=capacity)

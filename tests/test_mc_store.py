@@ -534,10 +534,13 @@ class TestExplicitWarmPath:
     def test_warm_lts_is_byte_identical(self, tmp_path):
         store = MCStore(str(tmp_path))
         comp = designs.toggle_producer()
-        cold = compile_lts(comp, alphabet=FREE, store=store)
-        warm = compile_lts(comp, alphabet=FREE, store=store)
-        assert cold.stats["store"] == "miss"
-        assert warm.stats["store"] == "hit"
+        with PERF.scope() as cold_counts:
+            cold = compile_lts(comp, alphabet=FREE, store=store)
+        with PERF.scope() as warm_counts:
+            warm = compile_lts(comp, alphabet=FREE, store=store)
+        assert count(cold_counts, "misses") == 1 and count(cold_counts, "hits") == 0
+        assert count(warm_counts, "hits") == 1 and count(warm_counts, "misses") == 0
+        assert "mc.reactions" not in warm_counts.counts
         assert lts_to_dict(warm) == lts_to_dict(cold)
         assert check_never_present(warm, "x") == check_never_present(cold, "x")
 
@@ -546,8 +549,27 @@ class TestExplicitWarmPath:
         compile_lts(designs.toggle_producer(), alphabet=FREE, store=store)
         edited = designs.toggle_producer(out="x2")
         alphabet = input_alphabet(edited)
-        lts = compile_lts(edited, alphabet=alphabet, store=store)
-        assert lts.stats["store"] == "miss"
+        with PERF.scope() as counts:
+            compile_lts(edited, alphabet=alphabet, store=store)
+        assert count(counts, "misses") == 1 and count(counts, "hits") == 0
+
+    def test_entry_with_stats_field_loads(self, tmp_path):
+        """Entries written with the ``stats`` field ``lts_to_dict`` once
+        added load to the same LTS and the same verdict."""
+        store = MCStore(str(tmp_path))
+        comp = designs.toggle_producer()
+        cold = compile_lts(comp, alphabet=FREE)
+        entry = store_key(
+            "explicit-lts", design_content_key(comp), {"alphabet": FREE}
+        )
+        store.put(entry, "explicit-lts",
+                  dict(lts_to_dict(cold), stats={"reactions": 8}))
+        with PERF.scope() as counts:
+            warm = compile_lts(comp, alphabet=FREE, store=store)
+        assert count(counts, "hits") == 1 and count(counts, "puts") == 0
+        assert lts_to_dict(warm) == lts_to_dict(cold)
+        assert "stats" not in lts_to_dict(warm)
+        assert check_never_present(warm, "x") == check_never_present(cold, "x")
 
 
 class TestSymbolicWarmPath:

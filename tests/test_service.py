@@ -375,6 +375,20 @@ class TestSchedulerInline:
             assert "bogus" in record.error
             assert record.envelope is None
 
+    def test_estimate_cap_below_initial_size_fails(self):
+        spec = {"kind": "estimate", "design": "producer_consumer",
+                "params": {"initial": 4, "max_capacity": 2}}
+        with Scheduler(workers=1) as sched:
+            job_id = sched.submit(spec)
+            assert sched.wait([job_id], timeout=60)
+            record = sched.job(job_id)
+        assert record.state == FAILED
+        assert record.error == (
+            "ValueError: max_capacity 2 is below the initial size 4 "
+            "of channel 'x'"
+        )
+        assert record.envelope is None
+
     def test_shutdown_cancels_pending(self):
         sched = Scheduler(workers=1)
         job_id = sched.submit(LINT)   # never started

@@ -316,8 +316,9 @@ class TestBatchMemo:
         comp = flatten_program(designs.modular_producer_consumer())
         rows = _stimulus(comp, 3, n=12)
         ref = simulate(comp, iter(rows))
-        report = simulate_batch(comp, [iter(rows) for _ in range(4)])
-        assert report.stats["memo_hits"] >= 3 * 12
+        with PERF.scope() as counts:
+            report = simulate_batch(comp, [iter(rows) for _ in range(4)])
+        assert counts.counts["batch.memo_hits"] >= 3 * 12
         for k in range(4):
             assert repr(report.traces[k].instants) == repr(ref.instants)
 
@@ -337,14 +338,16 @@ class TestBatchMemo:
     def test_oracle_lanes_bypass_memo(self):
         comp = flatten_program(designs.modular_producer_consumer())
         rows = _stimulus(comp, 4, n=8)
-        report = simulate_batch(
-            comp,
-            [iter(rows), iter(rows)],
-            oracle=lambda index, undetermined: {},
-        )
-        assert report.stats["memo_hits"] == 0
-        plain = simulate_batch(comp, [iter(rows), iter(rows)])
-        assert plain.stats["memo_hits"] > 0
+        with PERF.scope() as oracle_counts:
+            report = simulate_batch(
+                comp,
+                [iter(rows), iter(rows)],
+                oracle=lambda index, undetermined: {},
+            )
+        assert "batch.memo_hits" not in oracle_counts.counts
+        with PERF.scope() as plain_counts:
+            plain = simulate_batch(comp, [iter(rows), iter(rows)])
+        assert plain_counts.counts["batch.memo_hits"] > 0
         for k in range(2):
             assert repr(report.traces[k].instants) == repr(
                 plain.traces[k].instants
@@ -421,20 +424,98 @@ class TestCounterAttribution:
         assert PERF.get("sim.plan.spec.reactions") == 10
         assert PERF.get("sim.plan.reactions") == 10  # unchanged
         clear_plan_cache()
-        rep = simulate_batch(comp, [iter(rows), iter(rows)])
+        with PERF.scope() as run:
+            simulate_batch(comp, [iter(rows), iter(rows)])
+        counts = run.counts
         # identical lanes share reactions through the batch memo: executed
         # reactions + memo hits account for every recorded instant, and
         # the second lane is hits from start to finish
-        assert rep.stats["reactions"] + rep.stats["memo_hits"] == 20
-        assert rep.stats["memo_hits"] >= 10
-        assert PERF.get("batch.plan.spec.reactions") == rep.stats["reactions"]
-        assert PERF.get("batch.memo_hits") == rep.stats["memo_hits"]
-        assert PERF.get("batch.lanes") == 2
-        assert PERF.get("batch.instants") == 20
+        reactions = counts["batch.plan.spec.reactions"]
+        assert reactions + counts["batch.memo_hits"] == 20
+        assert counts["batch.memo_hits"] >= 10
+        assert counts["batch.lanes"] == 2
+        assert counts["batch.instants"] == 20
+        # the scope folded into the registry on exit
+        assert PERF.get("batch.plan.spec.reactions") == reactions
+        assert PERF.get("batch.memo_hits") == counts["batch.memo_hits"]
         clear_plan_cache()
-        rep2 = simulate_batch(comp, [iter(rows)], specialize=False)
-        assert rep2.stats["reactions"] + rep2.stats["memo_hits"] == 10
-        assert PERF.get("batch.plan.reactions") == rep2.stats["reactions"]
+        with PERF.scope() as run2:
+            simulate_batch(comp, [iter(rows)], specialize=False)
+        counts2 = run2.counts
+        assert (
+            counts2["batch.plan.reactions"] + counts2.get("batch.memo_hits", 0)
+            == 10
+        )
+        assert "batch.plan.spec.reactions" not in counts2
+
+    def test_counts_of_one_call_are_its_own_under_threads(self):
+        """Three threads run batches and simulations on one cached plan at
+        once, each in a ``PERF.scope()`` of its own: every thread counts
+        exactly the work it records when it runs alone."""
+        import threading
+
+        from repro.desync import desynchronize
+        from repro.faults.soak import jittered_stimulus
+
+        comp = flatten_program(
+            desynchronize(
+                designs.producer_consumer(), capacities=2, instrument=True
+            ).program
+        )
+        plan = shared_plan(comp)
+        base = [
+            {"p_act": True} if i % 2 == 0 else {"x_rreq": True}
+            for i in range(200)
+        ]
+        names = (
+            "batch.plan.spec.reactions",
+            "batch.memo_hits",
+            "batch.instants",
+            "sim.plan.spec.reactions",
+        )
+
+        def work(thread):
+            with PERF.scope() as tables:
+                for rnd in range(10):
+                    seed = 100 * thread + 10 * rnd
+                    simulate_batch(
+                        comp,
+                        [jittered_stimulus(base, 0.5, seed + k) for k in range(4)],
+                        plan=plan,
+                    )
+                    simulate(
+                        comp,
+                        jittered_stimulus(base, 0.5, seed + 9),
+                        reactor=Reactor(comp, plan=plan),
+                    )
+            return {name: tables.counts.get(name, 0) for name in names}
+
+        alone = [work(thread) for thread in range(3)]
+        assert all(counts["batch.plan.spec.reactions"] for counts in alone)
+        together = [None] * 3
+        errors = []
+
+        def run(thread):
+            try:
+                together[thread] = work(thread)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(thread,)) for thread in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [t for t in threads if t.is_alive()]
+        assert errors == []
+        assert together == alone
 
     def test_sweep_merges_batch_counters(self):
         from repro.perf.sweep import sweep
