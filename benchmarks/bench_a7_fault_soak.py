@@ -53,21 +53,20 @@ def soak_matrix():
                 workload={"kind": "single_burst"}, horizon=BURST_HORIZON
             )
         specs.append(spec)
-    report = scenarios.soak_sweep(
+    return scenarios.batched_soak_sweep(
         program, specs, horizon=HORIZON, workers=WORKERS
     )
-    return report.values()
 
 
 def sweep_drops():
     program = producer_consumer()
     rates = (0.0, 0.1, 0.4) if quick() else (0.0, 0.05, 0.1, 0.2, 0.4)
     specs = scenarios.drop_sweep_specs(rates=rates, seed=11)
-    report = scenarios.soak_sweep(
+    summaries = scenarios.batched_soak_sweep(
         program, specs, horizon=HORIZON, workers=WORKERS
     )
     rows = []
-    for spec, row in zip(specs, report.values()):
+    for spec, row in zip(specs, summaries):
         rate = (
             spec.plan.for_channel("*", "*").drop if spec.plan.active else 0.0
         )

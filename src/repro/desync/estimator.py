@@ -20,6 +20,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -28,9 +29,7 @@ from repro.lang.ast import Program
 from repro.perf import PERF
 from repro.perf.sweep import sweep
 from repro.sim.batch import simulate_batch
-from repro.sim.engine import Reactor
-from repro.sim.plan import shared_plan
-from repro.sim.runner import simulate
+from repro.sim.plan import ReactionPlan, shared_plan
 from repro.desync.transform import DesyncResult, desynchronize
 
 
@@ -76,12 +75,12 @@ class DesignCache:
 
     Desynchronizing, flattening, type-checking, and plan-compiling the
     instrumented network is pure in the capacities, so the grow-and-reverify
-    loop can keep one :class:`~repro.sim.engine.Reactor` (and its compiled
-    reaction plan) per sizes vector and replay it with
-    :meth:`~repro.sim.engine.Reactor.reset` instead of rebuilding.  A cache
-    may be shared across :func:`estimate_buffer_sizes` calls — the
-    verification loop of Section 5.2 does exactly that — but never across
-    *different* source programs.
+    loop keeps one :class:`~repro.desync.transform.DesyncResult` and its
+    compiled reaction plan per sizes vector and runs every revisit's lanes
+    on them instead of rebuilding.  A cache may be shared across
+    :func:`estimate_buffer_sizes` calls — the verification loop of
+    Section 5.2 does exactly that — but never across *different* source
+    programs.
     """
 
     __slots__ = ("_entries",)
@@ -92,27 +91,22 @@ class DesignCache:
     def seed(self, key: tuple, result: DesyncResult) -> None:
         self._entries.setdefault(key, [result, None])
 
-    def prepared(self, key: tuple, build: Callable[[], DesyncResult], oracle):
-        """The (DesyncResult, ready Reactor) pair for ``key``."""
+    def prepared(
+        self, key: tuple, build: Callable[[], DesyncResult]
+    ) -> Tuple[DesyncResult, ReactionPlan]:
+        """The (DesyncResult, reaction plan) pair for ``key``."""
         entry = self._entries.get(key)
         if entry is None:
             PERF.incr("desync.cache_misses")
             entry = self._entries[key] = [build(), None]
         else:
             PERF.incr("desync.cache_hits")
-        result = entry[0]
-        reactor = entry[1]
-        if reactor is None:
-            # the process-wide plan cache makes revisits of a sizes vector
-            # (and rebuilds across DesignCache instances) near-free, and
-            # selects the specialized generated-code path by default
-            comp = flatten_program(result.program)
-            reactor = Reactor(comp, oracle=oracle, plan=shared_plan(comp))
-            entry[1] = reactor
-        else:
-            reactor.reset()
-            reactor.oracle = oracle
-        return result, reactor
+        if entry[1] is None:
+            # the process-wide plan cache makes rebuilds across DesignCache
+            # instances near-free, and selects the specialized
+            # generated-code path by default
+            entry[1] = shared_plan(flatten_program(entry[0].program))
+        return entry[0], entry[1]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -187,18 +181,20 @@ def estimate_buffer_sizes(
     once: each iteration runs every factory as an independent lane of one
     compiled plan (:func:`repro.sim.batch.simulate_batch`); the observed
     miss counters are the worst (max) over lanes and alarms are summed,
-    so the grown sizes cover every simulated environment.  ``workers >
-    1`` splits the lanes of each iteration into that many chunks across
-    a :func:`repro.perf.sweep.sweep` process pool (the program, factories
-    and oracle must then pickle).  The single-factory path is unchanged.
-    An empty sequence raises :class:`ValueError`.
+    so the grown sizes cover every simulated environment.  One factory
+    is a batch of one lane.  ``workers > 1`` with two or more lanes
+    splits the lanes of each iteration into that many chunks across a
+    :func:`repro.perf.sweep.sweep` process pool (the program, factories
+    and oracle must then pickle).  An empty sequence, a ``horizon``
+    below 1 and an ``initial`` map naming something that is not a
+    channel raise :class:`ValueError` before any round runs.
 
     Convergence means the last simulation raised no alarm; the final
     ``sizes`` then satisfy the Lemma 2 condition *for the simulated
     behaviors* — the verification phase (model checking, experiment V1)
     extends the claim to all behaviors.
 
-    ``cache`` (a :class:`DesignCache`) memoizes the instrumented network
+    ``cache`` (a :class:`DesignCache`) keeps the instrumented network
     and its compiled reaction plan per capacity assignment; pass the same
     cache across calls on the same ``program`` so the grow-and-reverify
     loop of :func:`repro.desync.verification.verified_buffer_sizes` does
@@ -214,24 +210,31 @@ def estimate_buffer_sizes(
     the loop detects that fixed point and returns ``converged=False``
     immediately instead of burning the remaining ``max_iterations``.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     if cache is None:
         cache = DesignCache()
     if callable(stimulus_factory):
-        factories: Optional[List[StimulusFactory]] = None
+        factories = [stimulus_factory]
     else:
         factories = list(stimulus_factory)
         if not factories:
             raise ValueError("no stimulus factory: nothing to simulate")
-        if len(factories) == 1:
-            # one environment: identical to the classic path
-            stimulus_factory, factories = factories[0], None
     # initial sizes need the channel list; build once to discover channels
     probe: DesyncResult = desynchronize(
         program, capacities=1 if isinstance(initial, dict) else initial,
         kind=kind, instrument=True, read_requests=read_requests, signals=signals,
     )
     if isinstance(initial, dict):
-        sizes = {ch.signal: int(initial.get(ch.signal, 1)) for ch in probe.channels}
+        channels = [ch.signal for ch in probe.channels]
+        unknown = sorted(set(initial) - set(channels))
+        if unknown:
+            raise ValueError(
+                "initial names no channel: {} (channels: {})".format(
+                    ", ".join(map(repr, unknown)), ", ".join(channels)
+                )
+            )
+        sizes = {signal: int(initial.get(signal, 1)) for signal in channels}
     else:
         sizes = {ch.signal: int(initial) for ch in probe.channels}
         # a uniform probe IS the first iteration's network — seed the cache
@@ -248,7 +251,7 @@ def estimate_buffer_sizes(
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        if factories is not None and workers is not None and workers > 1:
+        if workers is not None and workers > 1 and len(factories) > 1:
             # parallel lanes: each worker rebuilds the network (its own
             # process-wide plan cache absorbs the repeats) and runs one
             # chunk of environments
@@ -269,8 +272,8 @@ def estimate_buffer_sizes(
                     misses[sig] = max(misses.get(sig, 0), worst)
                 for sig, n in chunk_alarms.items():
                     alarms[sig] = alarms.get(sig, 0) + n
-        elif factories is not None:
-            result, reactor = cache.prepared(
+        else:
+            result, plan = cache.prepared(
                 _sizes_key(kind, sizes),
                 lambda: desynchronize(
                     program,
@@ -280,41 +283,15 @@ def estimate_buffer_sizes(
                     read_requests=read_requests,
                     signals=signals,
                 ),
-                oracle,
             )
             batch = simulate_batch(
-                reactor.component,
+                plan.component,
                 [factory() for factory in factories],
                 n=horizon,
                 oracle=oracle,
-                plan=reactor.plan,
+                plan=plan,
             )
             misses, alarms = _fold_lane_counts(result, batch)
-        else:
-            result, reactor = cache.prepared(
-                _sizes_key(kind, sizes),
-                lambda: desynchronize(
-                    program,
-                    capacities=dict(sizes),
-                    kind=kind,
-                    instrument=True,
-                    read_requests=read_requests,
-                    signals=signals,
-                ),
-                oracle,
-            )
-            trace = simulate(
-                result.program, stimulus_factory(), n=horizon, reactor=reactor
-            )
-            misses = {}
-            alarms = {}
-            for ch in result.channels:
-                regs = trace.values(ch.reg)
-                worst = max(regs) if regs else 0
-                misses[ch.signal] = max(misses.get(ch.signal, 0), worst)
-                alarms[ch.signal] = alarms.get(ch.signal, 0) + trace.presence_count(
-                    ch.alarm
-                )
         history.append(EstimationStep(iteration, dict(sizes), misses, alarms))
         if all(v == 0 for v in misses.values()):
             converged = True

@@ -154,60 +154,13 @@ def soak(
     object with ``gals_schedules()`` and ``stimulus_factory``); fresh
     schedules are drawn for each of the two deployments so both see the
     same activations.  ``signals`` restricts the classification (default:
-    every signal recorded by the reference run).
+    every signal recorded by the reference run).  One soak is a batch of
+    one plan: :func:`soak_batch`.
     """
-    reference = _net_from(program, workload, net_kwargs).run(
-        horizon, max_events=max_events
-    )
-    return _soak_against(
-        reference, program, workload, plan, horizon, signals, estimate,
-        max_events, net_kwargs,
-    )
-
-
-def _soak_against(
-    reference: NetworkTrace,
-    program: Program,
-    workload,
-    plan: FaultPlan,
-    horizon: float,
-    signals,
-    estimate,
-    max_events: int,
-    net_kwargs: Dict,
-    estimate_cache=None,
-) -> SoakReport:
-    """One faulted deployment compared against an already-run reference."""
-    faulted_net = _net_from(program, workload, net_kwargs)
-    weave_faults(faulted_net, plan)
-    faulted = faulted_net.run(horizon, max_events=max_events)
-
-    classification, flow_ok = _classify(reference, faulted, signals)
-
-    counts = faulted.fault_counts()
-    PERF.merge({k: v for k, v in counts.items() if isinstance(v, int)}, "faults")
-    PERF.incr("faults.soaks")
-    divergent = sum(
-        1 for c in classification.values() if c != FLOW_EQUIVALENT
-    )
-    PERF.incr("faults.divergent_signals", divergent)
-
-    inflation = None
-    if estimate is not None:
-        inflation = capacity_inflation(
-            program, workload, estimate, seed=plan.seed, cache=estimate_cache
-        )
-
-    return SoakReport(
-        plan=plan,
-        horizon=horizon,
-        reference=reference,
-        faulted=faulted,
-        classification=classification,
-        flow_equivalent=flow_ok,
-        fault_counts=counts,
-        inflation=inflation,
-    )
+    return soak_batch(
+        program, workload, [plan], horizon=horizon, signals=signals,
+        estimate=estimate, max_events=max_events, **net_kwargs,
+    )[0]
 
 
 def soak_batch(
@@ -226,12 +179,14 @@ def soak_batch(
     reference is identical for every plan; running it once instead of
     once per plan halves the event-simulation work of a scenario sweep
     (and the capacity-inflation estimates share one
-    :class:`~repro.desync.estimator.DesignCache`).  Each plan's report is
-    byte-identical to what :func:`soak` would return for it.  The plans
-    run in order in this thread; counters go to the caller's
-    :data:`repro.perf.PERF` tables, so to count one plan, soak it alone
-    in a :meth:`repro.perf.PerfCounters.scope`.
+    :class:`~repro.desync.estimator.DesignCache`).  Each plan's report
+    equals the :func:`soak` of that plan alone.  The plans run in order
+    in this thread; counters go to the caller's :data:`repro.perf.PERF`
+    tables, so to count one plan, soak it alone in a
+    :meth:`repro.perf.PerfCounters.scope`.
     """
+    if signals is not None:
+        signals = list(signals)   # an iterator must serve every plan
     reference = _net_from(program, workload, net_kwargs).run(
         horizon, max_events=max_events
     )
@@ -240,13 +195,43 @@ def soak_batch(
         from repro.desync.estimator import DesignCache
 
         estimate_cache = DesignCache()
-    return [
-        _soak_against(
-            reference, program, workload, plan, horizon, signals, estimate,
-            max_events, net_kwargs, estimate_cache=estimate_cache,
+    reports = []
+    for plan in plans:
+        faulted_net = _net_from(program, workload, net_kwargs)
+        weave_faults(faulted_net, plan)
+        faulted = faulted_net.run(horizon, max_events=max_events)
+
+        classification, flow_ok = _classify(reference, faulted, signals)
+
+        counts = faulted.fault_counts()
+        PERF.merge(
+            {k: v for k, v in counts.items() if isinstance(v, int)}, "faults"
         )
-        for plan in plans
-    ]
+        PERF.incr("faults.soaks")
+        divergent = sum(
+            1 for c in classification.values() if c != FLOW_EQUIVALENT
+        )
+        PERF.incr("faults.divergent_signals", divergent)
+
+        inflation = None
+        if estimate is not None:
+            inflation = capacity_inflation(
+                program, workload, estimate, seed=plan.seed,
+                cache=estimate_cache,
+            )
+        reports.append(
+            SoakReport(
+                plan=plan,
+                horizon=horizon,
+                reference=reference,
+                faulted=faulted,
+                classification=classification,
+                flow_equivalent=flow_ok,
+                fault_counts=counts,
+                inflation=inflation,
+            )
+        )
+    return reports
 
 
 # -- verified recovery --------------------------------------------------------
@@ -351,82 +336,13 @@ def recovery_soak(
     ``config`` (default :class:`~repro.resilience.RecoveryConfig`).  The
     claim under test: with recovery in place, drops, duplicates,
     reordering and even node crashes leave the run flow-equivalent to
-    the zero-fault reference.
+    the zero-fault reference.  One recovery soak is a batch of one plan:
+    :func:`recovery_soak_batch`.
     """
-    reference = _net_from(program, workload, net_kwargs).run(
-        horizon, max_events=max_events
-    )
-    return _recovery_against(
-        reference, program, workload, plan, config, horizon, signals,
-        max_events, net_kwargs,
-    )
-
-
-def _recovery_against(
-    reference: NetworkTrace,
-    program: Program,
-    workload,
-    plan: FaultPlan,
-    config,
-    horizon: float,
-    signals,
-    max_events: int,
-    net_kwargs: Dict,
-) -> RecoveryReport:
-    """One hardened faulted deployment vs an already-run reference."""
-    from repro.resilience import RecoveryConfig, harden
-
-    if config is None:
-        config = RecoveryConfig()
-    recovered_net = _net_from(program, workload, net_kwargs)
-    weave_faults(recovered_net, plan)
-    hardened = harden(recovered_net, config)
-
-    recovered = recovered_net.run(horizon, max_events=max_events)
-
-    classification, flow_ok = _classify(reference, recovered, signals)
-
-    recovery: Dict[str, object] = {
-        "frames": 0, "retransmits": 0, "acks": 0, "dup_frames": 0,
-        "corrupt_frames": 0, "abandoned": 0, "skipped_gaps": 0,
-    }
-    for ch in hardened.channels:
-        for key, n in ch.protocol_stats().items():
-            if key in recovery:
-                recovery[key] += n
-    if hardened.supervisor is not None:
-        recovery.update(hardened.supervisor.metrics())
-
-    counts = recovered.fault_counts()
-    PERF.merge({k: v for k, v in counts.items() if isinstance(v, int)}, "faults")
-    PERF.incr("faults.soaks")
-    PERF.merge(
-        {
-            k: v for k, v in recovery.items()
-            if isinstance(v, int) and k in (
-                "retransmits", "abandoned", "checkpoints", "restarts",
-                "replayed",
-            )
-        },
-        "resilience",
-    )
-    divergent = sum(
-        1 for c in classification.values() if c != FLOW_EQUIVALENT
-    )
-    PERF.incr("faults.divergent_signals", divergent)
-
-    return RecoveryReport(
-        plan=plan,
-        config=config,
-        horizon=horizon,
-        reference=reference,
-        recovered=recovered,
-        classification=classification,
-        flow_equivalent=flow_ok,
-        fault_counts=counts,
-        recovery=recovery,
-        alarms=recovered.alarms,
-    )
+    return recovery_soak_batch(
+        program, workload, [plan], config=config, horizon=horizon,
+        signals=signals, max_events=max_events, **net_kwargs,
+    )[0]
 
 
 def recovery_soak_batch(
@@ -440,18 +356,72 @@ def recovery_soak_batch(
     **net_kwargs,
 ) -> List[RecoveryReport]:
     """:func:`recovery_soak` for many fault plans sharing **one**
-    reference run (see :func:`soak_batch` for the rationale); every
-    report is byte-identical to its standalone counterpart."""
+    reference run (see :func:`soak_batch` for the rationale)."""
+    from repro.resilience import RecoveryConfig, harden
+
+    if config is None:
+        config = RecoveryConfig()
+    if signals is not None:
+        signals = list(signals)   # an iterator must serve every plan
     reference = _net_from(program, workload, net_kwargs).run(
         horizon, max_events=max_events
     )
-    return [
-        _recovery_against(
-            reference, program, workload, plan, config, horizon, signals,
-            max_events, net_kwargs,
+    reports = []
+    for plan in plans:
+        recovered_net = _net_from(program, workload, net_kwargs)
+        weave_faults(recovered_net, plan)
+        hardened = harden(recovered_net, config)
+
+        recovered = recovered_net.run(horizon, max_events=max_events)
+
+        classification, flow_ok = _classify(reference, recovered, signals)
+
+        recovery: Dict[str, object] = {
+            "frames": 0, "retransmits": 0, "acks": 0, "dup_frames": 0,
+            "corrupt_frames": 0, "abandoned": 0, "skipped_gaps": 0,
+        }
+        for ch in hardened.channels:
+            for key, n in ch.protocol_stats().items():
+                if key in recovery:
+                    recovery[key] += n
+        if hardened.supervisor is not None:
+            recovery.update(hardened.supervisor.metrics())
+
+        counts = recovered.fault_counts()
+        PERF.merge(
+            {k: v for k, v in counts.items() if isinstance(v, int)}, "faults"
         )
-        for plan in plans
-    ]
+        PERF.incr("faults.soaks")
+        PERF.merge(
+            {
+                k: v for k, v in recovery.items()
+                if isinstance(v, int) and k in (
+                    "retransmits", "abandoned", "checkpoints", "restarts",
+                    "replayed",
+                )
+            },
+            "resilience",
+        )
+        divergent = sum(
+            1 for c in classification.values() if c != FLOW_EQUIVALENT
+        )
+        PERF.incr("faults.divergent_signals", divergent)
+
+        reports.append(
+            RecoveryReport(
+                plan=plan,
+                config=config,
+                horizon=horizon,
+                reference=reference,
+                recovered=recovered,
+                classification=classification,
+                flow_equivalent=flow_ok,
+                fault_counts=counts,
+                recovery=recovery,
+                alarms=recovered.alarms,
+            )
+        )
+    return reports
 
 
 # -- capacity inflation under jitter -----------------------------------------

@@ -92,7 +92,6 @@ class Cosim:
         right: Union[Component, Program],
         view: Optional[View] = None,
         oracle=None,
-        specialize: bool = False,
     ):
         lc, rc = _as_component(left), _as_component(right)
         missing = set(lc.inputs) ^ set(rc.inputs)
@@ -100,8 +99,8 @@ class Cosim:
             raise ValueError(
                 "designs disagree on inputs: {}".format(sorted(missing))
             )
-        self.left = Reactor(lc, oracle=oracle, specialize=specialize)
-        self.right = Reactor(rc, oracle=oracle, specialize=specialize)
+        self.left = Reactor(lc, oracle=oracle)
+        self.right = Reactor(rc, oracle=oracle)
         self.view = view or _shared_outputs_view(lc, rc)
         self.instant = 0
 
@@ -155,10 +154,9 @@ def cosimulate(
     stimulus: Iterable[Dict[str, object]],
     n: Optional[int] = None,
     view: Optional[View] = None,
-    specialize: bool = False,
 ) -> CosimReport:
     """One-shot co-simulation; see :class:`Cosim`."""
-    return Cosim(left, right, view=view, specialize=specialize).run(stimulus, n=n)
+    return Cosim(left, right, view=view).run(stimulus, n=n)
 
 
 # -- flow-level divergence classification ------------------------------------

@@ -3,10 +3,10 @@
 Workloads carry generator-producing closures, which do not pickle; the
 *spec* layer at the bottom of this module (``{"kind": ..., **params}``
 dicts, :func:`workload_from_spec`, :class:`FaultScenarioSpec`,
-:func:`soak_sweep`) is the picklable description of the same scenarios,
-so sweeps can fan out across processes via
-:func:`repro.perf.sweep.sweep` and rebuild each workload inside the
-worker."""
+:func:`fault_kind_specs`, :func:`batched_soak_sweep`) is the picklable
+description of the same scenarios, so sweeps can fan out across
+processes via :func:`repro.perf.sweep.sweep` and rebuild each workload
+inside the worker."""
 
 from __future__ import annotations
 
@@ -19,11 +19,10 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Tuple,
 )
 
 from repro.gals import schedules
-from repro.perf.sweep import SweepReport, sweep
+from repro.perf.sweep import sweep
 from repro.sim import stimuli
 
 
@@ -209,63 +208,7 @@ def burst_sweep(
     return out
 
 
-# -- fault-injection scenarios (experiment A7) --------------------------------
-
-
-class FaultScenario(NamedTuple):
-    """One workload deployed under one fault plan."""
-
-    name: str
-    workload: Workload
-    plan: "FaultPlan"
-
-    def soak(self, program, horizon: float = 50.0, **kwargs):
-        """Run :func:`repro.faults.soak.soak` on this scenario."""
-        from repro.faults.soak import soak
-
-        return soak(program, self.workload, self.plan, horizon=horizon, **kwargs)
-
-
-def fault_kind_matrix(
-    seed: int = 7,
-    rate: float = 0.2,
-    workload: Optional[Workload] = None,
-) -> List[FaultScenario]:
-    """One scenario per fault kind, each at ``rate`` on every channel.
-
-    The canonical soak matrix: a clean baseline plus drop, duplicate,
-    reorder, latency jitter, metastability corruption and producer stall,
-    all on the same workload so divergence classes are attributable to a
-    single fault dimension.
-    """
-    wl = workload or steady()
-    return [s.build()._replace(workload=wl) for s in fault_kind_specs(seed, rate)]
-
-
-def drop_sweep(
-    rates: Iterable[float] = (0.0, 0.05, 0.1, 0.2, 0.4),
-    seed: int = 7,
-    workload: Optional[Workload] = None,
-) -> List[FaultScenario]:
-    """Increasing channel loss on a steady workload (fault dose-response)."""
-    wl = workload or steady()
-    return [s.build()._replace(workload=wl) for s in drop_sweep_specs(rates, seed)]
-
-
-def jitter_sweep(
-    jitters: Iterable[float] = (0.0, 0.5, 1.0, 2.0, 4.0),
-    seed: int = 7,
-    workload: Optional[Workload] = None,
-) -> List[FaultScenario]:
-    """Growing latency jitter — the regime where the Section 5.2 buffer
-    estimates inflate (compare with :func:`repro.faults.soak.capacity_inflation`)."""
-    wl = workload or bursty_producer()
-    return [
-        s.build()._replace(workload=wl) for s in jitter_sweep_specs(jitters, seed)
-    ]
-
-
-# -- picklable specs + the parallel soak sweep --------------------------------
+# -- picklable specs + the batched soak sweep (experiment A7) ----------------
 
 
 #: workload spec ``kind`` -> factory; a spec is the factory's kwargs plus
@@ -286,17 +229,15 @@ def workload_from_spec(spec: Dict[str, Any]) -> Workload:
 
 
 class FaultScenarioSpec(NamedTuple):
-    """A :class:`FaultScenario` in transportable form: the workload as a
-    spec dict, the plan as-is (fault plans pickle), plus an optional
-    per-scenario horizon override for :func:`soak_sweep`."""
+    """One workload deployed under one fault plan, in transportable form:
+    the workload as a spec dict, the plan as-is (fault plans pickle), plus
+    an optional per-scenario horizon override for
+    :func:`batched_soak_sweep`."""
 
     name: str
     workload: Dict[str, Any]
     plan: "FaultPlan"
     horizon: Optional[float] = None
-
-    def build(self) -> FaultScenario:
-        return FaultScenario(self.name, workload_from_spec(self.workload), self.plan)
 
 
 def fault_kind_specs(
@@ -304,7 +245,13 @@ def fault_kind_specs(
     rate: float = 0.2,
     workload: Optional[Dict[str, Any]] = None,
 ) -> List[FaultScenarioSpec]:
-    """:func:`fault_kind_matrix`, as picklable specs."""
+    """One scenario per fault kind, each at ``rate`` on every channel.
+
+    The canonical soak matrix: a clean baseline plus drop, duplicate,
+    reorder, latency jitter, metastability corruption and producer stall,
+    all on the same workload so divergence classes are attributable to a
+    single fault dimension.
+    """
     from repro.faults.spec import uniform_plan
 
     wl = workload or {"kind": "steady"}
@@ -325,7 +272,7 @@ def drop_sweep_specs(
     seed: int = 7,
     workload: Optional[Dict[str, Any]] = None,
 ) -> List[FaultScenarioSpec]:
-    """:func:`drop_sweep`, as picklable specs."""
+    """Increasing channel loss on one workload (fault dose-response)."""
     from repro.faults.spec import uniform_plan
 
     wl = workload or {"kind": "steady"}
@@ -337,68 +284,10 @@ def drop_sweep_specs(
     ]
 
 
-def jitter_sweep_specs(
-    jitters: Iterable[float] = (0.0, 0.5, 1.0, 2.0, 4.0),
-    seed: int = 7,
-    workload: Optional[Dict[str, Any]] = None,
-) -> List[FaultScenarioSpec]:
-    """:func:`jitter_sweep`, as picklable specs."""
-    from repro.faults.spec import uniform_plan
-
-    wl = workload or {"kind": "bursty"}
-    return [
-        FaultScenarioSpec(
-            "jitter={:g}".format(j), dict(wl), uniform_plan(seed=seed, jitter=j)
-        )
-        for j in jitters
-    ]
-
-
-def _soak_task(shared: Dict[str, Any], spec: FaultScenarioSpec) -> Dict[str, Any]:
-    """One soak, summarized picklably (runs inside sweep workers)."""
-    from repro.sim.cosim import FLOW_EQUIVALENT
-
-    scenario = spec.build()
-    report = scenario.soak(
-        shared["program"],
-        horizon=spec.horizon if spec.horizon is not None else shared["horizon"],
-        **shared["net_kwargs"],
-    )
-    worst = None
-    for signal in sorted(report.classification):
-        verdict = report.classification[signal]
-        if verdict != FLOW_EQUIVALENT:
-            worst = verdict
-            break
-    return {
-        "scenario": spec.name,
-        "flow_equivalent": report.flow_equivalent,
-        "class": worst,
-        "divergent_signals": len(report.divergent),
-        "faults": dict(report.fault_counts),
-    }
-
-
-def soak_sweep(
-    program,
-    specs: Iterable[FaultScenarioSpec],
-    horizon: float = 50.0,
-    workers: Optional[int] = None,
-    **net_kwargs,
-) -> SweepReport:
-    """Soak every scenario spec through :func:`repro.perf.sweep.sweep`.
-
-    Each task value is a summary dict (scenario name, flow-equivalence
-    verdict, worst divergence class in signal order, divergent-signal
-    count, fault counts); results are in spec order and — soaks being
-    deterministic in their seeds — identical at any ``workers`` count.
-    """
-    shared = {"program": program, "horizon": horizon, "net_kwargs": net_kwargs}
-    return sweep(_soak_task, list(specs), workers=workers, shared=shared)
-
-
 def _soak_summary(name: str, report) -> Dict[str, Any]:
-    """The :func:`_soak_task` summary shape, from an existing report."""
+    """One soak's picklable summary: scenario name, flow-equivalence
+    verdict, worst divergence class in signal order, divergent-signal
+    count and fault counts."""
     from repro.sim.cosim import FLOW_EQUIVALENT
 
     worst = None
@@ -416,18 +305,24 @@ def _soak_summary(name: str, report) -> Dict[str, Any]:
     }
 
 
-def _group_specs(specs: list, group_key) -> List[Tuple[Any, List[int]]]:
-    """Partition spec indices by ``group_key(spec)``, preserving first-seen
-    group order (lane batches must not reorder deterministic summaries)."""
-    groups: Dict[Any, List[int]] = {}
-    order: List[Any] = []
+def _sweep_groups(task, specs: list, group_key, shared, workers) -> list:
+    """One sweep task per group of specs sharing ``group_key(spec)`` (a
+    tuple), in first-seen group order; each task gets the key's fields
+    plus the group's ``(name, plan)`` pairs and returns one summary per
+    pair.  The summaries come back scattered into spec order."""
+    groups: Dict[tuple, List[int]] = {}
     for i, spec in enumerate(specs):
-        key = group_key(spec)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-    return [(key, groups[key]) for key in order]
+        groups.setdefault(group_key(spec), []).append(i)
+    tasks = [
+        key + ([(specs[i].name, specs[i].plan) for i in indices],)
+        for key, indices in groups.items()
+    ]
+    report = sweep(task, tasks, workers=workers, shared=shared)
+    out = [None] * len(specs)
+    for indices, summaries in zip(groups.values(), report.values()):
+        for i, summary in zip(indices, summaries):
+            out[i] = summary
+    return out
 
 
 def _batched_soak_task(shared: Dict[str, Any], group) -> List[Dict[str, Any]]:
@@ -456,36 +351,25 @@ def batched_soak_sweep(
     workers: Optional[int] = None,
     **net_kwargs,
 ) -> List[Dict[str, Any]]:
-    """:func:`soak_sweep` with lane batching: specs sharing a workload
-    (and horizon) become ONE sweep task whose zero-fault reference runs
-    once for all of its fault plans (:func:`repro.faults.soak.soak_batch`).
+    """Soak every scenario spec through :func:`repro.perf.sweep.sweep`.
 
-    Returns the same summary dicts as :func:`soak_sweep`, in the original
-    spec order — byte-identical to the unbatched sweep, just cheaper.
+    Specs sharing a workload (and horizon) become ONE sweep task whose
+    zero-fault reference runs once for all of its fault plans
+    (:func:`repro.faults.soak.soak_batch`).  Returns one
+    :func:`_soak_summary` dict per spec, in spec order; soaks being
+    deterministic in their seeds, the summaries are identical at any
+    ``workers`` count.
     """
-    spec_list = list(specs)
-    grouped = _group_specs(
-        spec_list,
+    return _sweep_groups(
+        _batched_soak_task,
+        list(specs),
         lambda s: (
             tuple(sorted(s.workload.items())),
             s.horizon if s.horizon is not None else horizon,
         ),
+        {"program": program, "net_kwargs": net_kwargs},
+        workers,
     )
-    tasks = [
-        (
-            key[0],
-            key[1],
-            [(spec_list[i].name, spec_list[i].plan) for i in indices],
-        )
-        for key, indices in grouped
-    ]
-    shared = {"program": program, "net_kwargs": net_kwargs}
-    report = sweep(_batched_soak_task, tasks, workers=workers, shared=shared)
-    out: List[Optional[Dict[str, Any]]] = [None] * len(spec_list)
-    for (key, indices), summaries in zip(grouped, report.values()):
-        for i, summary in zip(indices, summaries):
-            out[i] = summary
-    return out  # type: ignore[return-value]
 
 
 # -- recovery scenarios (experiment A9) ---------------------------------------
@@ -494,7 +378,7 @@ def batched_soak_sweep(
 class RecoveryScenarioSpec(NamedTuple):
     """A hardened soak in transportable form: workload spec, fault plan,
     and the :class:`~repro.resilience.weave.RecoveryConfig` (NamedTuples of
-    NamedTuples — they pickle), for :func:`recovery_sweep`."""
+    NamedTuples — they pickle), for :func:`batched_recovery_sweep`."""
 
     name: str
     workload: Dict[str, Any]
@@ -538,46 +422,6 @@ def recovery_rate_specs(
     return out
 
 
-def _recovery_task(shared: Dict[str, Any], spec: RecoveryScenarioSpec) -> Dict[str, Any]:
-    """One recovery soak, summarized picklably (runs inside sweep workers)."""
-    from repro.faults.soak import recovery_soak
-
-    report = recovery_soak(
-        shared["program"],
-        workload_from_spec(spec.workload),
-        spec.plan,
-        config=spec.config if spec.config is not None else shared["config"],
-        horizon=spec.horizon if spec.horizon is not None else shared["horizon"],
-        **shared["net_kwargs"],
-    )
-    summary = report.summary()
-    summary["scenario"] = spec.name
-    return summary
-
-
-def recovery_sweep(
-    program,
-    specs: Iterable[RecoveryScenarioSpec],
-    config=None,
-    horizon: float = 40.0,
-    workers: Optional[int] = None,
-    **net_kwargs,
-) -> SweepReport:
-    """Recovery-soak every spec through :func:`repro.perf.sweep.sweep`.
-
-    Each task value is the report's :meth:`~repro.faults.soak.RecoveryReport.summary`
-    plus the scenario name; recovery soaks are deterministic in their
-    seeds, so results are identical at any ``workers`` count (asserted by
-    the A9 benchmark)."""
-    shared = {
-        "program": program,
-        "config": config,
-        "horizon": horizon,
-        "net_kwargs": net_kwargs,
-    }
-    return sweep(_recovery_task, list(specs), workers=workers, shared=shared)
-
-
 def _batched_recovery_task(shared: Dict[str, Any], group) -> List[Dict[str, Any]]:
     """One recovery lane batch (runs inside sweep workers)."""
     from repro.faults.soak import recovery_soak_batch
@@ -607,33 +451,23 @@ def batched_recovery_sweep(
     workers: Optional[int] = None,
     **net_kwargs,
 ) -> List[Dict[str, Any]]:
-    """:func:`recovery_sweep` with lane batching: specs sharing a
-    workload, recovery config and horizon become one sweep task with a
-    single shared reference run
-    (:func:`repro.faults.soak.recovery_soak_batch`).  Summaries come back
-    in spec order, byte-identical to the unbatched sweep."""
-    spec_list = list(specs)
-    grouped = _group_specs(
-        spec_list,
+    """Recovery-soak every spec through :func:`repro.perf.sweep.sweep`.
+
+    Specs sharing a workload, recovery config and horizon become one
+    sweep task with a single shared reference run
+    (:func:`repro.faults.soak.recovery_soak_batch`).  Returns one
+    summary per spec, in spec order: the report's
+    :meth:`~repro.faults.soak.RecoveryReport.summary` plus the scenario
+    name.  Recovery soaks are deterministic in their seeds, so the
+    summaries are identical at any ``workers`` count."""
+    return _sweep_groups(
+        _batched_recovery_task,
+        list(specs),
         lambda s: (
             tuple(sorted(s.workload.items())),
             s.config,
             s.horizon if s.horizon is not None else horizon,
         ),
+        {"program": program, "config": config, "net_kwargs": net_kwargs},
+        workers,
     )
-    tasks = [
-        (
-            key[0],
-            key[1],
-            key[2],
-            [(spec_list[i].name, spec_list[i].plan) for i in indices],
-        )
-        for key, indices in grouped
-    ]
-    shared = {"program": program, "config": config, "net_kwargs": net_kwargs}
-    report = sweep(_batched_recovery_task, tasks, workers=workers, shared=shared)
-    out: List[Optional[Dict[str, Any]]] = [None] * len(spec_list)
-    for (key, indices), summaries in zip(grouped, report.values()):
-        for i, summary in zip(indices, summaries):
-            out[i] = summary
-    return out  # type: ignore[return-value]

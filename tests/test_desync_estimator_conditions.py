@@ -1,5 +1,7 @@
 """Tests for the Section 5.2 estimation loop and Lemma 2 trace checkers."""
 
+import re
+
 import pytest
 
 from repro.designs import producer_consumer, request_response
@@ -117,6 +119,28 @@ class TestEstimatorInputs:
         with pytest.raises(ValueError, match="no stimulus factory"):
             estimate_buffer_sizes(
                 producer_consumer(), [], horizon=30, workers=workers
+            )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_raises(self, workers, lanes, horizon):
+        envs = sustained_mismatch if lanes == 1 else [sustained_mismatch] * lanes
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            estimate_buffer_sizes(
+                producer_consumer(), envs, horizon=horizon, workers=workers
+            )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_initial_naming_no_channel_raises(self, workers, lanes):
+        envs = bursty_env() if lanes == 1 else [bursty_env()] * lanes
+        with pytest.raises(ValueError, match=re.escape(
+            "initial names no channel: 'y' (channels: x)"
+        )):
+            estimate_buffer_sizes(
+                producer_consumer(), envs, horizon=30, initial={"y": 4},
+                workers=workers,
             )
 
     def test_cap_at_initial_size_is_accepted(self):

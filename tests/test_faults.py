@@ -21,7 +21,12 @@ from repro.gals import AsyncChannel, AsyncNetwork, schedules
 from repro.gals.network import _Recorder
 from repro.sim import stimuli
 from repro.sim.cosim import classify_flow_divergence
-from repro.workloads.scenarios import Workload, fault_kind_matrix
+from repro.workloads.scenarios import (
+    Workload,
+    drop_sweep_specs,
+    fault_kind_specs,
+    workload_from_spec,
+)
 
 
 def steady_workload():
@@ -418,8 +423,8 @@ class TestClassifier:
 
 
 class TestScenarios:
-    def test_fault_kind_matrix_covers_each_kind(self):
-        matrix = fault_kind_matrix(seed=7)
+    def test_fault_kind_specs_cover_each_kind(self):
+        matrix = fault_kind_specs(seed=7)
         names = [s.name for s in matrix]
         assert names == [
             "clean", "drop", "duplicate", "reorder", "jitter", "corrupt",
@@ -427,13 +432,14 @@ class TestScenarios:
         ]
         clean = matrix[0]
         assert not clean.plan.active
-        report = clean.soak(producer_consumer(), horizon=10.0)
+        report = soak(
+            producer_consumer(), workload_from_spec(clean.workload),
+            clean.plan, horizon=10.0,
+        )
         assert report.flow_equivalent
 
     def test_drop_sweep_rates(self):
-        from repro.workloads.scenarios import drop_sweep
-
-        sweep = drop_sweep(rates=(0.0, 0.5), seed=1)
+        sweep = drop_sweep_specs(rates=(0.0, 0.5), seed=1)
         assert len(sweep) == 2
         assert not sweep[0].plan.active
         assert sweep[1].plan.for_channel("P->Q:x", "x").drop == 0.5

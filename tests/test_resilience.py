@@ -23,6 +23,7 @@ from repro.gals import (
     ServiceLevel,
     schedules,
 )
+from repro.perf import PERF
 from repro.resilience import (
     AlarmEvent,
     Frame,
@@ -355,14 +356,20 @@ class TestRecoverySoak:
         assert digest["retransmits"] > 0
 
     def test_recovery_sweep_identical_across_workers(self):
+        """Two workloads make two sweep tasks, so ``workers=2`` fans out."""
         program = producer_accumulator()
         specs = scenarios.recovery_rate_specs(rates=(0.05, 0.3), seed=11)
+        specs += scenarios.recovery_rate_specs(
+            rates=(0.05,), seed=11, crash=None, workload={"kind": "steady"}
+        )
         dumps = []
-        for workers in (1, 2):
-            rep = scenarios.recovery_sweep(
-                program, specs, config=ACCEPTANCE_CONFIG, workers=workers
-            )
-            dumps.append(json.dumps(rep.values(), sort_keys=True))
+        for workers in (None, 2):
+            with PERF.scope() as tables:
+                rows = scenarios.batched_recovery_sweep(
+                    program, specs, config=ACCEPTANCE_CONFIG, workers=workers
+                )
+            assert tables.counts["sweep.tasks"] == 2
+            dumps.append(json.dumps(rows, sort_keys=True))
         assert dumps[0] == dumps[1]
 
     def test_harden_respects_scope(self):

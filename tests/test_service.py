@@ -389,6 +389,23 @@ class TestSchedulerInline:
         )
         assert record.envelope is None
 
+    @pytest.mark.parametrize("params, error", [
+        ({"horizon": 0, "stim": ["p_act:1", "x_rreq:3"]},
+         "ValueError: horizon must be >= 1"),
+        ({"horizon": 30, "initial": {"y": 4}},
+         "ValueError: initial names no channel: 'y' (channels: x)"),
+    ])
+    def test_estimate_unusable_input_fails(self, params, error):
+        spec = {"kind": "estimate", "design": "producer_consumer",
+                "params": params}
+        with Scheduler(workers=1) as sched:
+            job_id = sched.submit(spec)
+            assert sched.wait([job_id], timeout=60)
+            record = sched.job(job_id)
+        assert record.state == FAILED
+        assert record.error == error
+        assert record.envelope is None
+
     def test_shutdown_cancels_pending(self):
         sched = Scheduler(workers=1)
         job_id = sched.submit(LINT)   # never started

@@ -1,4 +1,5 @@
-"""Pinned ``verify`` and ``prove`` result digests of the service runner.
+"""Pinned ``verify``, ``prove``, ``soak`` and ``estimate`` result digests
+of the service runner.
 
 The perfbench goldens pin these payloads too, but tier-1 does not run
 them.  Each digest below is the :func:`repro.service.runner.execute`
@@ -7,7 +8,9 @@ backend, model-checked ``prove`` jobs on every prover backend, and one
 affine proof each way.  A change to how the backends are dispatched must
 leave every digest as it is, whether the job runs without a store, cold
 into a fresh store, or warm from the store's ``verify-verdict`` and
-``prove-certificate`` entries.
+``prove-certificate`` entries.  The ``soak`` and ``estimate`` jobs read
+no store; their digests pin the batched fault soak and buffer estimation
+behind those handlers.
 """
 
 from repro.mc.store import STORE_ENV
@@ -75,10 +78,34 @@ JOBS = [
 ]
 
 
-def _digests():
+SIM_JOBS = [
+    ("estimate-default", "estimate", "producer_consumer", {},
+     "f7a1e98b11c33f231c1ea4305c70068d80a59fa3c5ab9f8e9dc9205278a7d7fe"),
+    ("estimate-capped", "estimate", "producer_consumer",
+     {"horizon": 30, "stim": ["p_act:1", "x_rreq:3"], "initial": 2,
+      "max_capacity": 6},
+     "1cd09edfa42f56db57c7416038d739a8a35051e9988e0a6e1232a50716b2b16d"),
+    ("estimate-pipeline", "estimate",
+     {"name": "pipeline", "args": {"stages": 2}},
+     {"horizon": 20, "stim": ["p_act:1", "x0_rreq:2", "x1_rreq:1"]},
+     "0bd1149395e8f04ba98b8b79300bdd2bf4fa0e22400905bac547cb823870d86b"),
+    ("soak-drop", "soak", "producer_consumer",
+     {"seed": 3, "drop": 0.2, "horizon": 8.0},
+     "8b4cedf9de89a78da1f8c47da242849a7ee3c4971f1da9d1ab0f8919d62e33e2"),
+    ("soak-duplicate-reorder", "soak", "producer_consumer",
+     {"seed": 1, "duplicate": 0.1, "reorder": 0.2, "window": 3,
+      "horizon": 12.0},
+     "d59f2556bcff9caaca869c2fa3b875e14d56c05248be28fd1869af2311e723c0"),
+    ("soak-pipeline-jitter", "soak", "pipeline",
+     {"seed": 5, "jitter": 1.5, "horizon": 10.0},
+     "eda0f3c0cb82adfa8dbebbc082418dbc39490355e5161b6ecbc6f51d747b8668"),
+]
+
+
+def _digests(jobs=JOBS):
     return {
         name: execute({"kind": kind, "design": design, "params": params})["digest"]
-        for name, kind, design, params, _ in JOBS
+        for name, kind, design, params, _ in jobs
     }
 
 
@@ -97,3 +124,8 @@ def test_digests_cold_and_warm_store(monkeypatch, tmp_path):
         assert _digests() == PINNED   # warm: one verdict or certificate read each
     assert (warm.counts.get("mc.store.hits", 0),
             warm.counts.get("mc.store.misses", 0)) == (len(JOBS), 0)
+
+
+def test_soak_and_estimate_digests():
+    pinned = {name: digest for name, _, _, _, digest in SIM_JOBS}
+    assert _digests(SIM_JOBS) == pinned

@@ -551,17 +551,32 @@ class TestEstimatorLanes:
             for sig, size in single.sizes.items():
                 assert lanes.sizes[sig] >= size
 
-    def test_single_factory_list_degrades_to_classic(self):
+    def test_single_factory_steps_replay_on_interpreter(self):
+        """One environment is a batch of one lane: every step's counters
+        equal a reference-interpreter run of the network at its sizes."""
+        from repro.desync import desynchronize
         from repro.desync.estimator import estimate_buffer_sizes
         from repro.workloads import scenarios
 
         prog = designs.modular_producer_consumer()
         env = scenarios.bursty_producer()
-        classic = estimate_buffer_sizes(prog, env.stimulus_factory, horizon=60)
+        report = estimate_buffer_sizes(prog, env.stimulus_factory, horizon=60)
+        assert len(report.history) > 1   # some step raised alarms
+        for step in report.history:
+            result = desynchronize(prog, capacities=step.sizes, instrument=True)
+            comp = flatten_program(result.program)
+            trace = simulate(
+                comp, env.stimulus_factory(), n=60,
+                reactor=Reactor(comp, compiled=False),
+            )
+            for ch in result.channels:
+                regs = trace.values(ch.reg)
+                assert step.misses[ch.signal] == (max(regs) if regs else 0)
+                assert step.alarms[ch.signal] == trace.presence_count(ch.alarm)
         listed = estimate_buffer_sizes(
             prog, [env.stimulus_factory], horizon=60
         )
-        assert listed == classic
+        assert listed == report
 
     def test_parallel_lanes_identical(self):
         from repro.desync.estimator import estimate_buffer_sizes
@@ -607,24 +622,53 @@ class TestBatchedSoaks:
             assert got.flow_equivalent == ref.flow_equivalent
             assert got.fault_counts == ref.fault_counts
 
+    def test_signal_iterator_classifies_every_plan(self):
+        from repro.faults.soak import recovery_soak_batch, soak_batch
+        from repro.faults.spec import uniform_plan
+        from repro.workloads import scenarios
+
+        prog = designs.modular_producer_consumer()
+        plans = [uniform_plan(seed=7, drop=0.2)] * 2
+        for batch in (soak_batch, recovery_soak_batch):
+            reports = batch(
+                prog, scenarios.steady(), plans, horizon=25.0,
+                signals=iter(["x", "y"]),
+            )
+            assert [sorted(r.classification) for r in reports] == [
+                ["x", "y"], ["x", "y"]
+            ]
+            assert reports[0].flow_equivalent == reports[1].flow_equivalent
+
     def test_batched_sweeps_byte_identical(self):
+        from repro.faults.soak import recovery_soak, soak
         from repro.workloads.scenarios import (
+            _soak_summary,
             batched_recovery_sweep,
             batched_soak_sweep,
             fault_kind_specs,
             recovery_rate_specs,
-            recovery_sweep,
-            soak_sweep,
+            workload_from_spec,
         )
 
         prog = designs.modular_producer_consumer()
         specs = fault_kind_specs(seed=7, rate=0.2)
-        assert (
-            batched_soak_sweep(prog, specs, horizon=25.0)
-            == soak_sweep(prog, specs, horizon=25.0).values()
-        )
+        assert batched_soak_sweep(prog, specs, horizon=25.0) == [
+            _soak_summary(
+                spec.name,
+                soak(
+                    prog, workload_from_spec(spec.workload), spec.plan,
+                    horizon=25.0,
+                ),
+            )
+            for spec in specs
+        ]
         rspecs = recovery_rate_specs(rates=(0.05, 0.3))
-        assert (
-            batched_recovery_sweep(prog, rspecs, horizon=20.0)
-            == recovery_sweep(prog, rspecs, horizon=20.0).values()
-        )
+        expected = []
+        for spec in rspecs:
+            summary = recovery_soak(
+                prog, workload_from_spec(spec.workload), spec.plan,
+                horizon=20.0,
+            ).summary()
+            summary["scenario"] = spec.name
+            expected.append(summary)
+        assert batched_recovery_sweep(prog, rspecs, horizon=20.0) == expected
