@@ -5,9 +5,9 @@ schedule with per-lane fault/jitter perturbation ("validate many flows,
 not one").  This bench measures the wall-time of running N such lanes on
 the desynchronized producer-consumer pair two ways:
 
-- ``sequential``: the pre-batching idiom — one unspecialized
-  :class:`~repro.sim.Reactor` per lane, reacted row by row (the
-  baseline every speedup is quoted against);
+- ``sequential``: the pre-batching idiom — one
+  :class:`~repro.sim.Reactor` per lane on its default closure plan,
+  reacted row by row (the baseline every speedup is quoted against);
 - ``batch``: :func:`~repro.sim.batch.simulate_batch` in its default
   configuration — one shared *specialized* plan, and the run-wide
   reaction memo that shares work across lanes reaching the same
@@ -73,7 +73,7 @@ def _cell(comp, plan, n_lanes, rate):
     t0 = time.perf_counter()
     sequential = []
     for rows in lanes:
-        reactor = Reactor(comp, check=False, specialize=False)
+        reactor = Reactor(comp, check=False)
         sequential.append([reactor.react(row) for row in rows])
     t_seq = time.perf_counter() - t0
 

@@ -26,7 +26,7 @@ from repro.desync import desynchronize
 from repro.lang.analysis import flatten_program
 from repro.mc import compile_lts
 from repro.perf.sweep import sweep
-from repro.sim import Reactor
+from repro.sim import Interpreter, ReactionPlan, Reactor, SpecializedPlan
 
 from _report import emit, quick, table
 
@@ -87,9 +87,9 @@ def _sim_rows(n):
 
 
 ENGINES = (
-    ("interpreter", {"compiled": False}),
-    ("plan", {"specialize": False}),
-    ("specialized", {"specialize": True}),
+    ("interpreter", Interpreter),
+    ("plan", ReactionPlan),
+    ("specialized", SpecializedPlan),
 )
 
 
@@ -107,8 +107,8 @@ def sim_speed():
     best = {}
     traces = {}
     for _ in range(SIM_REPEATS):
-        for name, kwargs in ENGINES:
-            reactor = Reactor(comp, check=False, **kwargs)
+        for name, executor in ENGINES:
+            reactor = Reactor(comp, check=False, plan=executor(comp))
             start = time.process_time()
             out = [reactor.react(row) for row in rows]
             elapsed = time.process_time() - start

@@ -9,19 +9,10 @@ chart the latency/backlog trade against FIFO depth.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.desync.conditions import TraceLike, _trace_of
 from repro.sim.trace import SimTrace
-from repro.tags.behavior import Behavior
-from repro.tags.trace import SignalTrace
-
-TraceLike = Union[SimTrace, Behavior]
-
-
-def _trace_of(source: TraceLike, name: str) -> SignalTrace:
-    if isinstance(source, SimTrace):
-        return source.trace_of(name)
-    return source[name]
 
 
 class ChannelStats(NamedTuple):

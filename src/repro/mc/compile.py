@@ -73,10 +73,18 @@ def boolean_alphabet(component: Component, **kwargs) -> List[Dict[str, object]]:
     return input_alphabet(component, int_values=(0, 1), **kwargs)
 
 
-def _react_outcome(plan, letter, state, oracle, instant_index):
-    """Execute one reaction from ``state``: ``None`` when it is
-    inconsistent, else ``(frozen visible outputs, successor state)``."""
-    return plan.react_frozen(letter, state, oracle, instant_index, ABSENT)
+def _react_outcome(plan, letter, state, oracle, instant_index, visible):
+    """Execute one reaction from ``state`` in the LTS format: the present
+    signals of ``visible`` (name-sorted ``(name, slot)`` pairs) as frozen
+    ``(name, value)`` pairs, and the successor state as a tuple.  An
+    inconsistent reaction raises :class:`~repro.errors.SimulationError`."""
+    statuses, values, new_state = plan.react_slots(
+        letter, state, oracle, instant_index, ABSENT
+    )
+    return (
+        tuple((name, values[i]) for name, i in visible if statuses[i] == 1),
+        tuple(new_state),
+    )
 
 
 def compile_lts(
@@ -147,6 +155,10 @@ def _explore(comp, alphabet, max_states, oracle) -> Tuple[LTS, int]:
     Returns the LTS and the number of reactions attempted."""
     reactor = Reactor(comp, oracle=oracle)
     plan = reactor.plan
+    visible = tuple(
+        (name, plan.names.index(name))
+        for name in sorted(set(comp.inputs) | set(comp.outputs))
+    )
     letters = [(letter, freeze_letter(letter)) for letter in alphabet]
     lts = LTS(reactor.state())
     frontier = [lts.initial]
@@ -160,7 +172,9 @@ def _explore(comp, alphabet, max_states, oracle) -> Tuple[LTS, int]:
         state = lts.state_data(sid)
         for letter, frozen in letters:
             try:
-                outcome = _react_outcome(plan, letter, state, oracle, reactions)
+                outcome = _react_outcome(
+                    plan, letter, state, oracle, reactions, visible
+                )
             except NonDeterministicClockError as exc:
                 raise VerificationError(
                     "design has free clocks; fix them or supply an oracle: "

@@ -6,16 +6,22 @@ constraint propagation over a four-valued presence domain (unknown,
 present, absent, constant), mirroring how the Polychrony compiler's clock
 calculus resolves instants.  See :mod:`repro.sim.engine`.
 
-- :class:`~repro.sim.engine.Reactor` — compiled component + reaction solver
-- :class:`~repro.sim.plan.ReactionPlan` — the pre-compiled evaluation
-  schedule behind the reactor's fast path (see docs/performance.md)
+- :class:`~repro.sim.engine.Reactor` — runs one component a reaction at
+  a time on an executor (by default a closure plan), keeping its state
+- the three executors, one contract (``react_slots``), picked by passing
+  one as ``plan=`` (see docs/performance.md):
+  :class:`~repro.sim.engine.Interpreter` (the reference oracle),
+  :class:`~repro.sim.plan.ReactionPlan` (the compiled closure schedule)
+  and :class:`~repro.sim.specialize.SpecializedPlan` (generated code, what
+  :func:`~repro.sim.plan.shared_plan` caches)
+- :func:`~repro.sim.batch.simulate_batch` — many lanes of one executor
 - :class:`~repro.sim.trace.SimTrace` — recorded run, convertible to a
   tagged :class:`~repro.tags.behavior.Behavior`
 - :mod:`repro.sim.stimuli` — stimulus constructors (periodic, bursty, ...)
 - :func:`~repro.sim.runner.simulate` — convenience driver
 """
 
-from repro.sim.engine import ABSENT, Reactor
+from repro.sim.engine import ABSENT, Interpreter, Reactor
 from repro.sim.plan import ReactionPlan, shared_plan
 from repro.sim.specialize import SpecializedPlan
 from repro.sim.batch import BatchReport, simulate_batch
@@ -26,6 +32,7 @@ from repro.sim import stimuli
 __all__ = [
     "ABSENT",
     "BatchReport",
+    "Interpreter",
     "ReactionPlan",
     "Reactor",
     "SimTrace",

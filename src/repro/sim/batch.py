@@ -8,7 +8,7 @@ everything that is per-design across those runs:
 
 - the plan (and its specialized generated code) is compiled **once** and
   shared by every lane via :func:`repro.sim.plan.shared_plan`;
-- reactions go through :meth:`ReactionPlan.react_slots`, skipping the
+- reactions go through the executor's ``react_slots``, skipping the
   per-instant output-dict build of :meth:`Reactor.react`;
 - a reaction is a pure function of ``(state, inputs)``, and soak lanes
   are near-copies of one another, so the lane loop memoizes reactions
@@ -26,8 +26,8 @@ exceptions — because lanes execute the same plan sequentially with their
 own state and instant index.  The win is amortization, not reordering.
 
 Each call folds its counts into :data:`repro.perf.PERF` once:
-``batch.<plan-kind>.reactions`` (``batch.plan.*`` or
-``batch.plan.spec.*``: the reactions the lanes ran, memo hits excluded)
+``batch.<plan-kind>.reactions`` (``batch.plan.spec.*``, ``batch.plan.*``
+or ``batch.interp.*``: the reactions the lanes ran, memo hits excluded)
 plus ``batch.runs`` / ``batch.lanes`` / ``batch.instants`` /
 ``batch.memo_hits``.  The lane loop counts in local integers, so the
 counts of a call are its own even while other threads run the same
@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.lang.analysis import flatten_program
 from repro.lang.ast import Component, Program
 from repro.perf import PERF
 from repro.sim.engine import ABSENT, Oracle
-from repro.sim.plan import ReactionPlan, shared_plan
+from repro.sim.plan import shared_plan
 from repro.sim.trace import SimTrace
 
 #: cap on distinct ``(state, inputs)`` reaction results the lane memo
@@ -112,9 +112,8 @@ def simulate_batch(
     design: Union[Component, Program],
     stimuli: Iterable[Iterable[Mapping[str, object]]],
     n: Optional[int] = None,
-    oracle: Union[Oracle, Sequence[Optional[Oracle]], None] = None,
-    plan: Optional[ReactionPlan] = None,
-    specialize: Optional[bool] = None,
+    oracle: Optional[Oracle] = None,
+    plan=None,
     capture_errors: bool = False,
 ) -> BatchReport:
     """Run every stimulus in ``stimuli`` as an independent *lane* of one
@@ -122,11 +121,11 @@ def simulate_batch(
 
     Each lane starts from the initial state and keeps its own instant
     index, so its trace is identical to a standalone
-    :func:`~repro.sim.runner.simulate` run.  ``oracle`` is either one
-    callable shared by all lanes (invoked with each lane's own instant
-    index) or a sequence with one entry per lane.  ``plan`` overrides the
-    process-wide :func:`~repro.sim.plan.shared_plan` cache lookup;
-    ``specialize`` is forwarded to it (``None`` = specialize).
+    :func:`~repro.sim.runner.simulate` run.  ``oracle`` is one callable
+    shared by all lanes (invoked with each lane's own instant index).
+    ``plan`` is the executor, by default the process-wide
+    :func:`~repro.sim.plan.shared_plan`; any executor works, e.g.
+    ``ReactionPlan(comp)`` or :class:`~repro.sim.engine.Interpreter`.
 
     With ``capture_errors`` a lane that raises
     :class:`~repro.errors.SimulationError` records ``(type name,
@@ -136,23 +135,12 @@ def simulate_batch(
     """
     comp = flatten_program(design) if isinstance(design, Program) else design
     if plan is None:
-        plan = shared_plan(comp, specialize=specialize)
-
+        plan = shared_plan(comp)
     lane_stimuli = list(stimuli)
-    if callable(oracle) or oracle is None:
-        oracles: List[Optional[Oracle]] = [oracle] * len(lane_stimuli)
-    else:
-        oracles = list(oracle)
-        if len(oracles) != len(lane_stimuli):
-            raise ValueError(
-                "need one oracle per lane: {} oracles for {} lanes".format(
-                    len(oracles), len(lane_stimuli)
-                )
-            )
 
     start = time.perf_counter()
     lanes, errors, reactions, memo_hits = _run_lanes(
-        plan, lane_stimuli, oracles, n, capture_errors
+        plan, lane_stimuli, oracle, n, capture_errors
     )
     elapsed = time.perf_counter() - start
 
@@ -166,7 +154,7 @@ def simulate_batch(
     return BatchReport(lanes, errors, elapsed)
 
 
-def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
+def _run_lanes(plan, lane_stimuli, oracle, n, capture_errors):
     """The lane-major loop with the run-wide reaction memo.
 
     Lanes in a soak campaign are near-copies of each other — the same
@@ -190,7 +178,7 @@ def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
     init_state = list(plan.init_state)
     memo: Dict[object, tuple] = {}
     reactions = memo_hits = 0
-    for stimulus, lane_oracle in zip(lane_stimuli, oracles):
+    for stimulus in lane_stimuli:
         recorded: List[Row] = []
         state = init_state[:]
         index = 0
@@ -199,7 +187,7 @@ def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
         for inputs in rows:
             try:
                 hit = key = None
-                if lane_oracle is None:
+                if oracle is None:
                     try:
                         items = sorted(inputs.items())
                         # classes are part of the key: ``1 == True`` but
@@ -219,7 +207,7 @@ def _run_lanes(plan, lane_stimuli, oracles, n, capture_errors):
                     memo_hits += 1
                 else:
                     statuses, values, state = react_slots(
-                        inputs, state, lane_oracle, index, ABSENT
+                        inputs, state, oracle, index, ABSENT
                     )
                     reactions += 1
                     if key is not None and len(memo) < MEMO_CAP:

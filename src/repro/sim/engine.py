@@ -25,6 +25,9 @@ with an autonomous read clock — are driven); without an oracle the engine
 tries the least clock (everything unknown becomes absent) and verifies
 consistency, raising :class:`~repro.errors.NonDeterministicClockError`
 when that fails.
+
+:class:`Interpreter` solves instants this way on the AST; :class:`Reactor`
+drives it or a compiled plan (:mod:`repro.sim.plan`) one reaction at a time.
 """
 
 from __future__ import annotations
@@ -78,15 +81,17 @@ Oracle = Callable[[int, Tuple[str, ...]], Mapping[str, bool]]
 class _Instant:
     """Mutable solver state for one reaction."""
 
-    __slots__ = ("status", "value", "changed", "settled")
+    __slots__ = ("status", "value", "changed", "settled", "state")
 
-    def __init__(self, names):
+    def __init__(self, names, state):
         self.status: Dict[str, str] = {n: _U for n in names}
         self.value: Dict[str, object] = {}
         self.changed = False
         # indices of equations/constraints that can yield nothing more this
         # instant (fully resolved) — skipped by later propagation sweeps
         self.settled = set()
+        # the memory contents the reaction starts from (read by ``pre``)
+        self.state = state
 
     def set_status(self, name: str, st: str) -> None:
         cur = self.status[name]
@@ -112,8 +117,34 @@ class _Instant:
         self.changed = True
 
 
+def pre_registers(equations: List[Equation]) -> Tuple[List[Pre], Dict[int, int]]:
+    """``(pre_nodes, slot_of)``: one state slot per ``pre`` occurrence of
+    ``equations`` (keyed by object identity) in walk order.  Every executor
+    numbers its state this way, so states move between executors."""
+    pre_nodes: List[Pre] = []
+    slot_of: Dict[int, int] = {}
+    for eq in equations:
+        for node in eq.expr.walk():
+            if isinstance(node, Pre) and id(node) not in slot_of:
+                if isinstance(node.expr, Const):
+                    raise SimulationError(
+                        "pre of a constant has no clock: {!r}".format(node)
+                    )
+                if node.init is None:
+                    raise SimulationError(
+                        "uninitialized pre cannot be simulated: {!r}".format(node)
+                    )
+                slot_of[id(node)] = len(pre_nodes)
+                pre_nodes.append(node)
+    return pre_nodes, slot_of
+
+
 class Reactor:
-    """A compiled Signal component, executable one reaction at a time.
+    """A Signal component, executable one reaction at a time.
+
+    The reactor holds the memory contents and the instant index and hands
+    each reaction to its executor, any object answering ``react_slots``
+    (see :class:`Interpreter`).
 
     Parameters
     ----------
@@ -127,22 +158,12 @@ class Reactor:
     check:
         Set to ``False`` to skip the static type check (e.g. for
         generated components already checked).
-    compiled:
-        When ``True`` (the default) reactions execute through a
-        :class:`~repro.sim.plan.ReactionPlan` — a slot-indexed schedule
-        compiled once from the component — instead of re-interpreting the
-        AST per instant.  Results are observationally identical; pass
-        ``False`` to force the reference interpreter.
     plan:
-        A pre-compiled :class:`~repro.sim.plan.ReactionPlan` for this
-        component (or a structurally equal one, e.g. from
-        :func:`repro.sim.plan.shared_plan`), to share compilation across
-        reactors.
-    specialize:
-        When ``True``, compile the plan to generated straight-line Python
-        (:class:`repro.sim.specialize.SpecializedPlan`) — observationally
-        identical, several times faster.  Ignored when an explicit
-        ``plan`` is passed or ``compiled`` is ``False``.
+        The executor, built for this component or a structurally equal
+        one: a :class:`~repro.sim.plan.ReactionPlan` (the default, built
+        here), a :class:`~repro.sim.specialize.SpecializedPlan` (e.g. the
+        cached one of :func:`repro.sim.plan.shared_plan`) or the
+        reference :class:`Interpreter`.  All three react identically.
     """
 
     def __init__(
@@ -150,20 +171,15 @@ class Reactor:
         component: Component,
         oracle: Optional[Oracle] = None,
         check: bool = True,
-        compiled: bool = True,
         plan=None,
-        specialize: bool = False,
     ):
         if check:
             check_component(component)
-        self.component = component
-        self.oracle = oracle
-        self._equations: List[Equation] = component.equations()
-        self._sync: List[SyncConstraint] = component.sync_constraints()
-        self._names = list(component.signals())
-        self._inputs = set(component.inputs)
-        self._plan = None
-        if plan is not None:
+        if plan is None:
+            from repro.sim.plan import ReactionPlan
+
+            plan = ReactionPlan(component)
+        else:
             pc = plan.component
             if pc is not component and not (
                 pc.inputs == component.inputs
@@ -172,52 +188,17 @@ class Reactor:
                 and pc.statements == component.statements
             ):
                 raise SimulationError("plan was compiled for another component")
-            self._plan = plan
-        elif compiled:
-            from repro.sim.plan import ReactionPlan
-
-            if specialize:
-                from repro.sim.specialize import SpecializedPlan
-
-                self._plan = SpecializedPlan(component)
-            else:
-                self._plan = ReactionPlan(component)
-        if self._plan is not None:
-            # the plan discovers pre registers with the same traversal, so
-            # state slots line up with the interpreter's
-            self._pre_nodes = self._plan.pre_nodes
-            self._slot_of = self._plan.pre_slot_of
-        else:
-            # one state slot per pre occurrence (keyed by object identity)
-            self._pre_nodes = []
-            self._slot_of = {}
-            for eq in self._equations:
-                for node in eq.expr.walk():
-                    if isinstance(node, Pre) and id(node) not in self._slot_of:
-                        if isinstance(node.expr, Const):
-                            raise SimulationError(
-                                "pre of a constant has no clock: {!r}".format(node)
-                            )
-                        if node.init is None:
-                            raise SimulationError(
-                                "uninitialized pre cannot be simulated: "
-                                "{!r}".format(node)
-                            )
-                        self._slot_of[id(node)] = len(self._pre_nodes)
-                        self._pre_nodes.append(node)
-        self._state: List[object] = [n.init for n in self._pre_nodes]
+        self.component = component
+        self.oracle = oracle
+        self.plan = plan
+        self._state: List[object] = list(plan.init_state)
         self.instant_index = 0
-
-    @property
-    def plan(self):
-        """The compiled :class:`~repro.sim.plan.ReactionPlan` (or ``None``)."""
-        return self._plan
 
     # -- public API --------------------------------------------------------
 
     def reset(self) -> None:
         """Return to the initial state."""
-        self._state = [n.init for n in self._pre_nodes]
+        self._state = list(self.plan.init_state)
         self.instant_index = 0
 
     def state(self) -> Tuple[object, ...]:
@@ -239,18 +220,51 @@ class Reactor:
         values of every *present* signal this instant (absent signals are
         simply missing from the dict).
         """
-        if self._plan is not None:
-            outputs, new_state = self._plan.react(
-                inputs, self._state, self.oracle, self.instant_index, ABSENT
-            )
-            self._state = new_state
-            self.instant_index += 1
-            return outputs
-        inst = _Instant(self._names)
+        plan = self.plan
+        statuses, values, self._state = plan.react_slots(
+            inputs, self._state, self.oracle, self.instant_index, ABSENT
+        )
+        self.instant_index += 1
+        # a loop, not a comprehension: before 3.12 a comprehension costs
+        # one more frame per reaction
+        outputs = {}
+        for name, st, v in zip(plan.names, statuses, values):
+            if st == 1:
+                outputs[name] = v
+        return outputs
+
+
+class Interpreter:
+    """The reference interpreter: one reaction by re-walking the AST.
+
+    It answers :meth:`react_slots` like the compiled plans do, so any
+    :class:`Reactor` or :func:`repro.sim.batch.simulate_batch` runs on it
+    given ``plan=Interpreter(component)``.  It shares no solving code with
+    the plans, which makes it the independent oracle of the byte-identity
+    suites (``tests/test_plan_equivalence.py``).  Reactions on it count
+    as ``sim.interp.reactions``.
+    """
+
+    kind = "interp"
+
+    def __init__(self, component: Component):
+        self.component = component
+        self.names: List[str] = list(component.signals())
+        self._inputs = set(component.inputs)
+        self._equations: List[Equation] = component.equations()
+        self._sync: List[SyncConstraint] = component.sync_constraints()
+        self.pre_nodes, self._slot_of = pre_registers(self._equations)
+        self.init_state: Tuple[object, ...] = tuple(n.init for n in self.pre_nodes)
+
+    def react_slots(self, inputs, state, oracle, instant_index, absent_marker):
+        """One reaction from ``state``: ``(statuses, values, new_state)``
+        in :attr:`names` order, status ``1`` for present and ``2`` for
+        absent (values of absent signals are unspecified)."""
+        inst = _Instant(self.names, state)
         for name, v in inputs.items():
             if name not in self._inputs:
                 raise SimulationError("unknown input {!r}".format(name))
-            if v is ABSENT:
+            if v is absent_marker:
                 inst.set_status(name, _A)
             else:
                 inst.set_status(name, _P)
@@ -259,28 +273,24 @@ class Reactor:
             if inst.status[name] == _U:
                 inst.set_status(name, _A)
 
-        self._solve(inst)
-        outputs = {
-            name: inst.value[name]
-            for name in self._names
-            if inst.status[name] == _P
-        }
-        self._advance_state(inst)
-        self.instant_index += 1
-        return outputs
+        self._solve(inst, oracle, instant_index)
+        status = inst.status
+        statuses = [1 if status[name] == _P else 2 for name in self.names]
+        values = [inst.value.get(name) for name in self.names]
+        return statuses, values, self._advance_state(inst)
 
     # -- solving ------------------------------------------------------------
 
-    def _solve(self, inst: _Instant) -> None:
+    def _solve(self, inst: _Instant, oracle, instant_index: int) -> None:
         self._propagate(inst)
         while True:
             undetermined = tuple(
-                n for n in self._names if inst.status[n] == _U
+                n for n in self.names if inst.status[n] == _U
             )
             if not undetermined:
                 break
-            if self.oracle is not None:
-                decisions = self.oracle(self.instant_index, undetermined)
+            if oracle is not None:
+                decisions = oracle(instant_index, undetermined)
                 applied = False
                 for name, present in dict(decisions).items():
                     if name in undetermined:
@@ -304,7 +314,7 @@ class Reactor:
             break
         missing = [
             n
-            for n in self._names
+            for n in self.names
             if inst.status[n] == _P and n not in inst.value
         ]
         if missing:
@@ -380,7 +390,7 @@ class Reactor:
             if st in (_P, _C):
                 # the memorized value is available as soon as the operand's
                 # presence is (even for a context-clocked operand)
-                return st, self._state[self._slot_of[id(expr)]]
+                return st, inst.state[self._slot_of[id(expr)]]
             return st, _PENDING
         if isinstance(expr, ClockOf):
             st, _ = self._eval(expr.expr, inst)
@@ -481,9 +491,9 @@ class Reactor:
 
     # state update ---------------------------------------------------------
 
-    def _advance_state(self, inst: _Instant) -> None:
-        new_state = list(self._state)
-        for node in self._pre_nodes:
+    def _advance_state(self, inst: _Instant) -> List[object]:
+        new_state = list(inst.state)
+        for node in self.pre_nodes:
             st, v = self._eval(node.expr, inst)
             if st == _P:
                 if v is _PENDING:
@@ -491,4 +501,4 @@ class Reactor:
                         "pre operand present without a value: {!r}".format(node)
                     )
                 new_state[self._slot_of[id(node)]] = v
-        self._state = new_state
+        return new_state

@@ -1,9 +1,9 @@
 """Compiled reaction plans: the engine's fast path.
 
-:class:`~repro.sim.engine.Reactor` interprets the AST anew at every
-instant — per-instant status/value *dicts*, isinstance dispatch per node,
-builtin lookup per application, and blind full sweeps over the equations
-until the fixpoint stabilizes.  A :class:`ReactionPlan` compiles a
+The reference :class:`~repro.sim.engine.Interpreter` walks the AST anew
+at every instant — per-instant status/value *dicts*, isinstance dispatch
+per node, builtin lookup per application, and blind full sweeps over the
+equations until the fixpoint stabilizes.  A :class:`ReactionPlan` compiles a
 component **once** into a static evaluation schedule:
 
 - every signal is mapped to an integer slot; per-instant presence
@@ -24,14 +24,15 @@ derivable facts are derived before an instant completes), so results —
 including raised :class:`~repro.errors.SimulationError` /
 :class:`~repro.errors.NonDeterministicClockError` — are observationally
 identical; ``tests/test_plan_equivalence.py`` checks this property on
-random programs.  The interpreter stays available as the reference oracle
-via ``Reactor(..., compiled=False)``.
+random programs.  The interpreter answers the plans' one call,
+:meth:`ReactionPlan.react_slots`, so it runs wherever a plan does: pass
+it as ``plan=``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.errors import NonDeterministicClockError, SimulationError
 from repro.lang.analysis import dependency_graph
@@ -49,6 +50,7 @@ from repro.lang.ast import (
     When,
 )
 from repro.lang.types import BUILTIN_FUNCTIONS
+from repro.sim.engine import pre_registers
 
 # presence statuses as small ints (plan-internal; the interpreter uses
 # one-letter strings — keep the rendering in sync for error messages)
@@ -127,33 +129,8 @@ class ReactionPlan:
             n: self.slot[n] for n in component.inputs
         }
         self._input_slots: Tuple[int, ...] = tuple(self.input_slot.values())
-        # interface signals in name order: :meth:`react_frozen` scans these
-        # to emit outputs already sorted, sparing the model checker a dict
-        # build plus a sort per reaction
-        self._visible_sorted: Tuple[Tuple[str, int], ...] = tuple(
-            (n, self.slot[n])
-            for n in sorted(set(component.inputs) | set(component.outputs))
-        )
-
-        # pre-register discovery: same traversal (and thus slot order) as
-        # the interpreter, so Reactor.state()/set_state() are unchanged
         equations = component.equations()
-        self.pre_nodes: List[Pre] = []
-        self.pre_slot_of: Dict[int, int] = {}
-        for eq in equations:
-            for node in eq.expr.walk():
-                if isinstance(node, Pre) and id(node) not in self.pre_slot_of:
-                    if isinstance(node.expr, Const):
-                        raise SimulationError(
-                            "pre of a constant has no clock: {!r}".format(node)
-                        )
-                    if node.init is None:
-                        raise SimulationError(
-                            "uninitialized pre cannot be simulated: "
-                            "{!r}".format(node)
-                        )
-                    self.pre_slot_of[id(node)] = len(self.pre_nodes)
-                    self.pre_nodes.append(node)
+        self.pre_nodes, self.pre_slot_of = pre_registers(equations)
         self.init_state: Tuple[object, ...] = tuple(n.init for n in self.pre_nodes)
 
         # step schedule: equations in instantaneous-dependency order, then
@@ -427,7 +404,7 @@ class ReactionPlan:
         raise SimulationError("cannot compile {!r}".format(expr))
 
     def _compile_force(self, expr: Expr) -> Callable[[_Ctx, int], None]:
-        """Backward presence propagation, compiled (mirrors Reactor._force)."""
+        """Backward presence propagation, compiled (``Interpreter._force``)."""
         names = self.names
         if isinstance(expr, Var):
             i = self.slot[expr.name]
@@ -538,45 +515,6 @@ class ReactionPlan:
 
     # -- execution -----------------------------------------------------------
 
-    def react(
-        self,
-        inputs: Mapping[str, object],
-        state,
-        oracle,
-        instant_index: int,
-        absent_marker,
-    ) -> Tuple[Dict[str, object], List[object]]:
-        """One reaction from ``state``; returns ``(outputs, new_state)``."""
-        ctx = self._run(inputs, state, oracle, instant_index, absent_marker)
-        outputs = {}
-        status = ctx.status
-        value = ctx.value
-        for i, name in enumerate(self.names):
-            if status[i] == _P:
-                outputs[name] = value[i]
-        return outputs, self._next_state(ctx, state)
-
-    def react_frozen(
-        self,
-        inputs: Mapping[str, object],
-        state,
-        oracle,
-        instant_index: int,
-        absent_marker,
-    ) -> Tuple[Tuple[Tuple[str, object], ...], Tuple[object, ...]]:
-        """Like :meth:`react`, but returns the *interface* outputs as a
-        name-sorted frozen tuple and the successor state as a tuple — the
-        exact memo/LTS format, with no dict build or sort on the way."""
-        ctx = self._run(inputs, state, oracle, instant_index, absent_marker)
-        status = ctx.status
-        value = ctx.value
-        outputs = tuple(
-            (name, value[i])
-            for name, i in self._visible_sorted
-            if status[i] == _P
-        )
-        return outputs, tuple(self._next_state(ctx, state))
-
     def react_slots(
         self,
         inputs: Mapping[str, object],
@@ -585,14 +523,10 @@ class ReactionPlan:
         instant_index: int,
         absent_marker,
     ) -> Tuple[List[int], List[object], List[object]]:
-        """Like :meth:`react`, but returns the raw slot-indexed
-        ``(statuses, values, new_state)`` with no output-dict build — the
-        lane format of :mod:`repro.sim.batch` (statuses are the internal
-        small ints; values of non-present slots are unspecified)."""
-        ctx = self._run(inputs, state, oracle, instant_index, absent_marker)
-        return ctx.status, ctx.value, self._next_state(ctx, state)
-
-    def _run(self, inputs, state, oracle, instant_index, absent_marker) -> _Ctx:
+        """One reaction from ``state``: the raw slot-indexed ``(statuses,
+        values, new_state)`` in :attr:`names` order (statuses are the
+        internal small ints, ``1`` present and ``2`` absent; values of
+        non-present slots are unspecified)."""
         names = self.names
         ctx = _Ctx(
             self._init_status[:], self._init_value[:], state, len(self.steps)
@@ -612,7 +546,7 @@ class ReactionPlan:
             if status[i] == _U:
                 _set_status(ctx, i, _A, names)
         self._solve(ctx, oracle, instant_index)
-        return ctx
+        return ctx.status, ctx.value, self._next_state(ctx, state)
 
     def _next_state(self, ctx: _Ctx, state) -> List[object]:
         new_state = list(state)
@@ -767,7 +701,7 @@ class ReactionPlan:
 # duplicate the expensive AST walk only for one result to be discarded.
 
 _PLAN_CACHE_CAPACITY = 128
-_plan_cache: "OrderedDict[Tuple[str, bool], ReactionPlan]" = None  # type: ignore
+_plan_cache: "OrderedDict[str, ReactionPlan]" = None  # type: ignore
 _plan_lock = threading.RLock()
 
 
@@ -785,24 +719,20 @@ def component_key(component: Component) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def shared_plan(
-    component: Component, specialize: Optional[bool] = None
-) -> ReactionPlan:
-    """The process-wide cached plan for ``component``.
+def shared_plan(component: Component) -> ReactionPlan:
+    """The process-wide cached :class:`repro.sim.specialize.SpecializedPlan`
+    for ``component``, one entry per :func:`component_key`.
 
-    ``specialize`` selects the generated-source fast path
-    (:class:`repro.sim.specialize.SpecializedPlan`); ``None`` means yes —
-    callers that just want the fastest correct plan should pass nothing.
-    Plain and specialized plans are cached under separate keys.  The
-    cache can be emptied with :func:`clear_plan_cache` (useful around
-    benchmarks)."""
+    A closure plan costs a fraction of a specialized build and is never
+    shared: build ``ReactionPlan(component)`` directly.  The cache can be
+    emptied with :func:`clear_plan_cache` (useful around benchmarks)."""
     global _plan_cache
     from collections import OrderedDict
 
     from repro.perf import PERF
+    from repro.sim.specialize import SpecializedPlan
 
-    want_spec = True if specialize is None else bool(specialize)
-    key = (component_key(component), want_spec)
+    key = component_key(component)
     with _plan_lock:
         if _plan_cache is None:
             _plan_cache = OrderedDict()
@@ -812,12 +742,7 @@ def shared_plan(
             PERF.incr("plan.cache_hits")
             return plan
         PERF.incr("plan.cache_misses")
-        if want_spec:
-            from repro.sim.specialize import SpecializedPlan
-
-            plan = SpecializedPlan(component)
-        else:
-            plan = ReactionPlan(component)
+        plan = SpecializedPlan(component)
         _plan_cache[key] = plan
         while len(_plan_cache) > _PLAN_CACHE_CAPACITY:
             _plan_cache.popitem(last=False)

@@ -26,10 +26,11 @@ def simulate(
     to the stimulus length; infinite stimuli require an explicit ``n``.
     A pre-built ``reactor`` can be supplied to continue a run.
 
-    The reactions run on the reactor's plan are counted in
-    :data:`repro.perf.PERF` as ``sim.<kind>.reactions`` (``sim.plan.*``
-    for closure plans, ``sim.plan.spec.*`` for specialized ones), and the
-    wall time as ``time.sim.simulate``; read one call's counts from a
+    The reactions are counted in :data:`repro.perf.PERF` under the
+    reactor's executor as ``sim.<kind>.reactions`` (``sim.plan.*`` for
+    closure plans, ``sim.plan.spec.*`` for specialized ones,
+    ``sim.interp.*`` for the interpreter), and the wall time as
+    ``time.sim.simulate``; read one call's counts from a
     :meth:`repro.perf.PerfCounters.scope` around it.
     """
     if reactor is None:
@@ -41,7 +42,6 @@ def simulate(
     for inputs in rows:
         trace.append(reactor.react(inputs))
     elapsed = time.perf_counter() - start
-    if reactor.plan is not None:
-        PERF.merge({"reactions": len(trace)}, prefix="sim." + reactor.plan.kind)
+    PERF.merge({"reactions": len(trace)}, prefix="sim." + reactor.plan.kind)
     PERF.add_time("sim.simulate", elapsed)
     return trace

@@ -35,12 +35,12 @@ nest deeper than :data:`MAX_STEP_DEPTH` blocks (each right-nested
 deep), falls back to calling its closure step from inside the sweep, as
 does a step holding a constant the source cannot embed.  No step of the
 designs corpus or of its instrumented networks comes near either bound.
-The closure plan stays one argument away.  ``specialize=`` is taken by
-three entry points and no others: :func:`repro.sim.plan.shared_plan`
-and :func:`repro.sim.batch.simulate_batch` specialize unless given
-``False``, and a bare :class:`~repro.sim.engine.Reactor` (what
-:class:`~repro.sim.cosim.Cosim` and the checkers build) specializes only
-when given ``True``.
+
+:func:`repro.sim.plan.shared_plan` caches this plan, and
+:func:`repro.sim.batch.simulate_batch` runs it by default; a bare
+:class:`~repro.sim.engine.Reactor` (what :class:`~repro.sim.cosim.Cosim`
+and the checkers build) runs the closure plan, and runs this one given
+``plan=SpecializedPlan(comp)``.
 """
 
 from __future__ import annotations

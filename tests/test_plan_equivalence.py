@@ -11,11 +11,13 @@ designs.
 import pytest
 from hypothesis import given, settings
 
+from repro import designs
 from repro.designs import modular_producer_consumer
 from repro.desync import desynchronize
 from repro.errors import NonDeterministicClockError, SimulationError
 from repro.lang import parse_component
-from repro.sim import Reactor, stimuli
+from repro.lang.analysis import flatten_program
+from repro.sim import Interpreter, ReactionPlan, Reactor, SpecializedPlan, stimuli
 from repro.sim.runner import simulate
 from repro.sim.trace import SimTrace
 
@@ -23,12 +25,12 @@ from tests.test_property_random_programs import random_component, random_stimulu
 
 
 def run_both(comp, rows, oracle=None):
-    """(outcome, states) per mode; outcome rows end with a rejection marker
-    naming the exception type when the run dies."""
+    """(outcome, states) on the interpreter, then on the plan; outcome
+    rows end with a rejection marker naming the exception type when the
+    run dies."""
     results = []
-    for compiled in (False, True):
-        reactor = Reactor(comp, check=False, compiled=compiled, oracle=oracle)
-        assert (reactor.plan is not None) == compiled
+    for executor in (Interpreter, ReactionPlan):
+        reactor = Reactor(comp, check=False, plan=executor(comp), oracle=oracle)
         out = []
         states = [reactor.state()]
         for row in rows:
@@ -58,8 +60,8 @@ def test_prop_plan_matches_interpreter(comp, rows):
 def test_prop_plan_trace_render_identical(comp, rows):
     """Full rendered traces (the user-visible artifact) are byte-identical."""
     traces = []
-    for compiled in (False, True):
-        reactor = Reactor(comp, check=False, compiled=compiled)
+    for executor in (Interpreter, ReactionPlan):
+        reactor = Reactor(comp, check=False, plan=executor(comp))
         trace = SimTrace()
         try:
             for row in rows:
@@ -83,10 +85,8 @@ class TestPaperDesigns:
             )
         )
         ref = simulate(res.program, rows, reactor=None)
-        from repro.lang.analysis import flatten_program
-
         comp = flatten_program(res.program)
-        interp = Reactor(comp, compiled=False)
+        interp = Reactor(comp, plan=Interpreter(comp))
         trace = SimTrace()
         for row in rows:
             trace.append(interp.react(row))
@@ -117,15 +117,44 @@ class TestPaperDesigns:
             "process C = (? integer a; ? integer b; ! integer x;)"
             "(| x := b | x ^= a |) end"
         )
-        for compiled in (False, True):
-            reactor = Reactor(comp, compiled=compiled)
+        for executor in (Interpreter, ReactionPlan):
+            reactor = Reactor(comp, plan=executor(comp))
             with pytest.raises(SimulationError):
                 reactor.react({"a": 1})
 
-    def test_plan_disabled_uses_interpreter(self):
+    def test_interpreter_passed_as_plan(self):
         comp = parse_component(
             "process P = (? integer a; ! integer x;) (| x := a + 1 |) end"
         )
-        reactor = Reactor(comp, compiled=False)
-        assert reactor.plan is None
+        reactor = Reactor(comp, plan=Interpreter(comp))
+        assert reactor.plan.kind == "interp"
         assert reactor.react({"a": 2}) == {"a": 2, "x": 3}
+        assert Reactor(comp).plan.kind == "plan"  # the default: closure plan
+
+
+EXECUTORS = (Interpreter, ReactionPlan, SpecializedPlan)
+
+
+class TestPlanArgument:
+    """``plan=`` picks the executor; the component check is its only
+    validation."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS, ids=lambda e: e.__name__)
+    def test_plan_of_another_component_rejected(self, executor):
+        a = flatten_program(designs.producer_consumer())
+        b = flatten_program(designs.producer_accumulator())
+        with pytest.raises(
+            SimulationError, match="plan was compiled for another component"
+        ):
+            Reactor(a, plan=executor(b))
+
+    @pytest.mark.parametrize("executor", EXECUTORS, ids=lambda e: e.__name__)
+    def test_plan_of_structurally_equal_component_accepted(self, executor):
+        a = flatten_program(designs.producer_consumer())
+        b = flatten_program(designs.producer_consumer())
+        assert a is not b
+        rows = [{"p_act": True}, {}, {"p_act": True}, {"p_act": True}]
+        own = Reactor(a, plan=executor(a))
+        shared = Reactor(a, plan=executor(b))
+        assert [shared.react(r) for r in rows] == [own.react(r) for r in rows]
+        assert shared.state() == own.state()

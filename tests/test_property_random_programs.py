@@ -19,7 +19,7 @@ from repro.errors import SimulationError
 from repro.lang.ast import App, ClockOf, Component, Const, Default, Equation, Pre, Var, When
 from repro.lang.typecheck import check_component
 from repro.lang.types import BOOL, EVENT, INT
-from repro.sim import Reactor, stimuli
+from repro.sim import Interpreter, Reactor, SpecializedPlan, stimuli
 from repro.sim.trace import SimTrace
 from repro.tags.denotation import denote_expression
 
@@ -181,9 +181,10 @@ def test_prop_engine_matches_denotation(comp, rows):
 @given(random_component(), random_stimulus(10))
 def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
     """The four execution paths — reference interpreter, compiled plan,
-    specialized generated code, batched lanes — produce identical traces:
-    same presence statuses (a signal is in the row iff present), same
-    values, same rejection errors."""
+    specialized generated code, batched lanes (on the specialized plan and
+    on the interpreter) — produce identical traces: same presence statuses
+    (a signal is in the row iff present), same values, same rejection
+    errors."""
     from repro.sim.batch import simulate_batch
 
     def run(reactor):
@@ -195,9 +196,9 @@ def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
             out.append(("rejected", type(exc).__name__, str(exc)))
         return out
 
-    ref = run(Reactor(comp, check=False, compiled=False))
+    ref = run(Reactor(comp, check=False, plan=Interpreter(comp)))
     plan_out = run(Reactor(comp, check=False))
-    spec = Reactor(comp, check=False, specialize=True)
+    spec = Reactor(comp, check=False, plan=SpecializedPlan(comp))
     assert spec.plan.fallback_steps == 0  # every step is generated code
     spec_out = run(spec)
     assert repr(plan_out) == repr(ref)
@@ -212,6 +213,15 @@ def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
         else:
             assert report.errors[lane] is None
         assert repr(report.traces[lane].instants) == repr(rows_ok)
+    interp = simulate_batch(
+        comp, [iter(rows), iter(rows)], plan=Interpreter(comp),
+        capture_errors=True,
+    )
+    assert interp.errors == report.errors
+    for lane in range(2):
+        assert repr(interp.traces[lane].instants) == repr(
+            report.traces[lane].instants
+        )
 
 
 @settings(max_examples=40, deadline=None)

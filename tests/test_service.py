@@ -603,7 +603,7 @@ class TestPlanCacheThreadSafety:
             try:
                 for _ in range(50):
                     for comp in comps:
-                        plans[slot].append(shared_plan(comp, specialize=False))
+                        plans[slot].append(shared_plan(comp))
             except Exception as exc:  # pragma: no cover - the failure mode
                 errors.append(exc)
 

@@ -16,7 +16,14 @@ from repro.lang.analysis import flatten_program
 from repro.lang.ast import App, Component, Equation, Program, Var
 from repro.lang.types import EVENT, INT
 from repro.perf import PERF
-from repro.sim import Reactor, simulate, simulate_batch, stimuli
+from repro.sim import (
+    Interpreter,
+    ReactionPlan,
+    Reactor,
+    simulate,
+    simulate_batch,
+    stimuli,
+)
 from repro.sim.plan import (
     clear_plan_cache,
     component_key,
@@ -153,7 +160,7 @@ class TestSpecializedCorpus:
             for _ in range(200)
         ]
         spec = Reactor(comp, plan=plan)
-        ref = Reactor(comp, specialize=False)
+        ref = Reactor(comp)
         assert [spec.react(r) for r in rows] == [ref.react(r) for r in rows]
 
 
@@ -182,13 +189,13 @@ class TestPlanCache:
         assert PERF.get("plan.cache_hits") == 2
         assert PERF.get("plan.cache_misses") == 1
 
-    def test_plain_and_specialized_cached_separately(self):
-        comp = flatten_program(designs.producer_consumer())
-        plain = shared_plan(comp, specialize=False)
-        spec = shared_plan(comp, specialize=True)
-        assert plain is not spec
-        assert not isinstance(plain, SpecializedPlan)
-        assert isinstance(spec, SpecializedPlan)
+    def test_shared_plans_are_specialized_one_entry_per_component(self):
+        a = flatten_program(designs.producer_consumer())
+        b = flatten_program(designs.producer_accumulator())
+        plan = shared_plan(a)
+        assert isinstance(plan, SpecializedPlan)
+        assert shared_plan(a) is plan
+        assert isinstance(shared_plan(b), SpecializedPlan)
         assert plan_cache_stats()["size"] == 2
 
     def test_bounded_lru(self):
@@ -201,7 +208,7 @@ class TestPlanCache:
                 "N{}".format(i), {"a": INT}, {"y": INT}, {},
                 [Equation("y", App("+", (Var("a"), Const(i))))],
             )
-            shared_plan(comp, specialize=False)
+            shared_plan(comp)
         stats = plan_cache_stats()
         assert stats["size"] <= stats["capacity"] == cap
 
@@ -355,7 +362,7 @@ class TestBatchMemo:
 
 
 def _reference_with_errors(comp, rows):
-    reactor = Reactor(comp, check=False, specialize=False)
+    reactor = Reactor(comp, check=False)
     out, err = [], None
     for row in rows:
         try:
@@ -367,7 +374,7 @@ def _reference_with_errors(comp, rows):
 
 
 class TestUnspecializedBatch:
-    """Wide batches over the closure plan (``specialize=False``)."""
+    """Wide batches over the closure plan (``plan=ReactionPlan(comp)``)."""
 
     def test_corpus_byte_identical(self):
         """Traces *and* captured rejection errors of a 12-lane batch
@@ -386,7 +393,7 @@ class TestUnspecializedBatch:
             report = simulate_batch(
                 comp,
                 [iter(rows) for rows in lane_rows],
-                specialize=False,
+                plan=ReactionPlan(comp),
                 capture_errors=True,
             )
             for k, (out, err) in enumerate(refs):
@@ -403,7 +410,7 @@ class TestUnspecializedBatch:
         lanes = [[{"x": k}, {"x": 2 ** 40}, {"x": -k}] for k in range(10)]
         refs = [simulate(comp, iter(rows)) for rows in lanes]
         report = simulate_batch(
-            comp, [iter(rows) for rows in lanes], specialize=False
+            comp, [iter(rows) for rows in lanes], plan=ReactionPlan(comp)
         )
         for k, ref in enumerate(refs):
             assert repr(report.traces[k].instants) == repr(ref.instants)
@@ -419,7 +426,7 @@ class TestCounterAttribution:
         assert PERF.get("sim.plan.spec.reactions") == 0
         simulate(
             comp, iter(rows),
-            reactor=Reactor(comp, check=False, specialize=True),
+            reactor=Reactor(comp, check=False, plan=SpecializedPlan(comp)),
         )
         assert PERF.get("sim.plan.spec.reactions") == 10
         assert PERF.get("sim.plan.reactions") == 10  # unchanged
@@ -440,7 +447,7 @@ class TestCounterAttribution:
         assert PERF.get("batch.memo_hits") == counts["batch.memo_hits"]
         clear_plan_cache()
         with PERF.scope() as run2:
-            simulate_batch(comp, [iter(rows)], specialize=False)
+            simulate_batch(comp, [iter(rows)], plan=ReactionPlan(comp))
         counts2 = run2.counts
         assert (
             counts2["batch.plan.reactions"] + counts2.get("batch.memo_hits", 0)
@@ -567,7 +574,7 @@ class TestEstimatorLanes:
             comp = flatten_program(result.program)
             trace = simulate(
                 comp, env.stimulus_factory(), n=60,
-                reactor=Reactor(comp, compiled=False),
+                reactor=Reactor(comp, plan=Interpreter(comp)),
             )
             for ch in result.channels:
                 regs = trace.values(ch.reg)
