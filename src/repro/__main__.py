@@ -1095,10 +1095,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ReproError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ReproError, OSError, ValueError) as exc:
+        # 2, not 1: a verdict (not converged, refuted, counterexample,
+        # divergent, unhealthy) exits 1, a rejected input never does
         print("error: {}".format(exc), file=sys.stderr)
         return 2
 

@@ -25,11 +25,7 @@ from repro.desync.fifo import (
 from repro.desync.instrument import instrument_channel, instrumented_fifo
 from repro.desync.backpressure import GatePorts, clock_gate
 from repro.desync.transform import Channel, DesyncResult, desynchronize
-from repro.desync.estimator import (
-    DesignCache,
-    EstimationReport,
-    estimate_buffer_sizes,
-)
+from repro.desync.estimator import EstimationReport, estimate_buffer_sizes
 from repro.desync.theorems import (
     Theorem1Report,
     Theorem2Report,
@@ -62,7 +58,6 @@ __all__ = [
     "Channel",
     "DesyncResult",
     "desynchronize",
-    "DesignCache",
     "EstimationReport",
     "estimate_buffer_sizes",
     "VerificationRound",

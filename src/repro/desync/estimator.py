@@ -12,6 +12,7 @@ print the convergence series of experiment F4.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -20,16 +21,14 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
 from repro.lang.analysis import flatten_program
 from repro.lang.ast import Program
-from repro.perf import PERF
 from repro.perf.sweep import sweep
 from repro.sim.batch import simulate_batch
-from repro.sim.plan import ReactionPlan, shared_plan
+from repro.sim.plan import shared_plan
 from repro.desync.transform import DesyncResult, desynchronize
 
 
@@ -69,53 +68,6 @@ def _fmt(d: Dict[str, int]) -> str:
 StimulusFactory = Callable[[], Iterable[Dict[str, object]]]
 
 
-class DesignCache:
-    """Compiled artifacts of the estimation loop, keyed per capacity
-    assignment.
-
-    Desynchronizing, flattening, type-checking, and plan-compiling the
-    instrumented network is pure in the capacities, so the grow-and-reverify
-    loop keeps one :class:`~repro.desync.transform.DesyncResult` and its
-    compiled reaction plan per sizes vector and runs every revisit's lanes
-    on them instead of rebuilding.  A cache may be shared across
-    :func:`estimate_buffer_sizes` calls — the verification loop of
-    Section 5.2 does exactly that — but never across *different* source
-    programs.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries: Dict[tuple, list] = {}
-
-    def seed(self, key: tuple, result: DesyncResult) -> None:
-        self._entries.setdefault(key, [result, None])
-
-    def prepared(
-        self, key: tuple, build: Callable[[], DesyncResult]
-    ) -> Tuple[DesyncResult, ReactionPlan]:
-        """The (DesyncResult, reaction plan) pair for ``key``."""
-        entry = self._entries.get(key)
-        if entry is None:
-            PERF.incr("desync.cache_misses")
-            entry = self._entries[key] = [build(), None]
-        else:
-            PERF.incr("desync.cache_hits")
-        if entry[1] is None:
-            # the process-wide plan cache makes rebuilds across DesignCache
-            # instances near-free, and selects the specialized
-            # generated-code path by default
-            entry[1] = shared_plan(flatten_program(entry[0].program))
-        return entry[0], entry[1]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def _sizes_key(kind: str, sizes: Dict[str, int]) -> tuple:
-    return (kind, tuple(sorted(sizes.items())))
-
-
 def _chunked(items: list, width: int) -> List[list]:
     return [items[i : i + width] for i in range(0, len(items), width)]
 
@@ -133,24 +85,23 @@ def _fold_lane_counts(result: DesyncResult, report) -> tuple:
     return misses, alarms
 
 
-def _lane_chunk_task(shared, factories) -> tuple:
-    """Sweep task for ``workers > 1``: rebuild the instrumented network in
-    the worker (plans cache per process) and run its lane chunk."""
-    program, sizes, kind, read_requests, signals, horizon, oracle = shared
+def _round(context: tuple, factories: Sequence[StimulusFactory]) -> tuple:
+    """One round of the loop: simulate the instrumented network at the
+    round's sizes with one lane per factory, and fold its counters.
+
+    ``context`` is ``(program, sizes, kind, horizon)``.  The estimator
+    calls it in-process on every lane, or through a sweep pool once per
+    lane chunk; either way the network's plan comes from the process-wide
+    plan cache."""
+    program, sizes, kind, horizon = context
     result = desynchronize(
-        program,
-        capacities=dict(sizes),
-        kind=kind,
-        instrument=True,
-        read_requests=read_requests,
-        signals=signals,
+        program, capacities=dict(sizes), kind=kind, instrument=True
     )
     comp = flatten_program(result.program)
     report = simulate_batch(
         comp,
         [factory() for factory in factories],
         n=horizon,
-        oracle=oracle,
         plan=shared_plan(comp),
     )
     return _fold_lane_counts(result, report)
@@ -163,10 +114,6 @@ def estimate_buffer_sizes(
     initial: Union[int, Dict[str, int]] = 1,
     max_iterations: int = 16,
     kind: str = "direct",
-    read_requests: Optional[Dict[str, str]] = None,
-    signals: Optional[List[str]] = None,
-    oracle=None,
-    cache: Optional[DesignCache] = None,
     max_capacity: Optional[int] = None,
     workers: Optional[int] = None,
 ) -> EstimationReport:
@@ -174,8 +121,8 @@ def estimate_buffer_sizes(
 
     ``stimulus_factory`` must return a *fresh* stimulus each call (the
     "given environment"): it has to drive the program's inputs plus each
-    channel's read request (``<x>_rreq`` unless remapped via
-    ``read_requests``).  ``horizon`` is the simulated length per iteration.
+    channel's read request ``<x>_rreq``.  ``horizon`` is the simulated
+    length per iteration.
 
     A *sequence* of factories estimates against several environments at
     once: each iteration runs every factory as an independent lane of one
@@ -184,21 +131,21 @@ def estimate_buffer_sizes(
     so the grown sizes cover every simulated environment.  One factory
     is a batch of one lane.  ``workers > 1`` with two or more lanes
     splits the lanes of each iteration into that many chunks across a
-    :func:`repro.perf.sweep.sweep` process pool (the program, factories
-    and oracle must then pickle).  An empty sequence, a ``horizon``
+    :func:`repro.perf.sweep.sweep` process pool (the program and the
+    factories must then pickle).  An empty sequence, a ``horizon``
     below 1 and an ``initial`` map naming something that is not a
     channel raise :class:`ValueError` before any round runs.
+
+    Every round desynchronizes the program at its sizes and takes the
+    network's compiled plan from the process-wide plan cache
+    (:func:`repro.sim.plan.shared_plan`), so revisiting a sizes vector —
+    in this call or a later one — costs one ``desynchronize`` and a cache
+    hit.
 
     Convergence means the last simulation raised no alarm; the final
     ``sizes`` then satisfy the Lemma 2 condition *for the simulated
     behaviors* — the verification phase (model checking, experiment V1)
     extends the claim to all behaviors.
-
-    ``cache`` (a :class:`DesignCache`) keeps the instrumented network
-    and its compiled reaction plan per capacity assignment; pass the same
-    cache across calls on the same ``program`` so the grow-and-reverify
-    loop of :func:`repro.desync.verification.verified_buffer_sizes` does
-    not recompile when it revisits a sizes vector.
 
     ``max_capacity`` clamps per-signal growth; a cap below a channel's
     initial size raises :class:`ValueError`.  Growth can stall before
@@ -206,14 +153,12 @@ def estimate_buffer_sizes(
     keep raising alarms no matter the depth, and the clamp bounds the
     otherwise-divergent growth.  Either way, once the sizes vector stops
     changing while alarms remain, every further iteration would re-simulate
-    the *identical* (cached) network and observe the identical counters;
-    the loop detects that fixed point and returns ``converged=False``
-    immediately instead of burning the remaining ``max_iterations``.
+    the *identical* network and observe the identical counters; the loop
+    detects that fixed point and returns ``converged=False`` immediately
+    instead of burning the remaining ``max_iterations``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if cache is None:
-        cache = DesignCache()
     if callable(stimulus_factory):
         factories = [stimulus_factory]
     else:
@@ -223,10 +168,10 @@ def estimate_buffer_sizes(
     # initial sizes need the channel list; build once to discover channels
     probe: DesyncResult = desynchronize(
         program, capacities=1 if isinstance(initial, dict) else initial,
-        kind=kind, instrument=True, read_requests=read_requests, signals=signals,
+        kind=kind, instrument=True,
     )
+    channels = [ch.signal for ch in probe.channels]
     if isinstance(initial, dict):
-        channels = [ch.signal for ch in probe.channels]
         unknown = sorted(set(initial) - set(channels))
         if unknown:
             raise ValueError(
@@ -236,9 +181,7 @@ def estimate_buffer_sizes(
             )
         sizes = {signal: int(initial.get(signal, 1)) for signal in channels}
     else:
-        sizes = {ch.signal: int(initial) for ch in probe.channels}
-        # a uniform probe IS the first iteration's network — seed the cache
-        cache.seed(_sizes_key(kind, sizes), probe)
+        sizes = {signal: int(initial) for signal in channels}
     if max_capacity is not None:
         for signal, size in sorted(sizes.items()):
             if size > max_capacity:
@@ -247,51 +190,29 @@ def estimate_buffer_sizes(
                     "channel {!r}".format(max_capacity, size, signal)
                 )
 
+    pooled = workers is not None and workers > 1 and len(factories) > 1
     history: List[EstimationStep] = []
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        if workers is not None and workers > 1 and len(factories) > 1:
-            # parallel lanes: each worker rebuilds the network (its own
-            # process-wide plan cache absorbs the repeats) and runs one
-            # chunk of environments
-            width = max(1, -(-len(factories) // workers))
-            report = sweep(
-                _lane_chunk_task,
+        context = (program, dict(sizes), kind, horizon)
+        if pooled:
+            # each worker runs one chunk of environments
+            width = -(-len(factories) // workers)
+            chunks = sweep(
+                partial(_round, context),
                 _chunked(factories, width),
                 workers=workers,
-                shared=(
-                    program, dict(sizes), kind, read_requests, signals,
-                    horizon, oracle,
-                ),
-            )
-            misses = {}
-            alarms = {}
-            for chunk_misses, chunk_alarms in report.values():
-                for sig, worst in chunk_misses.items():
-                    misses[sig] = max(misses.get(sig, 0), worst)
-                for sig, n in chunk_alarms.items():
-                    alarms[sig] = alarms.get(sig, 0) + n
+            ).values()
         else:
-            result, plan = cache.prepared(
-                _sizes_key(kind, sizes),
-                lambda: desynchronize(
-                    program,
-                    capacities=dict(sizes),
-                    kind=kind,
-                    instrument=True,
-                    read_requests=read_requests,
-                    signals=signals,
-                ),
-            )
-            batch = simulate_batch(
-                plan.component,
-                [factory() for factory in factories],
-                n=horizon,
-                oracle=oracle,
-                plan=plan,
-            )
-            misses, alarms = _fold_lane_counts(result, batch)
+            chunks = [_round(context, factories)]
+        misses: Dict[str, int] = {}
+        alarms: Dict[str, int] = {}
+        for chunk_misses, chunk_alarms in chunks:
+            for signal, worst in chunk_misses.items():
+                misses[signal] = max(misses.get(signal, 0), worst)
+            for signal, n in chunk_alarms.items():
+                alarms[signal] = alarms.get(signal, 0) + n
         history.append(EstimationStep(iteration, dict(sizes), misses, alarms))
         if all(v == 0 for v in misses.values()):
             converged = True
@@ -308,7 +229,7 @@ def estimate_buffer_sizes(
                 grew = True
         if not grew:
             # sizes fixed point with alarms still raised: the next
-            # simulation would replay the identical cached network and
-            # yield the identical misses — the loop cannot converge.
+            # simulation would replay the identical network and yield
+            # the identical misses — the loop cannot converge.
             break
     return EstimationReport(converged, iteration, dict(sizes), history)

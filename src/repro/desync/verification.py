@@ -25,11 +25,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Union
 from repro.lang.ast import Program
 from repro.mc.compile import compile_lts
 from repro.mc.safety import CounterExample, check_never_present
-from repro.desync.estimator import (
-    DesignCache,
-    EstimationReport,
-    estimate_buffer_sizes,
-)
+from repro.desync.estimator import EstimationReport, estimate_buffer_sizes
 from repro.desync.transform import desynchronize
 
 
@@ -80,7 +76,6 @@ def verified_buffer_sizes(
     max_rounds: int = 4,
     max_estimation_iterations: int = 16,
     kind: str = "direct",
-    read_requests: Optional[Dict[str, str]] = None,
     max_states: int = 200000,
 ) -> VerifiedSizes:
     """Estimate buffer sizes, then prove them; feed error traces back.
@@ -89,7 +84,13 @@ def verified_buffer_sizes(
     the model checker may play (e.g. "every write instant is also a read
     instant").  ``stimulus_factory`` is the designer's simulation data; at
     each failed round the counterexample inputs are prepended to it, as
-    the paper prescribes.
+    the paper prescribes.  The simulation data must drive each channel's
+    read request, ``<x>_rreq``.
+
+    Each round's estimation starts at the sizes the previous round ended
+    on.  Its networks' plans come from the process-wide plan cache
+    (:func:`repro.sim.plan.shared_plan`), so a sizes vector that an
+    earlier round simulated compiles nothing again.
 
     Each round checks the channels' alarms in channel order and stops at
     the first counterexample; that channel's error trace is the one fed
@@ -99,11 +100,9 @@ def verified_buffer_sizes(
     stim_factory = stimulus_factory
     sizes: Dict[str, int] = {}
     last_ce: Optional[CounterExample] = None
-    # one simulation cache for every estimation round: each round starts
-    # at the sizes the previous one ended on.  No LTS is kept across
-    # rounds: a counterexample alarms in simulation at the sizes that
-    # produced it, so the next round always checks larger sizes.
-    sim_cache = DesignCache()
+    # No LTS is kept across rounds: a counterexample alarms in simulation
+    # at the sizes that produced it, so the next round always checks
+    # larger sizes.
     for rnd in range(1, max_rounds + 1):
         estimation = estimate_buffer_sizes(
             program,
@@ -112,13 +111,9 @@ def verified_buffer_sizes(
             initial=sizes if sizes else initial,
             max_iterations=max_estimation_iterations,
             kind=kind,
-            read_requests=read_requests,
-            cache=sim_cache,
         )
         sizes = dict(estimation.sizes)
-        sized = desynchronize(
-            program, capacities=sizes, kind=kind, read_requests=read_requests
-        )
+        sized = desynchronize(program, capacities=sizes, kind=kind)
         lts = compile_lts(sized.program, alphabet=alphabet, max_states=max_states)
         ce: Optional[CounterExample] = None
         for ch in sized.channels:

@@ -177,24 +177,20 @@ def soak_batch(
 
     Network runs are deterministic in the workload, so the zero-fault
     reference is identical for every plan; running it once instead of
-    once per plan halves the event-simulation work of a scenario sweep
-    (and the capacity-inflation estimates share one
-    :class:`~repro.desync.estimator.DesignCache`).  Each plan's report
-    equals the :func:`soak` of that plan alone.  The plans run in order
-    in this thread; counters go to the caller's :data:`repro.perf.PERF`
-    tables, so to count one plan, soak it alone in a
-    :meth:`repro.perf.PerfCounters.scope`.
+    once per plan halves the event-simulation work of a scenario sweep.
+    With ``estimate``, every plan runs :func:`capacity_inflation` at its
+    own seed, and a sizes vector that another plan's estimate already
+    simulated is a hit in the process-wide plan cache.  Each plan's
+    report equals the :func:`soak` of that plan alone.  The plans run in
+    order in this thread; counters go to the caller's
+    :data:`repro.perf.PERF` tables, so to count one plan, soak it alone
+    in a :meth:`repro.perf.PerfCounters.scope`.
     """
     if signals is not None:
         signals = list(signals)   # an iterator must serve every plan
     reference = _net_from(program, workload, net_kwargs).run(
         horizon, max_events=max_events
     )
-    estimate_cache = None
-    if estimate is not None:
-        from repro.desync.estimator import DesignCache
-
-        estimate_cache = DesignCache()
     reports = []
     for plan in plans:
         faulted_net = _net_from(program, workload, net_kwargs)
@@ -216,8 +212,7 @@ def soak_batch(
         inflation = None
         if estimate is not None:
             inflation = capacity_inflation(
-                program, workload, estimate, seed=plan.seed,
-                cache=estimate_cache,
+                program, workload, estimate, seed=plan.seed
             )
         reports.append(
             SoakReport(
@@ -458,18 +453,15 @@ def capacity_inflation(
     workload,
     config: EstimateConfig = EstimateConfig(),
     seed: int = 0,
-    cache=None,
 ) -> CapacityInflation:
     """Section 5.2 buffer estimation, with and without read jitter.
 
-    ``cache`` (a :class:`~repro.desync.estimator.DesignCache`) is shared
-    by the base and jittered estimates — and, via :func:`soak_batch`,
-    across every plan of a batched soak — so the instrumented networks
-    compile once per sizes vector."""
-    from repro.desync.estimator import DesignCache, estimate_buffer_sizes
+    Both estimates take each instrumented network's plan from the
+    process-wide plan cache (:func:`repro.sim.plan.shared_plan`), so a
+    sizes vector that one of them, or an earlier call, already simulated
+    compiles nothing."""
+    from repro.desync.estimator import estimate_buffer_sizes
 
-    if cache is None:
-        cache = DesignCache()
     base = estimate_buffer_sizes(
         program,
         workload.stimulus_factory,
@@ -477,7 +469,6 @@ def capacity_inflation(
         initial=config.initial,
         kind=config.kind,
         max_iterations=config.max_iterations,
-        cache=cache,
     )
     jittered = estimate_buffer_sizes(
         program,
@@ -488,7 +479,6 @@ def capacity_inflation(
         initial=config.initial,
         kind=config.kind,
         max_iterations=config.max_iterations,
-        cache=cache,
     )
     return CapacityInflation(
         base=dict(base.sizes),

@@ -18,9 +18,19 @@ reads the same whether a sweep ran on one core or sixteen.  The service
 scheduler runs its jobs through the same :func:`run_task`,
 :func:`worker_pool` and :func:`submit_task`.
 
-Requirements for ``workers > 1``: ``fn`` must be a module-level function
-and ``items`` (plus the optional ``shared`` context, sent once per
-worker) must pickle.  Lambdas and closures still work sequentially.
+A task that needs context (a program, a config) takes it bound in:
+``sweep(functools.partial(task, context), items)``.  The pool
+initializer ships ``fn`` once per worker, so the context crosses the
+process boundary once per worker, not once per point.  Requirements for
+``workers > 1``: ``fn`` must be a module-level function (or a
+``partial`` of one) and it, its bound context and ``items`` must
+pickle.  Lambdas and closures still work sequentially.
+
+The pool is created per call and shut down before the call returns.
+That bounds a campaign's peak memory: a worker builds the specialized
+plans of its points and exits, so neither ``compile()``'s transient
+allocations for those plans nor the plans themselves stay resident in
+the coordinator.
 """
 
 from __future__ import annotations
@@ -42,9 +52,9 @@ from repro.perf import PERF
 
 
 class TaskResult(NamedTuple):
-    """One sweep point: its position, return value, wall time, the
-    perf-counter delta its execution produced, and — when the sweep ran
-    with ``on_error="capture"`` — the error that ended it (``None`` for a
+    """One point: its position, return value, wall time, the
+    perf-counter delta its execution produced, and — when it ran with
+    ``capture_errors`` — the error that ended it (``None`` for a
     successful task; a captured task's ``value`` is ``None``)."""
 
     index: int
@@ -65,10 +75,6 @@ class SweepReport(NamedTuple):
         """Task return values, in submission order."""
         return [r.value for r in self.results]
 
-    def errors(self) -> List[Tuple[int, str]]:
-        """Captured per-task errors, in submission order."""
-        return [(r.index, r.error) for r in self.results if r.error]
-
     def totals(self) -> Dict[str, Any]:
         """Per-task counters summed across the sweep.
 
@@ -85,22 +91,13 @@ class SweepReport(NamedTuple):
         }
 
 
-class _NoShared:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<no shared context>"
-
-
-_NO_SHARED = _NoShared()
-
 # worker-process state, installed by the pool initializer
 _worker_fn: Optional[Callable] = None
-_worker_shared: Any = _NO_SHARED
 
 
-def _init_worker(fn: Callable, shared: Any, has_shared: bool) -> None:
-    global _worker_fn, _worker_shared
+def _init_worker(fn: Callable) -> None:
+    global _worker_fn
     _worker_fn = fn
-    _worker_shared = shared if has_shared else _NO_SHARED
 
 
 def format_error(exc: BaseException) -> str:
@@ -109,27 +106,21 @@ def format_error(exc: BaseException) -> str:
 
 
 def run_task(
-    fn: Callable,
-    index: int,
-    item: Any,
-    shared: Any = _NO_SHARED,
-    capture_errors: bool = False,
+    fn: Callable, index: int, item: Any, capture_errors: bool = False
 ) -> TaskResult:
-    """Run one point — ``fn(item)``, or ``fn(shared, item)`` — in a
-    counter scope of its own (:meth:`repro.perf.PerfCounters.scope`), in
-    this process or a :func:`worker_pool` worker.  ``capture_errors``
-    records an exception in :attr:`TaskResult.error` instead of raising.
-    The counters are the scope's own, unrounded, so a pooled sweep folds
-    the same sums into the coordinator as an in-process one."""
+    """Run one point, ``fn(item)``, in a counter scope of its own
+    (:meth:`repro.perf.PerfCounters.scope`), in this process or a
+    :func:`worker_pool` worker.  ``capture_errors`` records an exception
+    in :attr:`TaskResult.error` instead of raising (the service scheduler
+    does, so a failed job is a result).  The counters are the scope's
+    own, unrounded, so a pooled sweep folds the same sums into the
+    coordinator as an in-process one."""
     with PERF.scope() as tables:
         t0 = time.perf_counter()
         value = None
         error = None
         try:
-            if shared is _NO_SHARED:
-                value = fn(item)
-            else:
-                value = fn(shared, item)
+            value = fn(item)
         except Exception as exc:
             if not capture_errors:
                 raise
@@ -139,21 +130,18 @@ def run_task(
 
 
 def _run_in_worker(index: int, item: Any, capture_errors: bool) -> TaskResult:
-    return run_task(_worker_fn, index, item, _worker_shared, capture_errors)
+    return run_task(_worker_fn, index, item, capture_errors)
 
 
-def worker_pool(
-    fn: Callable, workers: int, shared: Any = _NO_SHARED
-) -> ProcessPoolExecutor:
-    """A process pool whose workers run ``fn`` through :func:`run_task`;
-    ``shared`` is shipped once per worker.  Submit points with
-    :func:`submit_task` and fold each result's counters into the
-    coordinator with :meth:`repro.perf.PerfCounters.merge`."""
-    has_shared = shared is not _NO_SHARED
+def worker_pool(fn: Callable, workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers run ``fn`` through :func:`run_task`.
+    ``fn`` is shipped once per worker by the pool initializer, so a
+    ``functools.partial`` carries its context there once, not once per
+    point.  Submit points with :func:`submit_task` and fold each
+    result's counters into the coordinator with
+    :meth:`repro.perf.PerfCounters.merge`."""
     return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(fn, shared if has_shared else None, has_shared),
+        max_workers=workers, initializer=_init_worker, initargs=(fn,)
     )
 
 
@@ -165,43 +153,28 @@ def submit_task(
 
 
 def sweep(
-    fn: Callable,
-    items: Iterable[Any],
-    workers: Optional[int] = None,
-    shared: Any = _NO_SHARED,
-    on_error: str = "raise",
+    fn: Callable, items: Iterable[Any], workers: Optional[int] = None
 ) -> SweepReport:
     """Run ``fn`` over every item; return a :class:`SweepReport`.
 
-    ``fn(item)`` — or ``fn(shared, item)`` when a ``shared`` context is
-    given — is called once per point.  ``workers=None`` (or ``<= 1``)
-    runs sequentially in-process; larger values fan out over a
-    ``ProcessPoolExecutor`` with ``shared`` shipped once per worker via
-    the pool initializer.  Results always come back in submission
-    order, and each worker's perf-counter deltas are merged into the
-    coordinating process's :data:`repro.perf.PERF`.
-
-    ``on_error="raise"`` (the default) propagates the first task
-    exception in submission order; ``on_error="capture"`` records it in
-    the task's :attr:`TaskResult.error` slot instead and keeps the
-    sweep — and the pool — alive for the remaining points.
+    ``fn(item)`` is called once per point; a task that needs context
+    takes it bound in, as ``functools.partial(task, context)``.
+    ``workers=None`` (or ``<= 1``) runs sequentially in-process; larger
+    values fan out over a ``ProcessPoolExecutor`` that ships ``fn`` once
+    per worker.  Results always come back in submission order, each
+    worker's perf-counter deltas are merged into the coordinating
+    process's :data:`repro.perf.PERF`, and the first task exception in
+    submission order propagates.
     """
-    if on_error not in ("raise", "capture"):
-        raise ValueError("on_error must be 'raise' or 'capture', not {!r}"
-                         .format(on_error))
-    capture = on_error == "capture"
     points = list(items)
     n_workers = 1 if workers is None else max(1, min(workers, len(points) or 1))
     t0 = time.perf_counter()
     if n_workers <= 1:
-        results = [
-            run_task(fn, index, item, shared, capture)
-            for index, item in enumerate(points)
-        ]
+        results = [run_task(fn, index, item) for index, item in enumerate(points)]
     else:
-        with worker_pool(fn, n_workers, shared) as pool:
+        with worker_pool(fn, n_workers) as pool:
             futures = [
-                submit_task(pool, index, item, capture)
+                submit_task(pool, index, item)
                 for index, item in enumerate(points)
             ]
             # collecting in submission order makes the report (and any

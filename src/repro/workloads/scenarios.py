@@ -10,6 +10,7 @@ inside the worker."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -305,7 +306,7 @@ def _soak_summary(name: str, report) -> Dict[str, Any]:
     }
 
 
-def _sweep_groups(task, specs: list, group_key, shared, workers) -> list:
+def _sweep_groups(task, specs: list, group_key, workers) -> list:
     """One sweep task per group of specs sharing ``group_key(spec)`` (a
     tuple), in first-seen group order; each task gets the key's fields
     plus the group's ``(name, plan)`` pairs and returns one summary per
@@ -317,7 +318,7 @@ def _sweep_groups(task, specs: list, group_key, shared, workers) -> list:
         key + ([(specs[i].name, specs[i].plan) for i in indices],)
         for key, indices in groups.items()
     ]
-    report = sweep(task, tasks, workers=workers, shared=shared)
+    report = sweep(task, tasks, workers=workers)
     out = [None] * len(specs)
     for indices, summaries in zip(groups.values(), report.values()):
         for i, summary in zip(indices, summaries):
@@ -325,18 +326,20 @@ def _sweep_groups(task, specs: list, group_key, shared, workers) -> list:
     return out
 
 
-def _batched_soak_task(shared: Dict[str, Any], group) -> List[Dict[str, Any]]:
+def _batched_soak_task(
+    program, net_kwargs: Dict[str, Any], group
+) -> List[Dict[str, Any]]:
     """One lane batch: every plan of one workload against a single shared
     reference run (runs inside sweep workers)."""
     from repro.faults.soak import soak_batch
 
     workload_spec, horizon, named_plans = group
     reports = soak_batch(
-        shared["program"],
+        program,
         workload_from_spec(dict(workload_spec)),
         [plan for _, plan in named_plans],
         horizon=horizon,
-        **shared["net_kwargs"],
+        **net_kwargs,
     )
     return [
         _soak_summary(name, report)
@@ -361,13 +364,12 @@ def batched_soak_sweep(
     ``workers`` count.
     """
     return _sweep_groups(
-        _batched_soak_task,
+        partial(_batched_soak_task, program, net_kwargs),
         list(specs),
         lambda s: (
             tuple(sorted(s.workload.items())),
             s.horizon if s.horizon is not None else horizon,
         ),
-        {"program": program, "net_kwargs": net_kwargs},
         workers,
     )
 
@@ -422,18 +424,20 @@ def recovery_rate_specs(
     return out
 
 
-def _batched_recovery_task(shared: Dict[str, Any], group) -> List[Dict[str, Any]]:
+def _batched_recovery_task(
+    program, default_config, net_kwargs: Dict[str, Any], group
+) -> List[Dict[str, Any]]:
     """One recovery lane batch (runs inside sweep workers)."""
     from repro.faults.soak import recovery_soak_batch
 
     workload_spec, config, horizon, named_plans = group
     reports = recovery_soak_batch(
-        shared["program"],
+        program,
         workload_from_spec(dict(workload_spec)),
         [plan for _, plan in named_plans],
-        config=config if config is not None else shared["config"],
+        config=config if config is not None else default_config,
         horizon=horizon,
-        **shared["net_kwargs"],
+        **net_kwargs,
     )
     out = []
     for (name, _), report in zip(named_plans, reports):
@@ -461,13 +465,12 @@ def batched_recovery_sweep(
     name.  Recovery soaks are deterministic in their seeds, so the
     summaries are identical at any ``workers`` count."""
     return _sweep_groups(
-        _batched_recovery_task,
+        partial(_batched_recovery_task, program, config, net_kwargs),
         list(specs),
         lambda s: (
             tuple(sorted(s.workload.items())),
             s.config,
             s.horizon if s.horizon is not None else horizon,
         ),
-        {"program": program, "config": config, "net_kwargs": net_kwargs},
         workers,
     )

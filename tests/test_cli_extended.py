@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import designs
 from repro.__main__ import main
 from repro.desync import one_place_fifo
-from repro.lang import format_component
+from repro.lang import format_component, format_program
 from repro.lang.types import BOOL
 
 
@@ -118,6 +119,31 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["prove", "no_such_design"])
         assert str(exc.value.code).startswith("prove: unknown design")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "FILE", "--stim", "p_act:1", "--stim", "x_rreq:1",
+          "-n", "0"], "horizon must be >= 1"),
+        (["estimate", "FILE", "--stim", "p_act:1", "--stim", "x_rreq:1",
+          "--initial", "0"], "capacity must be >= 1"),
+        (["desync", "FILE", "--capacity", "0"], "capacity must be >= 1"),
+        (["prove", "producer_consumer", "--capacity", "0"],
+         "capacity must be >= 1"),
+        (["faults", "soak", "--drop", "2"],
+         "drop for '*' must be a probability in [0, 1]"),
+        (["recover", "soak", "--drop", "-1"],
+         "drop for '*' must be a probability in [0, 1]"),
+    ])
+    def test_rejected_value_exits_2(self, tmp_path, capsys, argv, message):
+        """A value the library rejects is an input error (exit 2, one
+        line), never a verdict's exit 1 with a traceback."""
+        path = tmp_path / "pc.sig"
+        path.write_text(format_program(designs.producer_consumer()))
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert err.count("\n") == 1
 
 
 class TestVerifyTargets:

@@ -586,13 +586,41 @@ class TestEstimatorLanes:
         assert listed == report
 
     def test_parallel_lanes_identical(self):
+        """Three lanes at ``workers=2`` run as uneven chunks (2 + 1), and
+        the lone lane of the second chunk is the one that sets the size:
+        the merge across chunks decides the answer."""
         from repro.desync.estimator import estimate_buffer_sizes
 
         prog = designs.modular_producer_consumer()
-        factories = [_steady_env_stimulus, _bursty_env_stimulus]
+        factories = [
+            _steady_env_stimulus, _bursty_env_stimulus, _long_burst_env_stimulus
+        ]
         seq = estimate_buffer_sizes(prog, factories, horizon=60)
         par = estimate_buffer_sizes(prog, factories, horizon=60, workers=2)
         assert par == seq
+        first_chunk = estimate_buffer_sizes(prog, factories[:2], horizon=60)
+        assert seq.sizes["x"] > first_chunk.sizes["x"]
+
+    def test_plan_cache_serves_revisited_sizes(self):
+        """The process-wide plan cache is the estimator's only cache of
+        compiled networks: a first call compiles one plan per distinct
+        sizes vector, and a repeat call compiles none."""
+        from repro.desync.estimator import estimate_buffer_sizes
+        from repro.workloads import scenarios
+
+        prog = designs.modular_producer_consumer()
+        env = scenarios.bursty_producer()
+        clear_plan_cache()
+        with PERF.scope() as cold_counts:
+            cold = estimate_buffer_sizes(prog, env.stimulus_factory, horizon=60)
+        with PERF.scope() as warm_counts:
+            warm = estimate_buffer_sizes(prog, env.stimulus_factory, horizon=60)
+        distinct = {tuple(sorted(step.sizes.items())) for step in cold.history}
+        assert cold_counts.counts.get("plan.cache_misses") == len(distinct)
+        assert "plan.cache_hits" not in cold_counts.counts
+        assert warm_counts.counts.get("plan.cache_hits") == warm.iterations
+        assert "plan.cache_misses" not in warm_counts.counts
+        assert warm == cold
 
 
 # module-level so the workers=2 estimator path can pickle them
@@ -605,6 +633,13 @@ def _steady_env_stimulus():
 def _bursty_env_stimulus():
     return stimuli.merge(
         stimuli.bursty("p_act", burst=3, gap=3),
+        stimuli.periodic("x_rreq", 2),
+    )
+
+
+def _long_burst_env_stimulus():
+    return stimuli.merge(
+        stimuli.bursty("p_act", burst=6, gap=6),
         stimuli.periodic("x_rreq", 2),
     )
 
