@@ -29,7 +29,7 @@ from repro.lang.ast import Program
 from repro.perf.sweep import sweep
 from repro.sim.batch import simulate_batch
 from repro.sim.plan import shared_plan
-from repro.desync.transform import DesyncResult, desynchronize
+from repro.desync.transform import Channel, DesyncResult, desynchronize
 
 
 class EstimationStep(NamedTuple):
@@ -72,11 +72,11 @@ def _chunked(items: list, width: int) -> List[list]:
     return [items[i : i + width] for i in range(0, len(items), width)]
 
 
-def _fold_lane_counts(result: DesyncResult, report) -> tuple:
+def _fold_lane_counts(channels: Sequence[Channel], report) -> tuple:
     """Per-channel worst miss (max over lanes) and alarm total (sum)."""
     misses: Dict[str, int] = {}
     alarms: Dict[str, int] = {}
-    for ch in result.channels:
+    for ch in channels:
         worst = max(report.max_values(ch.reg, 0))
         misses[ch.signal] = max(misses.get(ch.signal, 0), worst)
         alarms[ch.signal] = alarms.get(ch.signal, 0) + sum(
@@ -89,22 +89,20 @@ def _round(context: tuple, factories: Sequence[StimulusFactory]) -> tuple:
     """One round of the loop: simulate the instrumented network at the
     round's sizes with one lane per factory, and fold its counters.
 
-    ``context`` is ``(program, sizes, kind, horizon)``.  The estimator
-    calls it in-process on every lane, or through a sweep pool once per
-    lane chunk; either way the network's plan comes from the process-wide
-    plan cache."""
-    program, sizes, kind, horizon = context
-    result = desynchronize(
-        program, capacities=dict(sizes), kind=kind, instrument=True
-    )
-    comp = flatten_program(result.program)
+    ``context`` is ``(channels, plan, horizon)``: the network's channels
+    and its compiled plan, both built by the estimator in the calling
+    process.  The estimator calls this in-process on every lane, or
+    through a sweep pool once per lane chunk, where the plan arrives
+    with ``fn``: a forked worker inherits it and only simulates (a
+    spawn or forkserver worker rebuilds it from its pickle)."""
+    channels, plan, horizon = context
     report = simulate_batch(
-        comp,
+        plan.component,
         [factory() for factory in factories],
         n=horizon,
-        plan=shared_plan(comp),
+        plan=plan,
     )
-    return _fold_lane_counts(result, report)
+    return _fold_lane_counts(channels, report)
 
 
 def estimate_buffer_sizes(
@@ -131,16 +129,19 @@ def estimate_buffer_sizes(
     so the grown sizes cover every simulated environment.  One factory
     is a batch of one lane.  ``workers > 1`` with two or more lanes
     splits the lanes of each iteration into that many chunks across a
-    :func:`repro.perf.sweep.sweep` process pool (the program and the
-    factories must then pickle).  An empty sequence, a ``horizon``
-    below 1 and an ``initial`` map naming something that is not a
-    channel raise :class:`ValueError` before any round runs.
+    :func:`repro.perf.sweep.sweep` process pool (the factories must
+    then pickle).  An empty sequence, a ``horizon`` below 1 and an
+    ``initial`` map naming something that is not a channel raise
+    :class:`ValueError` before any round runs.
 
-    Every round desynchronizes the program at its sizes and takes the
-    network's compiled plan from the process-wide plan cache
-    (:func:`repro.sim.plan.shared_plan`), so revisiting a sizes vector —
-    in this call or a later one — costs one ``desynchronize`` and a cache
-    hit.
+    Every round desynchronizes the program at its sizes in this process
+    (the first round reuses the network the channel list was read from
+    when its sizes are the same) and takes the network's compiled plan
+    from this process's plan cache
+    (:func:`repro.sim.plan.shared_plan`); forked pool workers inherit
+    the plan and only simulate.  So revisiting a sizes vector — in this
+    call or a later one — costs one ``desynchronize`` and a cache hit,
+    at any worker count.
 
     Convergence means the last simulation raised no alarm; the final
     ``sizes`` then satisfy the Lemma 2 condition *for the simulated
@@ -194,8 +195,16 @@ def estimate_buffer_sizes(
     history: List[EstimationStep] = []
     converged = False
     iteration = 0
+    # the probe is round 1's network whenever it was built at round 1's
+    # sizes; later rounds only grow them
+    result = probe
     for iteration in range(1, max_iterations + 1):
-        context = (program, dict(sizes), kind, horizon)
+        if sizes != {ch.signal: ch.capacity for ch in result.channels}:
+            result = desynchronize(
+                program, capacities=dict(sizes), kind=kind, instrument=True
+            )
+        comp = flatten_program(result.program)
+        context = (result.channels, shared_plan(comp), horizon)
         if pooled:
             # each worker runs one chunk of environments
             width = -(-len(factories) // workers)

@@ -26,11 +26,13 @@ process boundary once per worker, not once per point.  Requirements for
 ``partial`` of one) and it, its bound context and ``items`` must
 pickle.  Lambdas and closures still work sequentially.
 
-The pool is created per call and shut down before the call returns.
-That bounds a campaign's peak memory: a worker builds the specialized
-plans of its points and exits, so neither ``compile()``'s transient
-allocations for those plans nor the plans themselves stay resident in
-the coordinator.
+The pool is created per call and shut down before the call returns,
+so a worker's plans and its other state go with it.  A task whose
+context is costly to build takes it built: the estimator builds each
+round's specialized plan in the coordinator, where the process-wide
+plan cache keeps it for the next call, and binds it into ``fn``, so
+forked workers only simulate (a spawn or forkserver worker unpickles
+the plan, which builds it again).
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ def sweep(
     per worker.  Results always come back in submission order, each
     worker's perf-counter deltas are merged into the coordinating
     process's :data:`repro.perf.PERF`, and the first task exception in
-    submission order propagates.
+    submission order propagates; a pool then cancels the points still
+    queued instead of running them.
     """
     points = list(items)
     n_workers = 1 if workers is None else max(1, min(workers, len(points) or 1))
@@ -172,7 +175,8 @@ def sweep(
     if n_workers <= 1:
         results = [run_task(fn, index, item) for index, item in enumerate(points)]
     else:
-        with worker_pool(fn, n_workers) as pool:
+        pool = worker_pool(fn, n_workers)
+        try:
             futures = [
                 submit_task(pool, index, item)
                 for index, item in enumerate(points)
@@ -180,6 +184,11 @@ def sweep(
             # collecting in submission order makes the report (and any
             # fold over it) independent of completion order
             results = [f.result() for f in futures]
+        except BaseException:
+            # the error propagates without running the queued points
+            pool.shutdown(cancel_futures=True)
+            raise
+        pool.shutdown()
         for r in results:
             PERF.merge(r.counters)
     total = time.perf_counter() - t0

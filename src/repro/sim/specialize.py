@@ -4,26 +4,28 @@ A :class:`~repro.sim.plan.ReactionPlan` already schedules a component
 into slot-indexed steps, but executing one is still a *chain of
 closures* — one Python call frame per AST node per evaluation, plus
 guarded helper calls for every status/value assignment.
-:class:`SpecializedPlan` flattens the plan's entire initial sweep into
-one generated Python function: straight-line status/value slot code per
-equation (statuses and values in local variables, slots as integer
-literals, builtin functions bound to module globals), synchronization
-constraints inlined, the topological order baked into the statement
-order, and the contradiction guards of the settling path expanded in
-place with their error messages pre-formatted.  Backward presence
+:class:`SpecializedPlan` generates each schedule step as one function of
+straight-line status/value slot code, ``_s<k>(ctx, status, value, state,
+settled, queued, dirty)``, which returns how many steps it requeued:
+statuses and values in local variables, slots as integer literals,
+builtin functions bound to module globals, synchronization constraints
+inlined, and the contradiction guards of the settling path expanded in
+place with their error messages pre-formatted.  A generated ``_sweep``
+loads the slot lists once and calls the steps in schedule order, so the
+topological order is baked into the call order.  Backward presence
 forces, the cold branches, are one call each to a per-plan helper that
 takes the slots to force and, per slot, the precomputed tuple of steps
-to requeue.  The source is compiled once per plan with
-:func:`compile`/``exec`` and kept on the plan (``plan.source``) for
-inspection.
+to requeue.  Each function is compiled on its own (one small
+:func:`compile` at a time keeps a build's memory transient a fraction
+of one compile of the whole module), and the module source is kept on
+the plan (``plan.source``) for inspection.
 
 The fixpoint driver above the sweep — the residual worklist, oracle
 handling and least-clock completion — is inherited unchanged from
 :class:`~repro.sim.plan.ReactionPlan` (residual re-runs go through the
-plan's closure steps; they are rare by construction), so a specialized
-plan is *observationally identical* to the plan — and hence to the
-reference interpreter — including every raised
-:class:`~repro.errors.SimulationError` message.
+plan's closure steps), so a specialized plan is *observationally
+identical* to the plan — and hence to the reference interpreter —
+including every raised :class:`~repro.errors.SimulationError` message.
 
 The source is linear in the size of each expression: every operand is
 emitted once (``default`` evaluates its right branch under one ``else``
@@ -32,9 +34,13 @@ its value once, after its status chain.  One escape hatch remains: a
 step whose generated body would exceed :data:`MAX_STEP_LINES` lines, or
 nest deeper than :data:`MAX_STEP_DEPTH` blocks (each right-nested
 ``default`` adds one, and CPython rejects source indented 100 levels
-deep), falls back to calling its closure step from inside the sweep, as
-does a step holding a constant the source cannot embed.  No step of the
-designs corpus or of its instrumented networks comes near either bound.
+deep), calls its closure step instead, as does a step holding a
+constant the source cannot embed.  No step of the designs corpus or of
+its instrumented networks comes near either bound.
+
+A plan pickles as its component and is rebuilt where it is loaded (a
+spawn or forkserver sweep worker builds it again); a forked worker
+inherits the built plan.
 
 :func:`repro.sim.plan.shared_plan` caches this plan, and
 :func:`repro.sim.batch.simulate_batch` runs it by default; a bare
@@ -67,8 +73,11 @@ from repro.sim.plan import ReactionPlan, _PENDING, _ST_NAME, _set_status
 #: Per-step emitted-line budget; steps past it keep their closure form.
 MAX_STEP_LINES = 4000
 
-#: Per-step nesting budget, in indentation levels below the sweep's body.
+#: Per-step nesting budget, in indentation levels below the step's body.
 MAX_STEP_DEPTH = 90
+
+#: The parameters of every generated step function.
+_STEP_ARGS = "ctx, status, value, state, settled, queued, dirty"
 
 
 def _make_force(names):
@@ -107,11 +116,14 @@ def _make_force(names):
 
 
 class _Gen:
-    """Emits the specialized module source for one plan."""
+    """Emits the specialized module source for one plan, one function
+    (a *chunk*) at a time."""
 
     def __init__(self, plan: ReactionPlan):
         self.plan = plan
         self.lines: List[str] = []
+        # the finished functions' sources, in module order
+        self.chunks: List[str] = []
         # deepest indentation emitted since the last reset (per step)
         self.depth = 0
         self.n_tmp = 0
@@ -142,6 +154,11 @@ class _Gen:
             len(self.lines) - mark <= MAX_STEP_LINES
             and self.depth <= MAX_STEP_DEPTH
         )
+
+    def end_chunk(self) -> None:
+        """Close the function emitted since the last chunk."""
+        self.chunks.append("\n".join(self.lines) + "\n")
+        self.lines = []
 
     def tmp(self) -> int:
         self.n_tmp += 1
@@ -481,47 +498,36 @@ class _Gen:
 
     # -- the generated sweep -------------------------------------------------
 
-    def emit_sweep(self) -> int:
-        """The whole initial sweep of :meth:`ReactionPlan._propagate` as
-        one function: every step body inlined in schedule order, with the
-        in-sweep requeue rule (``d <= k``) after each.  Returns the number
-        of inlined (non-fallback) steps."""
+    def emit_step(self, k: int) -> bool:
+        """Schedule step ``k`` as the function ``_s<k>``: the step's body
+        with the in-sweep requeue rule (``d <= k``) expanded after each
+        new fact, returning how many steps it queued.  A step over budget,
+        or holding an unembeddable constant, calls its closure step and
+        drains the dirty list by the same rule, as the base sweep does.
+        Returns whether the step was inlined."""
         w = self.w
-        plan = self.plan
-        w(0, "def _sweep(ctx):")
-        w(1, "status = ctx.status")
-        w(1, "value = ctx.value")
-        w(1, "state = ctx.state")
-        w(1, "settled = ctx.settled")
-        w(1, "queued = ctx.queued")
-        w(1, "dirty = ctx.dirty")
-        w(1, "del dirty[:]")
+        kind, st = self.plan.schedule[k]
+        label = st.target if kind == "eq" else "sync {}".format(st.names)
+        w(0, "# step {}: {}".format(k, label))
+        w(0, "def _s{}({}):".format(k, _STEP_ARGS))
+        mark = len(self.lines)
         w(1, "nq = 0")
-        inlined = 0
-        for k, (kind, st) in enumerate(plan.schedule):
-            mark = len(self.lines)
-            label = st.target if kind == "eq" else "sync {}".format(st.names)
-            w(1, "# step {}: {}".format(k, label))
-            self.cur_step = k
-            self.depth = 0
-            try:
-                if kind == "eq":
-                    self.emit_equation_body(st, 1)
-                else:
-                    self.emit_sync_body(st, 1)
-                fits = self.fits(mark)
-            except SimulationError:
-                fits = False  # unembeddable constant: keep the closure
-            finally:
-                self.cur_step = None
-            if fits:
-                inlined += 1
-                continue
-            # the closure records facts on the dirty list; drain it with
-            # the in-sweep requeue rule, as the base sweep does
+        self.cur_step = k
+        self.depth = 0
+        try:
+            if kind == "eq":
+                self.emit_equation_body(st, 1)
+            else:
+                self.emit_sync_body(st, 1)
+            fits = self.fits(mark)
+        except SimulationError:
+            fits = False  # unembeddable constant: keep the closure
+        finally:
+            self.cur_step = None
+        if not fits:
             del self.lines[mark + 1:]
             fb = "_fb_{}".format(k)
-            self.namespace[fb] = plan.steps[k]
+            self.namespace[fb] = self.plan.steps[k]
             w(1, "if {}(ctx):".format(fb))
             w(2, "settled[{}] = 1".format(k))
             w(1, "while dirty:")
@@ -531,7 +537,30 @@ class _Gen:
             w(4, "queued[d] = 1")
             w(4, "nq += 1")
         w(1, "return nq")
-        w(0, "")
+        self.end_chunk()
+        return fits
+
+    def emit_sweep(self) -> int:
+        """The initial sweep of :meth:`ReactionPlan._propagate`: every
+        step function, called once in schedule order.  Returns the number
+        of inlined (non-fallback) steps."""
+        w = self.w
+        inlined = 0
+        for k in range(len(self.plan.schedule)):
+            inlined += self.emit_step(k)
+        w(0, "def _sweep(ctx):")
+        w(1, "status = ctx.status")
+        w(1, "value = ctx.value")
+        w(1, "state = ctx.state")
+        w(1, "settled = ctx.settled")
+        w(1, "queued = ctx.queued")
+        w(1, "dirty = ctx.dirty")
+        w(1, "del dirty[:]")
+        w(1, "nq = 0")
+        for k in range(len(self.plan.schedule)):
+            w(1, "nq += _s{}({})".format(k, _STEP_ARGS))
+        w(1, "return nq")
+        self.end_chunk()
         return inlined
 
     def emit_advance(self) -> bool:
@@ -562,24 +591,25 @@ class _Gen:
             del self.lines[mark:]
             return False
         w(1, "return new")
-        w(0, "")
+        self.end_chunk()
         return True
 
 
 def generate(plan: ReactionPlan):
-    """Generate and compile the specialized module for ``plan``.
+    """Generate and compile the specialized module for ``plan``, one
+    function at a time.
 
     Returns ``(source, sweep_fn, advance_fn, n_inlined)``."""
     gen = _Gen(plan)
     n_inlined = gen.emit_sweep()
     has_advance = bool(plan.pre_updaters) and gen.emit_advance()
-    header = "# specialized reaction plan for component {!r}\n".format(
-        plan.component.name
-    )
-    source = header + "\n".join(gen.lines) + "\n"
+    filename = "<specialized:{}>".format(plan.component.name)
     namespace = gen.namespace
-    code = compile(source, "<specialized:{}>".format(plan.component.name), "exec")
-    exec(code, namespace)
+    for chunk in gen.chunks:
+        exec(compile(chunk, filename, "exec"), namespace)
+    source = "# specialized reaction plan for component {!r}\n".format(
+        plan.component.name
+    ) + "\n".join(gen.chunks)
     return (
         source,
         namespace["_sweep"],
@@ -597,7 +627,8 @@ class SpecializedPlan(ReactionPlan):
     the generated sweep.  Execution and introspection are inherited;
     :attr:`kind` names the reaction counts of ``simulate`` and
     ``simulate_batch`` (``sim.plan.spec.reactions`` vs
-    ``sim.plan.reactions``)."""
+    ``sim.plan.reactions``).  A plan pickles as its component, and
+    loading one runs this constructor again."""
 
     kind = "plan.spec"
 
@@ -609,6 +640,9 @@ class SpecializedPlan(ReactionPlan):
         self._advance_fn = advance_fn
         self.specialized_steps = n_inlined
         self.fallback_steps = len(self.steps) - n_inlined
+
+    def __reduce__(self):
+        return (SpecializedPlan, (self.component,))
 
     def _propagate(self, ctx, initial: bool = False) -> None:
         if initial:

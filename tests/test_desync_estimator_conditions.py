@@ -91,6 +91,42 @@ class TestEstimator:
         text = report.render()
         assert "iter 1" in text and "final sizes" in text
 
+    def test_integer_capacity_is_the_all_channels_map(self):
+        """What lets the first round reuse the estimator's probe: the
+        network at an integer capacity is the network at that capacity
+        on every channel."""
+        from repro.lang.analysis import flatten_program
+        from repro.sim.plan import component_key
+
+        prog = request_response()
+        whole = desynchronize(prog, capacities=3, instrument=True)
+        per_channel = desynchronize(
+            prog,
+            capacities={ch.signal: 3 for ch in whole.channels},
+            instrument=True,
+        )
+        assert component_key(flatten_program(whole.program)) == component_key(
+            flatten_program(per_channel.program)
+        )
+
+    def test_integer_initial_desynchronizes_once_per_round(self, monkeypatch):
+        """The probe that lists the channels is round 1's network, so an
+        estimation desynchronizes once per round, not once more."""
+        import repro.desync.estimator as estimator
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("capacities"))
+            return desynchronize(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "desynchronize", counted)
+        report = estimator.estimate_buffer_sizes(
+            producer_consumer(), bursty_env(), horizon=40, initial=1
+        )
+        assert report.iterations > 1
+        assert len(calls) == report.iterations
+
 
 def sustained_mismatch():
     return stimuli.merge(

@@ -1,5 +1,6 @@
 """Tests for the shared sweep executor (:mod:`repro.perf.sweep`)."""
 
+import os
 import time
 from functools import partial
 
@@ -138,6 +139,16 @@ def flaky(x):
     return x * 10
 
 
+def marked(directory, x):
+    """Leave a marker file on starting; point 0 fails at once, the
+    others take a while."""
+    open(os.path.join(directory, str(x)), "w").close()
+    if x == 0:
+        raise ValueError("point 0 fails")
+    time.sleep(0.3)
+    return x
+
+
 def scripted(ops):
     """Interpret a per-task op list generated by the property test."""
     for op in ops:
@@ -227,6 +238,17 @@ class TestErrorCapture:
     def test_default_still_raises_in_pool(self):
         with pytest.raises(ValueError):
             sweep(flaky, [1, 2, 3], workers=2)
+
+    def test_pool_error_cancels_queued_points(self, tmp_path):
+        """The first error propagates without running the points still
+        queued: only the ones already handed to the workers (two running,
+        a few prefetched) start."""
+        points = list(range(16))
+        with pytest.raises(ValueError, match="point 0 fails"):
+            sweep(partial(marked, str(tmp_path)), points, workers=2)
+        started = os.listdir(str(tmp_path))
+        assert "0" in started
+        assert len(started) < len(points) // 2
 
     def test_capture_records_error_slot(self):
         results = in_process(flaky, [1, 2, 3])

@@ -180,11 +180,13 @@ def test_prop_engine_matches_denotation(comp, rows):
 @settings(max_examples=60, deadline=None)
 @given(random_component(), random_stimulus(10))
 def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
-    """The four execution paths — reference interpreter, compiled plan,
-    specialized generated code, batched lanes (on the specialized plan and
-    on the interpreter) — produce identical traces: same presence statuses
-    (a signal is in the row iff present), same values, same rejection
-    errors."""
+    """The five execution paths — reference interpreter, compiled plan,
+    specialized generated code, the same code shipped through a pickle,
+    batched lanes (on the specialized plan and on the interpreter) —
+    produce identical traces: same presence statuses (a signal is in the
+    row iff present), same values, same rejection errors."""
+    import pickle
+
     from repro.sim.batch import simulate_batch
 
     def run(reactor):
@@ -201,8 +203,12 @@ def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
     spec = Reactor(comp, check=False, plan=SpecializedPlan(comp))
     assert spec.plan.fallback_steps == 0  # every step is generated code
     spec_out = run(spec)
+    shipped = pickle.loads(pickle.dumps(spec.plan))
+    assert shipped.fallback_steps == 0
+    shipped_out = run(Reactor(comp, check=False, plan=shipped))
     assert repr(plan_out) == repr(ref)
     assert repr(spec_out) == repr(ref)
+    assert repr(shipped_out) == repr(ref)
 
     rejected = bool(ref) and isinstance(ref[-1], tuple)
     rows_ok = ref[:-1] if rejected else ref

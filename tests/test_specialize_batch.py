@@ -114,18 +114,8 @@ class TestSpecializedCorpus:
     def test_corpus_and_instrumented_networks_inline_every_step(self):
         """No step of the corpus, or of its capacity-2 instrumented
         desynchronizations, falls back to its closure."""
-        from repro.desync import desynchronize
-
-        comps = []
-        for name, design in _corpus():
-            if isinstance(design, Program):
-                comps.append((name, flatten_program(design)))
-                net = desynchronize(design, capacities=2, instrument=True)
-                comps.append((name + "/desync", flatten_program(net.program)))
-            else:
-                comps.append((name, design))
         steps = 0
-        for name, comp in comps:
+        for name, comp in _corpus_and_networks():
             plan = SpecializedPlan(comp)
             assert plan.fallback_steps == 0, name
             steps += plan.specialized_steps
@@ -138,6 +128,7 @@ class TestSpecializedCorpus:
         chain is inlined whole; one nested past ``MAX_STEP_DEPTH`` keeps
         its closure step instead of failing to compile.  Both react
         exactly as the closure plan does."""
+        import pickle
         import random
 
         from repro.lang.ast import Default
@@ -153,15 +144,136 @@ class TestSpecializedCorpus:
         )
         plan = SpecializedPlan(comp)
         assert plan.fallback_steps == fallbacks
+        shipped = pickle.loads(pickle.dumps(plan))
+        assert shipped.fallback_steps == fallbacks
         rng = random.Random(depth)
         rows = [
             {n: ABSENT if rng.random() < 0.85 else rng.randrange(9)
              for n in names}
             for _ in range(200)
         ]
-        spec = Reactor(comp, plan=plan)
         ref = Reactor(comp)
-        assert [spec.react(r) for r in rows] == [ref.react(r) for r in rows]
+        expected = [ref.react(r) for r in rows]
+        for executor in (plan, shipped):
+            spec = Reactor(comp, plan=executor)
+            assert [spec.react(r) for r in rows] == expected
+
+
+def _corpus_and_networks():
+    """The corpus's components and its capacity-2 instrumented
+    desynchronizations, as ``(name, component)`` pairs."""
+    from repro.desync import desynchronize
+
+    comps = []
+    for name, design in _corpus():
+        if isinstance(design, Program):
+            comps.append((name, flatten_program(design)))
+            net = desynchronize(design, capacities=2, instrument=True)
+            comps.append((name + "/desync", flatten_program(net.program)))
+        else:
+            comps.append((name, design))
+    return comps
+
+
+def _slot_runs(plan, rows):
+    """``plan.react_slots`` over ``rows`` from the initial state, each
+    result (or the rejection) as its ``repr``."""
+    from repro.sim.engine import ABSENT
+
+    out = []
+    state = list(plan.init_state)
+    try:
+        for t, row in enumerate(rows):
+            status, value, state = plan.react_slots(row, state, None, t, ABSENT)
+            out.append(repr((status, value, state)))
+    except SimulationError as exc:
+        out.append(("rejected", type(exc).__name__, str(exc)))
+    return out
+
+
+def _spawned_runs(plan, seed):
+    """The slot names and :func:`_slot_runs` of ``plan`` on the seeded
+    stimulus, drawn where this runs (``ABSENT`` is per process)."""
+    return tuple(plan.names), _slot_runs(plan, _stimulus(plan.component, seed))
+
+
+class TestShippedPlans:
+    """A pickled specialized plan is its component, rebuilt where it is
+    loaded, and reacts exactly as the plan it came from."""
+
+    def test_shipped_plan_reacts_like_built_one(self):
+        import pickle
+
+        for name, comp in _corpus_and_networks():
+            plan = SpecializedPlan(comp)
+            shipped = pickle.loads(pickle.dumps(plan))
+            assert isinstance(shipped, SpecializedPlan)
+            assert shipped.source == plan.source
+            assert shipped.specialized_steps == plan.specialized_steps
+            for seed in range(2):
+                rows = _stimulus(comp, seed)
+                assert _slot_runs(shipped, rows) == _slot_runs(plan, rows), (
+                    name, seed
+                )
+
+    def test_plan_loads_in_a_spawned_interpreter(self):
+        """A spawn or forkserver sweep worker is a fresh interpreter with
+        its own hash seed; the plan it loads has the same slots and
+        reacts as the one pickled in this process."""
+        import multiprocessing
+
+        from repro.desync import desynchronize
+
+        plans = [
+            SpecializedPlan(flatten_program(
+                desynchronize(design, capacities=2, instrument=True).program
+            ))
+            for design in (
+                designs.producer_consumer(),
+                designs.modular_producer_consumer(),
+            )
+        ]
+        points = [(plan, seed) for plan in plans for seed in range(2)]
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            shipped = pool.starmap_async(_spawned_runs, points).get(timeout=120)
+        assert shipped == [_spawned_runs(plan, seed) for plan, seed in points]
+
+    def test_build_memory_transient_is_a_fraction_of_one_compile(self):
+        """Each generated function compiles on its own, so a first
+        build's peak allocation stays well below that of compiling the
+        plan's source as one module (the estimator builds every round's
+        plan in the calling process)."""
+        import gc
+        import tracemalloc
+
+        from repro.desync import desynchronize
+
+        net = desynchronize(
+            designs.producer_consumer(), capacities=7, instrument=True
+        )
+        comp = flatten_program(net.program)
+
+        def peak(build):
+            """``build()``'s allocation peak above what was traced when it
+            started, and its result; tracing already on stays on."""
+            gc.collect()
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                result = build()
+                return tracemalloc.get_traced_memory()[1] - before, result
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        build_peak, plan = peak(lambda: SpecializedPlan(comp))
+        module_peak, _ = peak(
+            lambda: compile(plan.source, "<specialized>", "exec")
+        )
+        assert build_peak < module_peak / 2
 
 
 class TestPlanCache:
@@ -619,6 +731,28 @@ class TestEstimatorLanes:
         assert cold_counts.counts.get("plan.cache_misses") == len(distinct)
         assert "plan.cache_hits" not in cold_counts.counts
         assert warm_counts.counts.get("plan.cache_hits") == warm.iterations
+        assert "plan.cache_misses" not in warm_counts.counts
+        assert warm == cold
+
+    def test_pooled_estimation_builds_each_sizes_vector_once(self):
+        """Pooled rounds build their plan in this process and ship it, so
+        the workers build nothing: a first call misses once per distinct
+        sizes vector, and a repeat is served from this process's cache."""
+        from repro.desync.estimator import estimate_buffer_sizes
+
+        prog = designs.modular_producer_consumer()
+        factories = [
+            _steady_env_stimulus, _bursty_env_stimulus, _long_burst_env_stimulus
+        ]
+        clear_plan_cache()
+        with PERF.scope() as cold_counts:
+            cold = estimate_buffer_sizes(prog, factories, horizon=60, workers=2)
+        with PERF.scope() as warm_counts:
+            warm = estimate_buffer_sizes(prog, factories, horizon=60, workers=2)
+        distinct = {tuple(sorted(step.sizes.items())) for step in cold.history}
+        assert len(distinct) == 4
+        assert cold_counts.counts.get("plan.cache_misses") == len(distinct)
+        assert warm_counts.counts.get("plan.cache_hits") == len(distinct)
         assert "plan.cache_misses" not in warm_counts.counts
         assert warm == cold
 
