@@ -178,6 +178,8 @@ def soak_batch(
     Network runs are deterministic in the workload, so the zero-fault
     reference is identical for every plan; running it once instead of
     once per plan halves the event-simulation work of a scenario sweep.
+    A plan that injects nothing (``plan.active`` false) leaves the woven
+    network unchanged, so its faulted run is that reference run too.
     With ``estimate``, every plan runs :func:`capacity_inflation` at its
     own seed, and a sizes vector that another plan's estimate already
     simulated is a hit in the process-wide plan cache.  Each plan's
@@ -193,9 +195,15 @@ def soak_batch(
     )
     reports = []
     for plan in plans:
-        faulted_net = _net_from(program, workload, net_kwargs)
-        weave_faults(faulted_net, plan)
-        faulted = faulted_net.run(horizon, max_events=max_events)
+        if plan.active:
+            faulted_net = _net_from(program, workload, net_kwargs)
+            weave_faults(faulted_net, plan)
+            faulted = faulted_net.run(horizon, max_events=max_events)
+        else:
+            # weaving an inactive plan attaches nothing: its run is the
+            # reference run
+            plan.validate()
+            faulted = reference
 
         classification, flow_ok = _classify(reference, faulted, signals)
 

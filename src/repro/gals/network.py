@@ -377,6 +377,7 @@ class AsyncNetwork:
     def run(self, horizon: float, max_events: int = 100000) -> NetworkTrace:
         """Simulate until ``horizon`` (exclusive)."""
         recorder = _Recorder()
+        record = recorder.record
         firings = {n.name: 0 for n in self.nodes}
         skipped = {n.name: 0 for n in self.nodes}
         stalled = {n.name: 0 for n in self.nodes}
@@ -385,6 +386,74 @@ class AsyncNetwork:
         faults = self._fault_schedule
         counter = itertools.count()
         heap: List[Tuple[float, int, str]] = []
+
+        # per-run tables, built here rather than at construction because
+        # links can be swapped on a built network (make_reliable): each
+        # node by name, its read links with their ``x__r`` labels, its
+        # write links grouped by signal with their ``x__w`` labels, its
+        # blocking out-channels, and the data-driven nodes
+        nodes: Dict[str, Node] = {}
+        for node in self.nodes:
+            nodes.setdefault(node.name, node)
+        reads = {
+            name: [(sig, ch, sig + "__r") for sig, ch in links]
+            for name, links in self._in_links.items()
+        }
+        writes: Dict[str, Dict[str, Tuple[str, List[AsyncChannel]]]] = {}
+        for name, links in self._out_links.items():
+            by_signal = writes[name] = {}
+            for sig, ch in links:
+                by_signal.setdefault(sig, (sig + "__w", []))[1].append(ch)
+        blocking = {
+            name: [ch for _, ch in links if ch.policy == "block"]
+            for name, links in self._out_links.items()
+        }
+        data_driven = [n for n in self.nodes if n.name in self._data_driven]
+
+        def fire(node: Node, pending, time: float) -> None:
+            """One reaction of ``node`` on one item of each ``pending``
+            read link; outputs on a channel are pushed and recorded as
+            writes, the others as they are."""
+            inputs: Dict[str, object] = {}
+            if node.activation:
+                inputs[node.activation] = True
+            for sig, ch, label in pending:
+                value = ch.pop(time)
+                inputs[sig] = value
+                record(label, time, value)
+            outputs = self._react(node.name, inputs, time)
+            firings[node.name] += 1
+            links = writes[node.name]
+            for sig, value in outputs.items():
+                link = links.get(sig)
+                if link is None:
+                    record(sig, time, value)
+                    continue
+                record(link[0], time, value)
+                for ch in link[1]:
+                    ch.push(value, time)
+
+        def fire_data_driven(time: float) -> None:
+            """Fire data-driven nodes (no schedule) while they have input."""
+            progress = True
+            guard = 0
+            while progress:
+                progress = False
+                guard += 1
+                if guard > 10000:
+                    raise SimulationError("data-driven firing did not quiesce")
+                for node in data_driven:
+                    links = reads[node.name]
+                    if faults is not None and faults.stalled(node.name, time):
+                        if guard == 1 and any(
+                            ch.available(time) for _, ch, _ in links
+                        ):
+                            stalled[node.name] += 1
+                        continue
+                    pending = [link for link in links if link[1].available(time)]
+                    if pending:
+                        fire(node, pending, time)
+                        progress = True
 
         def push_next(name: str) -> None:
             try:
@@ -397,7 +466,6 @@ class AsyncNetwork:
         for node in self.nodes:
             push_next(node.name)
 
-        data_driven = getattr(self, "_data_driven", frozenset())
         events = 0
         while heap:
             events += 1
@@ -405,36 +473,21 @@ class AsyncNetwork:
                 raise SimulationError("async run exceeded max_events")
             time, _, name = heapq.heappop(heap)
             push_next(name)
-            node = next(n for n in self.nodes if n.name == name)
-            # fault injection: a stalled node misses this activation
             if faults is not None and faults.stalled(name, time):
+                # fault injection: a stalled node misses this activation
                 stalled[name] += 1
-                self._fire_data_driven(
-                    data_driven, time, recorder, firings, faults, stalled
-                )
-                continue
-            # backpressure: masked while an outgoing channel is full
-            if any(ch.full() and ch.policy == "block" for _, ch in self._out_links[name]):
+            elif any(ch.full() for ch in blocking[name]):
+                # backpressure: masked while an outgoing channel is full
                 skipped[name] += 1
-                self._fire_data_driven(
-                    data_driven, time, recorder, firings, faults, stalled
+            else:
+                fire(
+                    nodes[name],
+                    [link for link in reads[name] if link[1].available(time)],
+                    time,
                 )
-                continue
-            inputs: Dict[str, object] = {}
-            if node.activation:
-                inputs[node.activation] = True
-            for sig, ch in self._in_links[name]:
-                if ch.available(time):
-                    value = ch.pop(time)
-                    inputs[sig] = value
-                    recorder.record(sig + "__r", time, value)
-            outputs = self._react(name, inputs, time)
-            firings[name] += 1
-            self._dispatch(name, outputs, time, recorder)
             # data-driven nodes drain channels right after each event
-            self._fire_data_driven(
-                data_driven, time, recorder, firings, faults, stalled
-            )
+            if data_driven:
+                fire_data_driven(time)
 
         stats = {}
         for ch in self.channels.values():
@@ -484,60 +537,3 @@ class AsyncNetwork:
             sup.after_fire(name, reactor, time, inputs)
         self._last_fired[name] = time
         return outputs
-
-    def _dispatch(self, name: str, outputs: Dict[str, object], time: float,
-                  recorder: _Recorder) -> None:
-        links = dict_groupby(self._out_links[name])
-        for sig, value in outputs.items():
-            if sig in links:
-                recorder.record(sig + "__w", time, value)
-                for ch in links[sig]:
-                    ch.push(value, time)
-            else:
-                recorder.record(sig, time, value)
-
-    def _fire_data_driven(
-        self, data_driven, time, recorder, firings, faults=None, stalled=None
-    ) -> None:
-        """Fire data-driven nodes (no schedule) while they have input."""
-        progress = True
-        guard = 0
-        while progress:
-            progress = False
-            guard += 1
-            if guard > 10000:
-                raise SimulationError("data-driven firing did not quiesce")
-            for node in self.nodes:
-                if node.name not in data_driven:
-                    continue
-                if faults is not None and faults.stalled(node.name, time):
-                    if stalled is not None and guard == 1 and any(
-                        ch.available(time) for _, ch in self._in_links[node.name]
-                    ):
-                        stalled[node.name] += 1
-                    continue
-                pending = [
-                    (sig, ch)
-                    for sig, ch in self._in_links[node.name]
-                    if ch.available(time)
-                ]
-                if not pending:
-                    continue
-                inputs: Dict[str, object] = {}
-                if node.activation:
-                    inputs[node.activation] = True
-                for sig, ch in pending:
-                    value = ch.pop(time)
-                    inputs[sig] = value
-                    recorder.record(sig + "__r", time, value)
-                outputs = self._react(node.name, inputs, time)
-                firings[node.name] += 1
-                self._dispatch(node.name, outputs, time, recorder)
-                progress = True
-
-
-def dict_groupby(pairs: Iterable[Tuple[str, AsyncChannel]]) -> Dict[str, List[AsyncChannel]]:
-    out: Dict[str, List[AsyncChannel]] = {}
-    for sig, ch in pairs:
-        out.setdefault(sig, []).append(ch)
-    return out

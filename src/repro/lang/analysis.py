@@ -11,7 +11,18 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import CausalityError, SignalTypeError
 from repro.lang.ast import (
@@ -118,51 +129,81 @@ def _canonical_cycle(scc: List[str], graph: Mapping[str, FrozenSet[str]]) -> Lis
     return cycle[pivot:] + cycle[:pivot]
 
 
-def instantaneous_cycles(comp: Component) -> List[List[str]]:
-    """Cycles of instantaneous dependencies (Tarjan SCCs of size > 1, plus
-    self-loops).  A nonempty result means no reaction order exists.
+def strongly_connected_components(
+    graph: Mapping[str, Iterable[str]]
+) -> List[List[str]]:
+    """The strongly connected components of ``graph`` (``node ->
+    successors``), by Tarjan's algorithm, iteratively, so a long
+    dependency chain cannot exhaust the recursion limit.
+
+    Roots and successors are visited in sorted order; a successor that is
+    not a key of ``graph`` (an input) ends its path.  Each component comes
+    out after every component it reaches, so on a dependency graph a
+    component follows everything it depends on.  Members are listed in
+    the order they leave the Tarjan stack.
+    """
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    on_stack: Set[str] = set()
+    stack: List[str] = []
+    out: List[List[str]] = []
+
+    def enter(v: str):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        return v, iter(sorted(w for w in graph[v] if w in graph))
+
+    for root in sorted(graph):
+        if root in index:
+            continue
+        work = [enter(root)]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    work.append(enter(w))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    out.append(scc)
+    return out
+
+
+def dependency_cycles(graph: Mapping[str, Collection[str]]) -> List[List[str]]:
+    """The cycles of ``graph``: one per strongly connected component of
+    more than one node, or of one node with a self-loop.
 
     Each cycle is reported as a concrete dependency path in rotation-
     canonical form (smallest member first, following dependency edges), and
     the list of cycles is sorted — the output is byte-stable across runs,
     which diagnostics (``repro lint``) rely on.
     """
-    graph = dependency_graph(comp, instantaneous=True)
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    counter = [0]
-    cycles: List[List[str]] = []
+    return sorted(
+        _canonical_cycle(sorted(scc), graph)
+        for scc in strongly_connected_components(graph)
+        if len(scc) > 1 or scc[0] in graph[scc[0]]
+    )
 
-    def strongconnect(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in sorted(graph.get(v, ())):
-            if w not in graph:
-                continue  # inputs terminate the search
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            scc = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                scc.append(w)
-                if w == v:
-                    break
-            if len(scc) > 1 or v in graph.get(v, ()):
-                cycles.append(_canonical_cycle(sorted(scc), graph))
 
-    for node in sorted(graph):
-        if node not in index:
-            strongconnect(node)
-    return sorted(cycles)
+def instantaneous_cycles(comp: Component) -> List[List[str]]:
+    """Cycles of instantaneous dependencies (:func:`dependency_cycles` of
+    the instantaneous :func:`dependency_graph`).  A nonempty result means
+    no reaction order exists."""
+    return dependency_cycles(dependency_graph(comp, instantaneous=True))
 
 
 def check_causality(comp: Component) -> None:

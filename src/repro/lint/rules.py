@@ -37,6 +37,7 @@ from repro.errors import ReproError
 from repro.clocks.hierarchy import analyze_clocks
 from repro.lang.analysis import (
     classify_signals,
+    dependency_cycles,
     dependency_graph,
     flatten_program,
     instantaneous_cycles,
@@ -340,57 +341,7 @@ def _inter_node_cycles(
                     continue  # the FIFO cuts the instantaneous path
                 edges[comp.name].add(producer)
 
-    # Tarjan over the component graph (same canonicalization as
-    # lang.analysis.instantaneous_cycles)
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    counter = [0]
-    cycles: List[List[str]] = []
-
-    def strongconnect(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in sorted(edges.get(v, ())):
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            scc = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                scc.append(w)
-                if w == v:
-                    break
-            if len(scc) > 1 or v in edges.get(v, ()):
-                scc = sorted(scc)
-                members = set(scc)
-                if len(scc) == 1:
-                    cycles.append(scc)
-                else:
-                    path: List[str] = []
-                    seen_at: Dict[str, int] = {}
-                    node = min(scc)
-                    while node not in seen_at:
-                        seen_at[node] = len(path)
-                        path.append(node)
-                        node = min(
-                            w for w in edges.get(node, ()) if w in members
-                        )
-                    cyc = path[seen_at[node]:]
-                    pivot = cyc.index(min(cyc))
-                    cycles.append(cyc[pivot:] + cyc[:pivot])
-
-    for node in sorted(edges):
-        if node not in index:
-            strongconnect(node)
-    return sorted(cycles)
+    return dependency_cycles(edges)
 
 
 def rule_network_causality(

@@ -13,7 +13,8 @@ everything that is per-design across those runs:
 - a reaction is a pure function of ``(state, inputs)``, and soak lanes
   are near-copies of one another, so the lane loop memoizes reactions
   run-wide: every lane that reaches a pair some lane already solved
-  reuses the result instead of re-running the plan.
+  reuses the result, its recorded row included, instead of re-running
+  the plan.
 
 Lanes are recorded as lists of present-value row dicts — exactly the
 rows :func:`repro.sim.runner.simulate` records — in pure Python: any
@@ -163,7 +164,9 @@ def _run_lanes(plan, lane_stimuli, oracle, n, capture_errors):
     A reaction is a pure function of that pair (:meth:`react_slots`
     builds fresh status/value/state lists and reads the instant index
     only through the oracle), so a run-wide memo shares one reaction
-    across every lane that reaches the same pair.  Oracle-driven lanes
+    across every lane that reaches the same pair.  It keeps the next
+    state beside the row the reaction recorded, and a hit records a copy
+    of that row (lanes never share a row object).  Oracle-driven lanes
     and unhashable values fall through to a plain reaction.
 
     Returns ``(lanes, errors, reactions, memo_hits)``: the recorded rows
@@ -203,24 +206,24 @@ def _run_lanes(plan, lane_stimuli, oracle, n, capture_errors):
                     except TypeError:  # unhashable state or input value
                         key = None
                 if hit is not None:
-                    statuses, values, state = hit
+                    state, row = hit
+                    row = row.copy()
                     memo_hits += 1
                 else:
                     statuses, values, state = react_slots(
                         inputs, state, oracle, index, ABSENT
                     )
                     reactions += 1
+                    row = {names[i]: values[i] for i in slots if statuses[i] == 1}
                     if key is not None and len(memo) < MEMO_CAP:
-                        memo[key] = (statuses, values, state)
+                        memo[key] = (state, row)
             except SimulationError as exc:
                 if not capture_errors:
                     raise
                 error = (type(exc).__name__, str(exc))
                 break
             index += 1
-            recorded.append(
-                {names[i]: values[i] for i in slots if statuses[i] == 1}
-            )
+            recorded.append(row)
         lanes.append(recorded)
         errors.append(error)
     return lanes, errors, reactions, memo_hits

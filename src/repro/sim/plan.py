@@ -11,12 +11,12 @@ component **once** into a static evaluation schedule:
 - every expression node is compiled to a closure over the slots of its
   operands, with builtin functions resolved to their callables ahead of
   time — executing a reaction never touches the AST again;
-- the equations are pre-ordered by the instantaneous-dependency analysis
-  (:func:`repro.lang.analysis.dependency_graph`), so for causal programs
-  the forward/backward fixpoint usually completes in a single near-linear
-  sweep; equations that could not be settled feed a small residual
-  worklist that re-sweeps until quiescence — exactly the interpreter's
-  fixpoint, minus the wasted passes.
+- the equations are pre-ordered by the strongly connected components of
+  the data-flow graph (:func:`repro.lang.analysis.dependency_graph`,
+  ``pre`` included), so the forward/backward fixpoint usually completes
+  in a single near-linear sweep; equations that could not be settled
+  feed a small residual worklist that re-sweeps until quiescence —
+  exactly the interpreter's fixpoint, minus the wasted passes.
 
 The plan executes the *same* monotone constraint propagation as the
 interpreter (statuses only ever move from unknown to present/absent, all
@@ -31,11 +31,12 @@ it as ``plan=``.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.errors import NonDeterministicClockError, SimulationError
-from repro.lang.analysis import dependency_graph
+from repro.lang.analysis import dependency_graph, strongly_connected_components
 from repro.lang.ast import (
     App,
     ClockOf,
@@ -133,7 +134,7 @@ class ReactionPlan:
         self.pre_nodes, self.pre_slot_of = pre_registers(equations)
         self.init_state: Tuple[object, ...] = tuple(n.init for n in self.pre_nodes)
 
-        # step schedule: equations in instantaneous-dependency order, then
+        # step schedule: equations in data-flow order, then
         # synchronization constraints (fixpoint results are order-independent;
         # the order only decides how much one sweep settles)
         ordered = self._topo_order(component, equations)
@@ -192,32 +193,43 @@ class ReactionPlan:
     def _topo_order(component: Component, equations: List[Equation]) -> List[Equation]:
         """Equations sorted so dependencies come first.
 
-        Kahn's algorithm over the *full* data-flow graph (``pre``/clock
-        operands included: their presence — though not their value — is
-        resolved instantaneously, so scheduling them early settles clocks
-        in one pass).  Cyclic residues (legal presence loops, state
-        feedback) keep their declaration order at the end.
+        The order is over the strongly connected components of the *full*
+        data-flow graph (``pre``/clock operands included: their presence —
+        though not their value — is resolved instantaneously, so
+        scheduling them early settles clocks in one pass).  A component
+        comes after every component it depends on; among the ready ones,
+        the earliest-declared comes first.  Only the members of one cycle
+        (state feedback through ``pre``, legal presence loops) keep their
+        declaration order among themselves.
         """
         deps = dependency_graph(component, instantaneous=False)
-        defined = {eq.target for eq in equations}
-        remaining = list(equations)
-        placed: set = set(component.inputs)
+        sccs = strongly_connected_components(deps)
+        scc_of = {name: c for c, members in enumerate(sccs) for name in members}
+        members: List[List[Equation]] = [[] for _ in sccs]
+        first: List[int] = [len(equations)] * len(sccs)
+        for pos, eq in enumerate(equations):
+            c = scc_of[eq.target]
+            members[c].append(eq)
+            first[c] = min(first[c], pos)
+        preds: List[set] = [set() for _ in sccs]
+        for target, sources in deps.items():
+            preds[scc_of[target]].update(scc_of[n] for n in sources if n in scc_of)
+        users: List[List[int]] = [[] for _ in sccs]
+        for c, before in enumerate(preds):
+            before.discard(c)
+            for e in before:
+                users[e].append(c)
+        waiting = [len(before) for before in preds]
+        ready = [(first[c], c) for c in range(len(sccs)) if not waiting[c]]
+        heapq.heapify(ready)
         out: List[Equation] = []
-        while remaining:
-            progress = False
-            deferred = []
-            for eq in remaining:
-                need = deps.get(eq.target, frozenset()) & defined
-                if need <= placed:
-                    out.append(eq)
-                    placed.add(eq.target)
-                    progress = True
-                else:
-                    deferred.append(eq)
-            remaining = deferred
-            if not progress:
-                out.extend(remaining)  # cyclic residue: declaration order
-                break
+        while ready:
+            _, c = heapq.heappop(ready)
+            out.extend(members[c])
+            for u in users[c]:
+                waiting[u] -= 1
+                if not waiting[u]:
+                    heapq.heappush(ready, (first[u], u))
         return out
 
     # -- expression compilation ---------------------------------------------
@@ -527,26 +539,27 @@ class ReactionPlan:
         values, new_state)`` in :attr:`names` order (statuses are the
         internal small ints, ``1`` present and ``2`` absent; values of
         non-present slots are unspecified)."""
-        names = self.names
-        ctx = _Ctx(
-            self._init_status[:], self._init_value[:], state, len(self.steps)
-        )
+        # every slot starts unknown and ``inputs`` names each input once,
+        # so binding them cannot contradict: plain stores, no dirty facts
+        # (the initial sweep sees every fact recorded before it)
+        status = self._init_status[:]
+        value = self._init_value[:]
         input_slot = self.input_slot
         for name, v in inputs.items():
             i = input_slot.get(name)
             if i is None:
                 raise SimulationError("unknown input {!r}".format(name))
             if v is absent_marker:
-                _set_status(ctx, i, _A, names)
+                status[i] = _A
             else:
-                _set_status(ctx, i, _P, names)
-                _set_value(ctx, i, v, names)
-        status = ctx.status
+                status[i] = _P
+                value[i] = v
         for i in self._input_slots:
             if status[i] == _U:
-                _set_status(ctx, i, _A, names)
+                status[i] = _A
+        ctx = _Ctx(status, value, state, len(self.steps))
         self._solve(ctx, oracle, instant_index)
-        return ctx.status, ctx.value, self._next_state(ctx, state)
+        return status, value, self._next_state(ctx, state)
 
     def _next_state(self, ctx: _Ctx, state) -> List[object]:
         new_state = list(state)
@@ -562,15 +575,12 @@ class ReactionPlan:
 
     def _solve(self, ctx: _Ctx, oracle, instant_index: int) -> None:
         names = self.names
-        n = self.n_signals
+        status = ctx.status
         self._propagate(ctx, initial=True)
-        while True:
-            status = ctx.status
+        while _U in status:
             undetermined = tuple(
-                names[i] for i in range(n) if status[i] == _U
+                name for name, st in zip(names, status) if st == _U
             )
-            if not undetermined:
-                break
             if oracle is not None:
                 decisions = oracle(instant_index, undetermined)
                 applied = False
@@ -586,7 +596,7 @@ class ReactionPlan:
             # least-clock completion: everything unknown is absent
             for name in undetermined:
                 i = self.slot[name]
-                ctx.status[i] = _A
+                status[i] = _A
                 ctx.dirty.append(i)
             try:
                 self._propagate(ctx)
@@ -598,12 +608,10 @@ class ReactionPlan:
                     undetermined,
                 )
             break
-        status = ctx.status
-        value = ctx.value
         missing = [
-            names[i]
-            for i in range(n)
-            if status[i] == _P and value[i] is _PENDING
+            name
+            for name, st, v in zip(names, status, ctx.value)
+            if v is _PENDING and st == _P
         ]
         if missing:
             raise SimulationError(

@@ -25,6 +25,7 @@ from typing import (
 from repro.gals import schedules
 from repro.perf.sweep import sweep
 from repro.sim import stimuli
+from repro.sim.plan import shared_plan
 
 
 class Workload(NamedTuple):
@@ -306,11 +307,18 @@ def _soak_summary(name: str, report) -> Dict[str, Any]:
     }
 
 
-def _sweep_groups(task, specs: list, group_key, workers) -> list:
+def _sweep_groups(task, program, specs: list, group_key, workers) -> list:
     """One sweep task per group of specs sharing ``group_key(spec)`` (a
     tuple), in first-seen group order; each task gets the key's fields
     plus the group's ``(name, plan)`` pairs and returns one summary per
-    pair.  The summaries come back scattered into spec order."""
+    pair.  The summaries come back scattered into spec order.
+
+    A pooled sweep first builds the plan of each node of ``program`` in
+    this process, so forked workers inherit them from the process-wide
+    plan cache instead of each building them again."""
+    if workers is not None and workers > 1:
+        for comp in program.components:
+            shared_plan(comp)
     groups: Dict[tuple, List[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(group_key(spec), []).append(i)
@@ -365,6 +373,7 @@ def batched_soak_sweep(
     """
     return _sweep_groups(
         partial(_batched_soak_task, program, net_kwargs),
+        program,
         list(specs),
         lambda s: (
             tuple(sorted(s.workload.items())),
@@ -466,6 +475,7 @@ def batched_recovery_sweep(
     summaries are identical at any ``workers`` count."""
     return _sweep_groups(
         partial(_batched_recovery_task, program, config, net_kwargs),
+        program,
         list(specs),
         lambda s: (
             tuple(sorted(s.workload.items())),

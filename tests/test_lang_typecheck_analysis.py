@@ -330,6 +330,25 @@ class TestCycleCanonicalization:
         )
         assert instantaneous_cycles(comp) == [["a", "b"], ["x", "y"]]
 
+    def test_deep_chain_within_recursion_limit(self):
+        """The SCC search is iterative: a dependency chain far deeper than
+        the interpreter's recursion limit has no cycle, and one closed
+        back on itself reports every link."""
+        import sys
+
+        from repro.lang.analysis import strongly_connected_components
+
+        n = sys.getrecursionlimit() + 100
+        graph = {"s{}".format(i): {"s{}".format(i + 1)} for i in range(n)}
+        graph["s{}".format(n)] = set()
+        sccs = strongly_connected_components(graph)
+        assert len(sccs) == n + 1
+        # each component comes after the components it reaches
+        assert sccs[0] == ["s{}".format(n)] and sccs[-1] == ["s0"]
+        graph["s{}".format(n)] = {"s0"}
+        (ring,) = strongly_connected_components(graph)
+        assert sorted(ring) == sorted(graph)
+
 
 class TestSharedSignalsMultiProducer:
     def test_all_producers_recorded(self):

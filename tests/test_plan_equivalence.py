@@ -9,19 +9,22 @@ designs.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro import designs
 from repro.designs import modular_producer_consumer
 from repro.desync import desynchronize
 from repro.errors import NonDeterministicClockError, SimulationError
 from repro.lang import parse_component
-from repro.lang.analysis import flatten_program
+from repro.lang.analysis import dependency_graph, flatten_program
+from repro.lang.ast import App, Component, Equation, Pre, Var
+from repro.lang.types import INT
 from repro.sim import Interpreter, ReactionPlan, Reactor, SpecializedPlan, stimuli
 from repro.sim.runner import simulate
 from repro.sim.trace import SimTrace
 
 from tests.test_property_random_programs import random_component, random_stimulus
+from tests.test_specialize_batch import _corpus_and_networks
 
 
 def run_both(comp, rows, oracle=None):
@@ -70,6 +73,80 @@ def test_prop_plan_trace_render_identical(comp, rows):
             pass
         traces.append(trace.render())
     assert traces[0] == traces[1]
+
+
+@st.composite
+def feedback_component(draw):
+    """A component whose full data-flow graph has cycles: each signal
+    adds up the input, earlier signals, and any signal through ``pre``
+    (state feedback, like a FIFO's count register)."""
+    names = ["s{}".format(i) for i in range(draw(st.integers(1, 6)))]
+    equations = []
+    for i, name in enumerate(names):
+        operands = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.integers(0, 2))
+            if kind == 2:
+                operands.append(Pre(0, Var(draw(st.sampled_from(names)))))
+            elif kind == 1 and i:
+                operands.append(Var(draw(st.sampled_from(names[:i]))))
+            else:
+                operands.append(Var("a"))
+        expr = operands[0]
+        for operand in operands[1:]:
+            expr = App("+", (expr, operand))
+        equations.append(Equation(name, expr))
+    return Component("Loop", {"a": INT}, {n: INT for n in names}, {}, equations)
+
+
+def assert_schedule_follows_scc_order(comp):
+    """Each equation of the plan's schedule comes after every equation it
+    depends on (``pre`` and clock operands included), unless the two lie
+    on one dependency cycle."""
+    deps = dependency_graph(comp, instantaneous=False)
+    deps = {t: {d for d in ds if d in deps} for t, ds in deps.items()}
+    order = [stmt for kind, stmt in ReactionPlan(comp).schedule if kind == "eq"]
+    assert sorted(map(repr, order)) == sorted(map(repr, comp.equations()))
+
+    def reaches(source, target):
+        seen, todo = set(), [source]
+        while todo:
+            n = todo.pop()
+            if n == target:
+                return True
+            if n not in seen:
+                seen.add(n)
+                todo.extend(deps[n])
+        return False
+
+    last = {eq.target: k for k, eq in enumerate(order)}
+    for k, eq in enumerate(order):
+        for d in deps[eq.target]:
+            if not reaches(d, eq.target):  # not on one cycle
+                assert last[d] < k, (comp.name, eq.target, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        random_component(),
+        feedback_component(),
+        st.deferred(
+            lambda: st.sampled_from([c for _, c in _corpus_and_networks()])
+        ),
+    ),
+    st.data(),
+)
+def test_prop_schedule_follows_scc_order(comp, data):
+    """The schedule is the SCC order of the full data-flow graph, whatever
+    the declaration order."""
+    statements = data.draw(st.permutations(comp.statements))
+    assert_schedule_follows_scc_order(comp.with_statements(statements))
+
+
+def test_corpus_schedules_follow_scc_order():
+    for name, comp in _corpus_and_networks():
+        assert_schedule_follows_scc_order(comp)
 
 
 class TestPaperDesigns:

@@ -158,6 +158,42 @@ class TestSpecializedCorpus:
             spec = Reactor(comp, plan=executor)
             assert [spec.react(r) for r in rows] == expected
 
+    def test_jittered_lanes_run_few_residual_steps(self):
+        """The schedule settles the instrumented FIFO network in its first
+        sweep: the closure steps the residual worklist runs again stay at
+        most one per reaction on jittered lanes (the count is deterministic;
+        3,764 for 684 reactions before the schedule followed every
+        ``pre`` cycle)."""
+        from repro.desync import desynchronize
+        from repro.faults.soak import jittered_stimulus
+
+        comp = flatten_program(desynchronize(
+            designs.producer_consumer(), capacities=2, instrument=True
+        ).program)
+        plan = SpecializedPlan(comp)
+        reruns = [0]
+
+        def counted(step):
+            def run(ctx):
+                reruns[0] += 1
+                return step(ctx)
+            return run
+
+        # the generated sweep runs no closure step (none falls back), so
+        # every call counted here comes from the residual worklist
+        assert plan.fallback_steps == 0
+        plan.steps = tuple(counted(step) for step in plan.steps)
+        base = [
+            {"p_act": True} if i % 2 == 0 else {"x_rreq": True}
+            for i in range(100)
+        ]
+        lanes = [jittered_stimulus(base, 0.25, k) for k in range(16)]
+        with PERF.scope() as counts:
+            simulate_batch(comp, lanes, n=100, plan=plan)
+        reactions = counts.counts["batch.plan.spec.reactions"]
+        assert reactions == 684
+        assert reruns[0] <= reactions
+
 
 def _corpus_and_networks():
     """The corpus's components and its capacity-2 instrumented
@@ -440,6 +476,21 @@ class TestBatchMemo:
         assert counts.counts["batch.memo_hits"] >= 3 * 12
         for k in range(4):
             assert repr(report.traces[k].instants) == repr(ref.instants)
+
+    def test_memoized_rows_are_not_shared(self):
+        """A memo hit records a copy of the row: mutating a row of one
+        lane changes neither the other lane's row at that instant nor the
+        rows of a later call."""
+        comp = flatten_program(designs.modular_producer_consumer())
+        rows = _stimulus(comp, 3, n=12)
+        first = simulate_batch(comp, [iter(rows), iter(rows)]).traces
+        expected = repr(first[1].instants)
+        for row in first[0].instants:
+            row["mutated"] = True
+        assert repr(first[1].instants) == expected
+        later = simulate_batch(comp, [iter(rows), iter(rows)]).traces
+        assert repr(later[0].instants) == expected
+        assert repr(later[1].instants) == expected
 
     def test_memo_distinguishes_bool_from_int(self):
         """``1 == True`` hashes alike; the memo must not conflate a
@@ -848,3 +899,61 @@ class TestBatchedSoaks:
             summary["scenario"] = spec.name
             expected.append(summary)
         assert batched_recovery_sweep(prog, rspecs, horizon=20.0) == expected
+
+    def test_zero_fault_soak_is_its_reference_run(self, monkeypatch):
+        """A plan that injects nothing is served by the reference run: its
+        report equals weaving it into a fresh network and running that,
+        and no network runs for it.  A recovery soak still runs every
+        plan, since hardening changes the network."""
+        from repro.faults.inject import weave_faults
+        from repro.faults.soak import _classify, recovery_soak_batch, soak_batch
+        from repro.faults.spec import uniform_plan
+        from repro.gals.network import AsyncNetwork
+        from repro.workloads import scenarios
+
+        prog = designs.modular_producer_consumer()
+        wl = scenarios.steady()
+        clean, drop = uniform_plan(seed=7), uniform_plan(seed=7, drop=0.2)
+        assert not clean.active and drop.active
+        runs = []
+        run = AsyncNetwork.run
+
+        def counted(net, *args, **kwargs):
+            runs.append(net)
+            return run(net, *args, **kwargs)
+
+        monkeypatch.setattr(AsyncNetwork, "run", counted)
+        served, _ = soak_batch(prog, wl, [clean, drop], horizon=25.0)
+        assert len(runs) == 2
+        reference = AsyncNetwork.from_program(prog, wl.gals_schedules())
+        woven = AsyncNetwork.from_program(prog, wl.gals_schedules())
+        weave_faults(woven, clean)
+        reference, woven = reference.run(25.0), woven.run(25.0)
+        assert repr(served.faulted.behavior) == repr(woven.behavior)
+        assert served.fault_counts == woven.fault_counts()
+        assert (served.classification, served.flow_equivalent) == _classify(
+            reference, woven, None
+        )
+        del runs[:]
+        recovery_soak_batch(prog, wl, [clean, drop], horizon=25.0)
+        assert len(runs) == 3
+
+    def test_pooled_sweep_workers_inherit_node_plans(self):
+        """A pooled soak sweep builds each node's plan before its workers
+        fork, so they build none: a cold sweep misses once per node, and
+        the next sweep not at all."""
+        import multiprocessing
+
+        from repro.workloads.scenarios import batched_soak_sweep, fault_kind_specs
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked sweep workers inherit the plan cache")
+        prog = designs.producer_consumer()
+        specs = fault_kind_specs() + fault_kind_specs(workload={"kind": "bursty"})
+        clear_plan_cache()
+        misses = []
+        for _ in range(2):
+            with PERF.scope() as counts:
+                batched_soak_sweep(prog, specs, horizon=10.0, workers=2)
+            misses.append(counts.counts.get("plan.cache_misses", 0))
+        assert misses == [2, 0]
