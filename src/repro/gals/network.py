@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -212,7 +213,11 @@ class _Recorder:
     ``t + k * eps(t)`` with ``eps(t)`` bounded by the gap to the next
     distinct recorded timestamp (and by 1e-9) — so no burst, however
     long, can accumulate nudges past the next real event, and causal
-    record order at one instant is preserved across signals.
+    record order at one instant is preserved across signals.  Where two
+    raw timestamps are a rounding error apart (one schedule's ``3.0``,
+    another's accumulated ``3.0000000000000004``), that sum cannot move
+    past the tag before it; such a tag becomes the next float above it
+    instead, so the record order still holds.
     """
 
     def __init__(self):
@@ -227,17 +232,26 @@ class _Recorder:
     def behavior(self, names: Optional[Iterable[str]] = None) -> Behavior:
         names = list(names) if names is not None else sorted(self.events)
         times = sorted(self._at)
-        eps: Dict[float, float] = {}
+        # raw time -> the tag of each rank recorded at it
+        tags: Dict[float, List[float]] = {}
+        last = -math.inf
         for i, t in enumerate(times):
-            if self._at[t] <= 1:
-                eps[t] = 0.0
-                continue
-            gap = times[i + 1] - t if i + 1 < len(times) else float("inf")
-            eps[t] = min(1e-9, gap / (self._at[t] + 1))
+            n = self._at[t]
+            eps = 0.0
+            if n > 1:
+                gap = times[i + 1] - t if i + 1 < len(times) else math.inf
+                eps = min(1e-9, gap / (n + 1))
+            spread = tags[t] = []
+            for k in range(n):
+                tag = t + k * eps
+                if tag <= last:
+                    tag = math.nextafter(last, math.inf)
+                spread.append(tag)
+                last = tag
         out = {}
         for name in names:
             evs = self.events.get(name, [])
-            out[name] = SignalTrace([(t + k * eps[t], v) for t, k, v in evs])
+            out[name] = SignalTrace([(tags[t][k], v) for t, k, v in evs])
         return Behavior(out)
 
 
@@ -434,7 +448,10 @@ class AsyncNetwork:
                     ch.push(value, time)
 
         def fire_data_driven(time: float) -> None:
-            """Fire data-driven nodes (no schedule) while they have input."""
+            """Fire data-driven nodes (no schedule) while they have input.
+            A node with a full blocking out-channel is masked as a
+            scheduled one is: its input stays queued, and it fires in a
+            later pass or at a later event, once a consumer frees a slot."""
             progress = True
             guard = 0
             while progress:
@@ -449,6 +466,8 @@ class AsyncNetwork:
                             ch.available(time) for _, ch, _ in links
                         ):
                             stalled[node.name] += 1
+                        continue
+                    if any(ch.full() for ch in blocking[node.name]):
                         continue
                     pending = [link for link in links if link[1].available(time)]
                     if pending:

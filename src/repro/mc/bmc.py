@@ -25,6 +25,7 @@ from repro.lang.ast import Component, Program
 from repro.mc.compile import boolean_alphabet
 from repro.mc.safety import CounterExample
 from repro.sim.engine import Reactor
+from repro.sim.plan import shared_plan
 
 
 class BMCResult:
@@ -69,7 +70,7 @@ def bounded_check(
         alphabet = boolean_alphabet(comp)
     if not alphabet:
         alphabet = [{}]
-    reactor = Reactor(comp, oracle=oracle)
+    reactor = Reactor(comp, oracle=oracle, plan=shared_plan(comp))
     initial = reactor.state()
 
     explored = 0

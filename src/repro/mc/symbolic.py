@@ -344,10 +344,11 @@ class SymbolicChecker:
                 for _, part in sorted(enumerate(self.parts), key=key)
             ]
             clusters: List[int] = []
+            limit = self.CLUSTER_LIMIT
             for part in ordered:
                 if clusters:
                     merged = bdd.AND(clusters[-1], part)
-                    if self._bdd_size(merged) <= self.CLUSTER_LIMIT:
+                    if self._bdd_size(merged, limit) <= limit:
                         bdd.unpin(clusters[-1])
                         clusters[-1] = bdd.pin(merged)
                         continue
@@ -355,8 +356,9 @@ class SymbolicChecker:
             self._ordered = clusters
         return self._ordered
 
-    def _bdd_size(self, f: int) -> int:
-        """Node count of one BDD's cone (for the clustering bound)."""
+    def _bdd_size(self, f: int, limit: int) -> int:
+        """Node count of one BDD's cone, or ``limit + 1`` once it passes
+        ``limit`` (the clustering bound only asks which side it is on)."""
         seen = set()
         stack = [f]
         nodes = self.bdd._nodes
@@ -365,6 +367,8 @@ class SymbolicChecker:
             if n <= 1 or n in seen:
                 continue
             seen.add(n)
+            if len(seen) > limit:
+                break
             _, low, high = nodes[n]
             stack.append(low)
             stack.append(high)

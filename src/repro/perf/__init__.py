@@ -11,6 +11,10 @@ phases so benchmark deltas are attributable:
 - ``plan.cache_hits`` / ``plan.cache_misses`` /
   ``plan.cache_evictions`` — the process-wide compiled-plan cache
   (:func:`repro.sim.plan.shared_plan`);
+- ``plan.shape_hits`` / ``plan.shape_misses`` /
+  ``plan.shape_evictions`` — the process-wide table of compiled step
+  shapes that specialized plan builds bind their functions from
+  (:mod:`repro.sim.specialize`); a miss is one ``compile()``;
 - ``batch.<kind>.reactions`` — the reactions run through
   :func:`repro.sim.batch.simulate_batch`, plus ``batch.runs`` /
   ``batch.lanes`` / ``batch.instants`` (campaign volume) and

@@ -694,7 +694,8 @@ class ReactionPlan:
 # -- shared plan cache --------------------------------------------------------
 #
 # Compiling a plan walks the AST once per equation; specializing adds a
-# codegen + compile() pass on top.  Soaks, sweeps and the estimator build
+# codegen pass, and a compile() for each step shape not yet compiled in
+# this process, on top.  Soaks, sweeps and the estimator build
 # the *same* components over and over (one fresh AsyncNetwork per task), so
 # plans are cached process-wide by component *content* — the canonical
 # serialized form, which ignores identity and source spans — under a
@@ -759,13 +760,18 @@ def shared_plan(component: Component) -> ReactionPlan:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan (benchmarks use this to time cold builds).
+    """Drop every cached plan, and every compiled step shape of
+    :mod:`repro.sim.specialize` (benchmarks use this to time cold
+    builds).
 
     Hit/miss/eviction statistics live in ``repro.perf`` and survive a
     clear."""
     global _plan_cache
+    from repro.sim.specialize import clear_code_table
+
     with _plan_lock:
         _plan_cache = None
+    clear_code_table()
 
 
 def plan_cache_stats() -> Dict[str, int]:

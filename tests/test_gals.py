@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import designs
 from repro.designs import producer_consumer, pipeline
 from repro.errors import SimulationError
 from repro.gals import (
@@ -16,11 +18,49 @@ from repro.gals import (
     schedules,
 )
 from repro.lang import Program, check_component
+from repro.lang.types import EVENT
 from repro.sim import simulate, stimuli
 
 
 def take(it, n):
     return list(itertools.islice(it, n))
+
+
+def merges_prefixes(reads, writes, k):
+    """Whether ``reads`` interleaves ``k`` in-order prefixes of ``writes``:
+    the recorded reads of a signal with ``k`` consumers, one channel
+    each.  With distinct ``writes``, consumers at one position are
+    interchangeable, so taking the first that matches decides it."""
+    at = [0] * k
+    for value in reads:
+        j = next(
+            (j for j in range(k) if at[j] < len(writes) and writes[at[j]] == value),
+            None,
+        )
+        if j is None:
+            return False
+        at[j] += 1
+    return True
+
+
+def fork(width):
+    """One producer of ``x`` and ``width`` consumers, ``Qi`` emitting
+    ``yi = (i + 2) * x``."""
+    return Program("fork", [designs.producer()] + [
+        designs.consumer("Q{}".format(i), out="y{}".format(i), scale=i + 2)
+        for i in range(width)
+    ])
+
+
+def assert_read_flows_are_prefixes(net, trace):
+    """Every channel's reads are a prefix of its signal's writes."""
+    consumers = {}
+    for sig, _ in net.channels:
+        consumers[sig] = consumers.get(sig, 0) + 1
+    for sig, k in consumers.items():
+        writes = list(trace.values(sig + "__w"))
+        reads = list(trace.values(sig + "__r"))
+        assert merges_prefixes(reads, writes, k), (sig, reads, writes)
 
 
 class TestSchedules:
@@ -171,6 +211,48 @@ class TestAsyncNetworkBasics:
         read = list(trace.values("x__r"))
         assert read == list(trace.values("x__w"))[: len(read)]
 
+    def test_data_driven_stage_waits_for_its_full_blocking_channel(self):
+        """A data-driven stage whose blocking out-channel is full is
+        masked as a scheduled node is: its input stays queued, and it
+        fires once the slow consumer frees the slot (the push used to
+        raise on the full channel)."""
+        net = AsyncNetwork.from_program(
+            pipeline(2),
+            {
+                "P": schedules.periodic(1.0),
+                "S2": schedules.periodic(4.0, phase=0.5),
+            },
+            policy="block",
+            default_capacity=1,
+        )
+        trace = net.run(20.0)
+        for sig in ("x0", "x1"):
+            read = list(trace.values(sig + "__r"))
+            assert read == list(trace.values(sig + "__w"))[: len(read)]
+        assert trace.firings["S2"] == 5
+        assert trace.skipped["P"] > 0
+
+    def test_timestamps_a_rounding_error_apart_keep_strict_tags(self):
+        """A bursty consumer's accumulated ``3.0000000000000004`` and the
+        producer's ``3.0`` are one ulp apart: the recorder still tags
+        every signal's events strictly increasingly, in record order (it
+        used to raise on two equal tags)."""
+        net = AsyncNetwork.from_program(
+            fork(3),
+            {
+                "P": schedules.periodic(0.5),
+                "Q2": schedules.bursty(1, 0.1, 0.5),
+            },
+            policy="block",
+            capacities={"x": 2},
+        )
+        trace = net.run(12.0)
+        assert_read_flows_are_prefixes(net, trace)
+        written = list(trace.values("x__w"))
+        for i in range(3):
+            out = list(trace.values("y{}".format(i)))
+            assert out == [(i + 2) * v for v in written[: len(out)]]
+
     def test_pipeline_three_hops(self):
         prog = pipeline(stages=2)
         net = AsyncNetwork.from_program(
@@ -296,3 +378,65 @@ class TestServiceLevels:
         assert ctl_trace.channels[ch.name]["losses"] < free_trace.channels[
             list(free.channels.values())[0].name
         ]["losses"]
+
+
+# -- generated deployments ------------------------------------------------
+
+
+@st.composite
+def deployments(draw):
+    """A ``repro.designs`` chain, fork or fan-in deployed as a network:
+    each source scheduled ``periodic`` or ``bursty``, each other node
+    either of those or data-driven, each channel of capacity 1 to 3."""
+    shape = draw(st.sampled_from(["chain", "fork", "fan-in"]))
+    width = draw(st.integers(2, 3))
+    if shape == "chain":
+        program = designs.pipeline(draw(st.integers(1, 3)))
+    elif shape == "fork":
+        program = fork(width)
+    else:
+        inputs = ["x{}".format(i) for i in range(width)]
+        program = Program("fan_in", [
+            designs.producer("P{}".format(i), "p{}_act".format(i), x)
+            for i, x in enumerate(inputs)
+        ] + [merge_component(inputs, "y", name="M")])
+    scheduled = st.one_of(
+        st.builds(
+            schedules.periodic,
+            st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+            phase=st.sampled_from([0.0, 0.25, 0.5]),
+        ),
+        st.builds(
+            schedules.bursty,
+            st.integers(1, 3),
+            st.sampled_from([0.1, 0.25]),
+            st.sampled_from([0.5, 1.0, 3.0]),
+            phase=st.sampled_from([0.0, 0.5]),
+        ),
+    )
+    plan = {}
+    for comp in program.components:
+        source = not any(ty is not EVENT for ty in comp.inputs.values())
+        sched = draw(scheduled if source else st.one_of(st.none(), scheduled))
+        if sched is not None:
+            plan[comp.name] = sched
+    shared = sorted({
+        sig for comp in program.components for sig in comp.inputs
+        if any(sig in other.outputs for other in program.components)
+    })
+    capacities = {sig: draw(st.integers(1, 3)) for sig in shared}
+    return program, plan, capacities
+
+
+@settings(max_examples=100, deadline=None)
+@given(deployments())
+def test_prop_blocking_deployments_keep_every_flow(deployment):
+    """Under ``policy="block"`` no run raises, and every read flow is a
+    prefix of its write flow: backpressure loses and reorders nothing."""
+    program, plan, capacities = deployment
+    net = AsyncNetwork.from_program(
+        program, plan, policy="block", capacities=capacities
+    )
+    trace = net.run(12.0)
+    assert all(stats["losses"] == 0 for stats in trace.channels.values())
+    assert_read_flows_are_prefixes(net, trace)

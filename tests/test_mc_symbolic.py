@@ -215,3 +215,80 @@ class TestPartitionedImage:
         alphabet = _free_alphabet(["p_act", ch.rreq, "x_tick"])
         part, mono = self._reached_both_ways(res.program, alphabet)
         assert part == mono
+
+
+class _FullCount(SymbolicChecker):
+    """The clustering bound's node count walked over the whole cone,
+    as it was before the walk stopped at the limit; records each size
+    in ``sizes``."""
+
+    def _bdd_size(self, f, limit):
+        seen = set()
+        stack = [f]
+        nodes = self.bdd._nodes
+        while stack:
+            n = stack.pop()
+            if n <= 1 or n in seen:
+                continue
+            seen.add(n)
+            _, low, high = nodes[n]
+            stack.append(low)
+            stack.append(high)
+        self.sizes.append(len(seen))
+        return len(seen)
+
+
+def _boolean_corpus():
+    """Every zero-argument design of :mod:`repro.designs` the symbolic
+    backend accepts, the relay chains of one to three stages, and a
+    chain-kind boolean desynchronization."""
+    import inspect
+
+    from repro import designs
+    from repro.desync import desynchronize
+    from repro.lang.ast import Component, Program
+
+    out = []
+    for name in sorted(dir(designs)):
+        fn = getattr(designs, name)
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        if any(
+            p.default is inspect.Parameter.empty
+            for p in inspect.signature(fn).parameters.values()
+        ):
+            continue
+        design = fn()
+        if isinstance(design, (Program, Component)):
+            out.append((name, design))
+    out += [
+        ("gals_relay_chain({})".format(k), designs.gals_relay_chain(k))
+        for k in (1, 3)
+    ]
+    res = desynchronize(
+        designs.boolean_producer_consumer(), capacities=2, kind="chain"
+    )
+    out.append(("boolean_producer_consumer/chain", res.program))
+    return out
+
+
+class TestClustering:
+    def test_corpus_clusters_match_full_count(self):
+        """The clustering bound's count stops once it passes the limit;
+        every design's clusters are the nodes a full count builds, on
+        designs where some merged product does pass the limit."""
+        checked = 0
+        sizes = []
+        for name, design in _boolean_corpus():
+            try:
+                bounded = SymbolicChecker(design)
+            except VerificationError:
+                continue  # not a boolean program
+            full = _FullCount(design)
+            full.sizes = sizes
+            assert bounded._ordered_parts() == full._ordered_parts(), name
+            checked += 1
+        assert checked >= 8
+        limit = SymbolicChecker.CLUSTER_LIMIT
+        assert any(size > limit for size in sizes)
+        assert any(size <= limit for size in sizes)

@@ -361,6 +361,122 @@ class TestPlanCache:
         assert stats["size"] <= stats["capacity"] == cap
 
 
+def _reference_runs(comp, plan, seeds=range(3)):
+    """``simulate`` of ``comp`` with ``plan`` on seeded stimuli, each run's
+    instants as their ``repr`` (or the type of the rejection)."""
+    out = []
+    for seed in seeds:
+        rows = _stimulus(comp, seed)
+        try:
+            trace = simulate(
+                comp, iter(rows), reactor=Reactor(comp, plan=plan, check=False)
+            )
+            out.append(repr(trace.instants))
+        except SimulationError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def _functions(plan):
+    """The generated functions a specialized plan bound."""
+    import types
+
+    return [
+        f for f in plan._sweep_fn.__globals__.values()
+        if isinstance(f, types.FunctionType)
+        and f.__code__.co_filename == "<specialized>"
+    ]
+
+
+class TestShapeTable:
+    """Each step shape compiles once per process; every plan binds its
+    functions from the table and reacts as the interpreter does."""
+
+    def setup_method(self):
+        clear_plan_cache()
+
+    def teardown_method(self):
+        clear_plan_cache()
+
+    def test_steps_differing_in_slots_and_names_share_shapes(self):
+        """A renamed copy of a design, with an unused input declared
+        first, has every slot and name of the original moved: it
+        compiles no shape, and both plans react like the interpreter."""
+        a = flatten_program(designs.pipeline(2))
+        renamed = a.rename({n: "r_" + n for n in a.signals()}, name="renamed")
+        b = Component(
+            "renamed",
+            dict({"pad": EVENT}, **renamed.inputs),
+            renamed.outputs,
+            renamed.locals,
+            renamed.statements,
+        )
+        with PERF.scope() as first:
+            plan_a = SpecializedPlan(a)
+        with PERF.scope() as second:
+            plan_b = SpecializedPlan(b)
+        n_a, n_b = len(_functions(plan_a)), len(_functions(plan_b))
+        assert n_a == n_b
+        misses = first.counts["plan.shape_misses"]
+        assert 0 < misses < n_a  # some shapes repeat within the design too
+        assert first.counts.get("plan.shape_hits", 0) == n_a - misses
+        assert "plan.shape_misses" not in second.counts
+        assert second.counts["plan.shape_hits"] == n_b
+        assert all(
+            plan_b.slot["r_" + n] == i + 1 for i, n in enumerate(plan_a.names)
+        )
+        assert plan_a.source != plan_b.source
+        for comp, plan in ((a, plan_a), (b, plan_b)):
+            assert _reference_runs(comp, plan) == _reference_runs(
+                comp, Interpreter(comp)
+            )
+
+    def test_checkers_share_one_plan_per_design(self):
+        """``compile_lts`` builds the design's specialized plan once, and
+        the bounded checker and later explorations reuse it."""
+        from repro.mc import (
+            bounded_never_present,
+            check_never_present,
+            compile_lts,
+        )
+
+        design = designs.gals_relay_chain(1)
+        with PERF.scope() as cold:
+            lts = compile_lts(design)
+        with PERF.scope() as warm:
+            result = bounded_never_present(design, "f0_alarm", depth=4)
+            again = compile_lts(design)
+        assert cold.counts["plan.cache_misses"] == 1
+        assert "plan.cache_hits" not in cold.counts
+        assert cold.counts["plan.shape_misses"] > 0
+        assert "plan.cache_misses" not in warm.counts
+        assert "plan.shape_misses" not in warm.counts
+        assert warm.counts["plan.cache_hits"] == 2
+        assert again.num_states() == lts.num_states()
+        # both find the shortest overflow of the unpolled chain
+        explicit = check_never_present(lts, "f0_alarm")
+        assert result.counterexample.inputs == explicit.inputs
+
+    def test_plans_built_after_evictions_react_identically(self, monkeypatch):
+        """With a table of four shapes, building the corpus evicts
+        shapes over and over; the plans still react like the closure
+        plan."""
+        import repro.sim.specialize as specialize
+
+        monkeypatch.setattr(specialize, "_CODE_TABLE_CAPACITY", 4)
+        with PERF.scope() as counts:
+            for name, comp in _corpus_and_networks():
+                plan = SpecializedPlan(comp)
+                closure = ReactionPlan(comp)
+                for seed in range(2):
+                    rows = _stimulus(comp, seed)
+                    assert _slot_runs(plan, rows) == _slot_runs(
+                        closure, rows
+                    ), (name, seed)
+        assert counts.counts["plan.shape_evictions"] > 0
+        assert len(specialize._code_table) == 4
+
+
 class TestBatchLanes:
     def test_matches_simulate_per_lane(self):
         comp = flatten_program(designs.modular_producer_consumer())
