@@ -6,8 +6,9 @@ not one").  This bench measures the wall-time of running N such lanes on
 the desynchronized producer-consumer pair two ways:
 
 - ``sequential``: the pre-batching idiom — one
-  :class:`~repro.sim.Reactor` per lane on its default closure plan,
-  reacted row by row (the baseline every speedup is quoted against);
+  :class:`~repro.sim.Reactor` per lane on its default executor (the
+  same cached specialized plan), reacted row by row (the baseline every
+  speedup is quoted against);
 - ``batch``: :func:`~repro.sim.batch.simulate_batch` in its default
   configuration — one shared *specialized* plan, and the run-wide
   reaction memo that shares work across lanes reaching the same

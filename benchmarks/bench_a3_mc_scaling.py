@@ -10,11 +10,11 @@ Expected shape: states grow geometrically with FIFO depth (each slot adds
 a value dimension) and polynomially with the datapath modulus.
 
 A second section ablates the *simulation* substrate on the same design:
-the reference interpreter vs the compiled closure plan vs the
-specialized generated-code plan (``repro.sim.specialize``), reactions
-per second on the desynchronized network.  The specialized plan is the
-default hot path everywhere (soaks, sweeps, the estimator), so this is
-the speedup those harnesses inherit per lane.
+the reference interpreter vs the specialized generated-code plan
+(``repro.sim.specialize``), reactions per second on the desynchronized
+network.  The specialized plan is the default executor everywhere
+(reactors, soaks, sweeps, the estimator, the checkers), so this is the
+speedup those harnesses inherit per lane.
 
 ``BENCH_QUICK=1`` restricts the sweep to small parameters (smoke mode).
 """
@@ -26,7 +26,7 @@ from repro.desync import desynchronize
 from repro.lang.analysis import flatten_program
 from repro.mc import compile_lts
 from repro.perf.sweep import sweep
-from repro.sim import Interpreter, ReactionPlan, Reactor, SpecializedPlan
+from repro.sim import Interpreter, Reactor, SpecializedPlan
 
 from _report import emit, quick, table
 
@@ -88,13 +88,12 @@ def _sim_rows(n):
 
 ENGINES = (
     ("interpreter", Interpreter),
-    ("plan", ReactionPlan),
     ("specialized", SpecializedPlan),
 )
 
 
 def sim_speed():
-    """Reactions/s of the three engines on the desynchronized design.
+    """Reactions/s of the two engines on the desynchronized design.
 
     CPU time, engines interleaved per round and best-of-``SIM_REPEATS``,
     so scheduler noise and per-process drift hit every engine alike; the
@@ -115,7 +114,6 @@ def sim_speed():
             if name not in best or elapsed < best[name]:
                 best[name] = elapsed
             traces[name] = out
-    assert repr(traces["plan"]) == repr(traces["interpreter"])
     assert repr(traces["specialized"]) == repr(traces["interpreter"])
     return [
         {
@@ -165,7 +163,6 @@ def test_a3_mc_scaling(benchmark):
     # few instants for a stable ratio and only checks direction)
     floor = 2 if quick() else 10
     assert rps["specialized"] >= floor * rps["interpreter"], rps
-    assert rps["plan"] > rps["interpreter"], rps
     # geometric growth in depth
     depths = sorted(by_depth)
     for a, b in zip(depths, depths[1:]):

@@ -34,7 +34,6 @@ from repro.errors import SimulationError
 from repro.lang.analysis import shared_signals
 from repro.lang.ast import Component, Program
 from repro.sim.engine import Reactor
-from repro.sim.plan import shared_plan
 from repro.tags.behavior import Behavior
 from repro.tags.trace import SignalTrace
 
@@ -300,12 +299,9 @@ class AsyncNetwork:
         consumers: Dict[str, List[str]] = {}
         for node in self.nodes:
             # soaks build one fresh network per scenario from the *same*
-            # node components; the shared plan cache (keyed by component
-            # content) makes the per-network reactor builds near-free and
-            # picks the specialized fast path
-            self._reactors[node.name] = Reactor(
-                node.component, plan=shared_plan(node.component)
-            )
+            # node components; the reactor's shared plan cache (keyed by
+            # component content) makes the per-network builds near-free
+            self._reactors[node.name] = Reactor(node.component)
             self._schedules[node.name] = node.schedule
             iface = set(node.component.inputs) | set(node.component.outputs)
             defined = node.component.defined_names()

@@ -25,7 +25,6 @@ from repro.lang.ast import Component, Program
 from repro.mc.compile import boolean_alphabet
 from repro.mc.safety import CounterExample
 from repro.sim.engine import Reactor
-from repro.sim.plan import shared_plan
 
 
 class BMCResult:
@@ -70,7 +69,7 @@ def bounded_check(
         alphabet = boolean_alphabet(comp)
     if not alphabet:
         alphabet = [{}]
-    reactor = Reactor(comp, oracle=oracle, plan=shared_plan(comp))
+    reactor = Reactor(comp, oracle=oracle)
     initial = reactor.state()
 
     explored = 0

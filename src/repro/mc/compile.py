@@ -22,7 +22,6 @@ from repro.lang.ast import Component, Program
 from repro.lang.types import BOOL, EVENT, INT
 from repro.perf import PERF
 from repro.sim.engine import ABSENT, Reactor
-from repro.sim.plan import shared_plan
 from repro.mc.lts import LTS, freeze_letter
 
 
@@ -153,9 +152,9 @@ def compile_lts(
 
 def _explore(comp, alphabet, max_states, oracle) -> Tuple[LTS, int]:
     """Depth-first exploration: every letter in every reachable state,
-    on the design's cached specialized plan.  Returns the LTS and the
-    number of reactions attempted."""
-    reactor = Reactor(comp, oracle=oracle, plan=shared_plan(comp))
+    on the design's cached plan (the reactor's default).  Returns the LTS
+    and the number of reactions attempted."""
+    reactor = Reactor(comp, oracle=oracle)
     plan = reactor.plan
     visible = tuple(
         (name, plan.names.index(name))

@@ -5,9 +5,9 @@ One registry (:data:`PERF`) accumulates named counters and wall-time
 phases so benchmark deltas are attributable:
 
 - ``sim.<kind>.reactions`` — how many reactions
-  :func:`repro.sim.runner.simulate` ran on a plan; ``<kind>`` attributes
-  the work to the closure plan (``plan``) or the specialized generated
-  code (``plan.spec``);
+  :func:`repro.sim.runner.simulate` ran; ``<kind>`` attributes the work
+  to the specialized generated code (``plan.spec``) or the interpreter
+  (``interp``);
 - ``plan.cache_hits`` / ``plan.cache_misses`` /
   ``plan.cache_evictions`` — the process-wide compiled-plan cache
   (:func:`repro.sim.plan.shared_plan`);

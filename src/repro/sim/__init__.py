@@ -7,13 +7,14 @@ present, absent, constant), mirroring how the Polychrony compiler's clock
 calculus resolves instants.  See :mod:`repro.sim.engine`.
 
 - :class:`~repro.sim.engine.Reactor` — runs one component a reaction at
-  a time on an executor (by default a closure plan), keeping its state
-- the three executors, one contract (``react_slots``), picked by passing
+  a time on an executor (by default the cached one of
+  :func:`~repro.sim.plan.shared_plan`), keeping its state
+- the two executors, one contract (``react_slots``), picked by passing
   one as ``plan=`` (see docs/performance.md):
-  :class:`~repro.sim.engine.Interpreter` (the reference oracle),
-  :class:`~repro.sim.plan.ReactionPlan` (the compiled closure schedule)
-  and :class:`~repro.sim.specialize.SpecializedPlan` (generated code, what
-  :func:`~repro.sim.plan.shared_plan` caches)
+  :class:`~repro.sim.engine.Interpreter` (the reference oracle) and
+  :class:`~repro.sim.specialize.SpecializedPlan` (generated code, what
+  :func:`~repro.sim.plan.shared_plan` caches; the interpreter stands in
+  for a component over the generator's budget)
 - :func:`~repro.sim.batch.simulate_batch` — many lanes of one executor
 - :class:`~repro.sim.trace.SimTrace` — recorded run, convertible to a
   tagged :class:`~repro.tags.behavior.Behavior`
@@ -22,7 +23,7 @@ calculus resolves instants.  See :mod:`repro.sim.engine`.
 """
 
 from repro.sim.engine import ABSENT, Interpreter, Reactor
-from repro.sim.plan import ReactionPlan, shared_plan
+from repro.sim.plan import shared_plan
 from repro.sim.specialize import SpecializedPlan
 from repro.sim.batch import BatchReport, simulate_batch
 from repro.sim.trace import SimTrace
@@ -33,7 +34,6 @@ __all__ = [
     "ABSENT",
     "BatchReport",
     "Interpreter",
-    "ReactionPlan",
     "Reactor",
     "SimTrace",
     "SpecializedPlan",

@@ -27,8 +27,8 @@ exceptions — because lanes execute the same plan sequentially with their
 own state and instant index.  The win is amortization, not reordering.
 
 Each call folds its counts into :data:`repro.perf.PERF` once:
-``batch.<plan-kind>.reactions`` (``batch.plan.spec.*``, ``batch.plan.*``
-or ``batch.interp.*``: the reactions the lanes ran, memo hits excluded)
+``batch.<plan-kind>.reactions`` (``batch.plan.spec.*`` or
+``batch.interp.*``: the reactions the lanes ran, memo hits excluded)
 plus ``batch.runs`` / ``batch.lanes`` / ``batch.instants`` /
 ``batch.memo_hits``.  The lane loop counts in local integers, so the
 counts of a call are its own even while other threads run the same
@@ -126,7 +126,7 @@ def simulate_batch(
     shared by all lanes (invoked with each lane's own instant index).
     ``plan`` is the executor, by default the process-wide
     :func:`~repro.sim.plan.shared_plan`; any executor works, e.g.
-    ``ReactionPlan(comp)`` or :class:`~repro.sim.engine.Interpreter`.
+    ``Interpreter(comp)`` (:class:`~repro.sim.engine.Interpreter`).
 
     With ``capture_errors`` a lane that raises
     :class:`~repro.errors.SimulationError` records ``(type name,

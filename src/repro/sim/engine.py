@@ -26,8 +26,10 @@ tries the least clock (everything unknown becomes absent) and verifies
 consistency, raising :class:`~repro.errors.NonDeterministicClockError`
 when that fails.
 
-:class:`Interpreter` solves instants this way on the AST; :class:`Reactor`
-drives it or a compiled plan (:mod:`repro.sim.plan`) one reaction at a time.
+:class:`Interpreter` solves instants this way on the AST; the compiled
+:class:`~repro.sim.specialize.SpecializedPlan` solves them with generated
+code.  :class:`Reactor` drives either one reaction at a time, by default
+the cached plan of :func:`repro.sim.plan.shared_plan`.
 """
 
 from __future__ import annotations
@@ -144,7 +146,10 @@ class Reactor:
 
     The reactor holds the memory contents and the instant index and hands
     each reaction to its executor, any object answering ``react_slots``
-    (see :class:`Interpreter`).
+    (see :class:`Interpreter`).  Without ``plan=`` the executor is the
+    process-wide cached one of :func:`repro.sim.plan.shared_plan`: the
+    component's :class:`~repro.sim.specialize.SpecializedPlan`, or its
+    interpreter when the generated code would be over budget.
 
     Parameters
     ----------
@@ -160,10 +165,8 @@ class Reactor:
         generated components already checked).
     plan:
         The executor, built for this component or a structurally equal
-        one: a :class:`~repro.sim.plan.ReactionPlan` (the default, built
-        here), a :class:`~repro.sim.specialize.SpecializedPlan` (e.g. the
-        cached one of :func:`repro.sim.plan.shared_plan`) or the
-        reference :class:`Interpreter`.  All three react identically.
+        one: a :class:`~repro.sim.specialize.SpecializedPlan` or the
+        reference :class:`Interpreter`.  Both react identically.
     """
 
     def __init__(
@@ -176,9 +179,9 @@ class Reactor:
         if check:
             check_component(component)
         if plan is None:
-            from repro.sim.plan import ReactionPlan
+            from repro.sim.plan import shared_plan
 
-            plan = ReactionPlan(component)
+            plan = shared_plan(component)
         else:
             pc = plan.component
             if pc is not component and not (
@@ -242,7 +245,8 @@ class Interpreter:
     given ``plan=Interpreter(component)``.  It shares no solving code with
     the plans, which makes it the independent oracle of the byte-identity
     suites (``tests/test_plan_equivalence.py``).  Reactions on it count
-    as ``sim.interp.reactions``.
+    as ``sim.interp.reactions``.  It pickles as its component (its
+    registers are keyed by node identity, which a pickle does not keep).
     """
 
     kind = "interp"
@@ -255,6 +259,9 @@ class Interpreter:
         self._sync: List[SyncConstraint] = component.sync_constraints()
         self.pre_nodes, self._slot_of = pre_registers(self._equations)
         self.init_state: Tuple[object, ...] = tuple(n.init for n in self.pre_nodes)
+
+    def __reduce__(self):
+        return (Interpreter, (self.component,))
 
     def react_slots(self, inputs, state, oracle, instant_index, absent_marker):
         """One reaction from ``state``: ``(statuses, values, new_state)``

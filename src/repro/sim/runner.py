@@ -24,13 +24,14 @@ def simulate(
 
     Programs are flattened (synchronous composition) first.  ``n`` defaults
     to the stimulus length; infinite stimuli require an explicit ``n``.
-    A pre-built ``reactor`` can be supplied to continue a run.
+    A pre-built ``reactor`` can be supplied to continue a run; without
+    one, the run is on a new :class:`~repro.sim.engine.Reactor` and so on
+    the design's cached plan (:func:`repro.sim.plan.shared_plan`).
 
     The reactions are counted in :data:`repro.perf.PERF` under the
-    reactor's executor as ``sim.<kind>.reactions`` (``sim.plan.*`` for
-    closure plans, ``sim.plan.spec.*`` for specialized ones,
-    ``sim.interp.*`` for the interpreter), and the wall time as
-    ``time.sim.simulate``; read one call's counts from a
+    reactor's executor as ``sim.<kind>.reactions`` (``sim.plan.spec.*``
+    for specialized plans, ``sim.interp.*`` for the interpreter), and the
+    wall time as ``time.sim.simulate``; read one call's counts from a
     :meth:`repro.perf.PerfCounters.scope` around it.
     """
     if reactor is None:

@@ -1,73 +1,92 @@
-"""Plan specialization: compile reaction plans to generated Python code.
+"""Specialized reaction plans: a component compiled to generated Python.
 
-A :class:`~repro.sim.plan.ReactionPlan` already schedules a component
-into slot-indexed steps, but executing one is still a *chain of
-closures* — one Python call frame per AST node per evaluation, plus
-guarded helper calls for every status/value assignment.
-:class:`SpecializedPlan` generates each schedule step as one function of
-straight-line status/value slot code, ``_s<k>(ctx, status, value, state,
-settled, queued, dirty)``, which returns how many steps it requeued:
-statuses and values in local variables, slots and steps as constants,
-synchronization constraints inlined, and the contradiction guards of the
-settling path expanded in place with their error messages pre-formatted.
-A generated ``_sweep`` loads the slot lists once and calls the steps in
-schedule order, so the topological order is baked into the call order.
-Backward presence forces, the cold branches, are one call each to a
-per-plan helper that takes the slots to force and, per slot, the
-precomputed tuple of steps to requeue.
+The reference :class:`~repro.sim.engine.Interpreter` walks the AST anew
+at every instant and re-sweeps every equation until nothing changes.
+A :class:`SpecializedPlan` compiles a component **once**:
+
+- every signal is mapped to an integer slot; per-instant presence
+  statuses and values live in flat lists indexed by slot;
+- the equations are ordered by the strongly connected components of the
+  full data-flow graph (:func:`repro.lang.analysis.dependency_graph`,
+  ``pre`` included), and each synchronization constraint is interleaved
+  right after the first point where one of its members can be known;
+- each step of that schedule becomes one generated function of
+  straight-line status/value slot code, ``_s<k>(ctx, status, value,
+  state, settled, queued)``, which returns how many steps it requeued:
+  statuses and values in local variables, slots and steps as constants,
+  synchronization constraints inlined, and the contradiction guards of
+  the settling path expanded in place with their error messages
+  pre-formatted.  Backward presence forces, the cold branches, are one
+  call each to a per-plan helper that takes the slots to force and, per
+  slot, the precomputed tuple of steps to requeue.
+
+A generated ``_sweep`` loads the slot lists once and calls every step in
+schedule order, so the forward/backward fixpoint usually completes in
+that one pass.  A new fact requeues only the unsettled consumers at or
+before the running step ``k`` (every later one runs later in the pass).
+The residual is a re-sweep over the same functions: while a step is
+queued, every unsettled step from the first queued one to the end of the
+schedule runs again.  An unsettled step none of whose reads changed
+derives nothing and raises nothing (every set is guarded), so the
+effective re-runs, and their order, are those of a worklist that re-runs
+exactly the consumers of each new fact.  Oracle decisions and the
+least-clock completion queue the consumers of the statuses they set.
+
+The plan executes the *same* monotone constraint propagation as the
+interpreter (statuses only ever move from unknown to present/absent, all
+derivable facts are derived before an instant completes), so outputs,
+state trajectories and rejections — the exception type at the same
+instant — are identical; the message of a rejection can differ, since
+the plan may meet a conflict from another side first.  The interpreter
+answers the plan's one call, :meth:`SpecializedPlan.react_slots`, so it
+runs wherever a plan does: pass it as ``plan=``.
 
 Steps of different plans, and of one plan, often differ only in their
 slots, steps, requeue tuples, embedded constants, builtin operators and
 error messages.  So the generator emits each function as a *shape*: its
 source with every one of those as a placeholder (a constant, or a
-global name for a builtin or a fallback step), while the status codes
-0–3 stay literals.  A process-wide code table compiles each distinct
-shape once (:data:`_CODE_TABLE_CAPACITY` shapes, least recently used
-out first), and each plan's functions are that code with the plan's
-values put back into its constants and names (``code.replace``), bound
-by :class:`types.FunctionType` to the plan's globals.  A bound step runs
-the same bytecode as one compiled from its own literal source.  The
-source itself is not kept: ``plan.source`` renders it again, literals in
-place, for inspection.
-
-The fixpoint driver above the sweep — the residual worklist, oracle
-handling and least-clock completion — is inherited unchanged from
-:class:`~repro.sim.plan.ReactionPlan` (residual re-runs go through the
-plan's closure steps), so a specialized plan is *observationally
-identical* to the plan — and hence to the reference interpreter —
-including every raised :class:`~repro.errors.SimulationError` message.
+global name for a builtin), while the status codes 0–3 stay literals.  A
+process-wide code table compiles each distinct shape once
+(:data:`_CODE_TABLE_CAPACITY` shapes, least recently used out first),
+and each plan's functions are that code with the plan's values put back
+into its constants and names (``code.replace``), bound by
+:class:`types.FunctionType` to the plan's globals.  A bound step runs the
+same bytecode as one compiled from its own literal source.  The source
+itself is not kept: ``plan.source`` renders it again, literals in place,
+for inspection.
 
 The source is linear in the size of each expression: every operand is
 emitted once (``default`` evaluates its right branch under one ``else``
 and only then branches on the left status) and an application computes
-its value once, after its status chain.  One escape hatch remains: a
-step whose generated body would exceed :data:`MAX_STEP_LINES` lines, or
-nest deeper than :data:`MAX_STEP_DEPTH` blocks (each right-nested
-``default`` adds one, and CPython rejects source indented 100 levels
-deep), calls its closure step instead.  No step of the designs corpus or
-of its instrumented networks comes near either bound.
+its value once, after its status chain.  A function whose body would
+exceed :data:`MAX_STEP_LINES` lines, or nest deeper than
+:data:`MAX_STEP_DEPTH` blocks (each right-nested ``default`` adds one,
+and CPython rejects source indented 100 levels deep), makes the build
+raise :class:`PlanBudgetError`; :func:`repro.sim.plan.shared_plan` then
+runs the component on the interpreter.  No component of the designs
+corpus or of its instrumented networks comes near either bound.
 
 A plan pickles as its component and is rebuilt where it is loaded (a
 spawn or forkserver sweep worker builds it again); a forked worker
 inherits the built plan.
 
-:func:`repro.sim.plan.shared_plan` caches this plan;
-:func:`repro.sim.batch.simulate_batch`, the explicit-state compiler
-(:func:`repro.mc.compile.compile_lts`) and the bounded checker
-(:func:`repro.mc.bmc.bounded_check`) run it.  A bare
-:class:`~repro.sim.engine.Reactor` (what :class:`~repro.sim.cosim.Cosim`
-builds) runs the closure plan, and runs this one given
-``plan=shared_plan(comp)``.
+:func:`repro.sim.plan.shared_plan` caches this plan, and every
+:class:`~repro.sim.engine.Reactor` built without ``plan=`` (``simulate``,
+:class:`~repro.sim.cosim.Cosim`, the GALS network, the explicit-state
+compiler and the bounded checker) and
+:func:`repro.sim.batch.simulate_batch` run the cached one.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 import types
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import NonDeterministicClockError, ReproError, SimulationError
+from repro.lang.analysis import dependency_graph, strongly_connected_components
 from repro.lang.ast import (
     App,
     ClockOf,
@@ -83,23 +102,55 @@ from repro.lang.ast import (
 )
 from repro.lang.types import BUILTIN_FUNCTIONS
 from repro.perf import PERF
-from repro.sim.plan import ReactionPlan, _PENDING, _ST_NAME, _set_status
+from repro.sim.engine import pre_registers
 
-#: Per-step emitted-line budget; steps past it keep their closure form.
+#: Per-function emitted-line budget; a plan past it is not built.
 MAX_STEP_LINES = 4000
 
-#: Per-step nesting budget, in indentation levels below the step's body.
+#: Per-function nesting budget, in indentation levels below its body.
 MAX_STEP_DEPTH = 90
 
 #: The parameters of every generated step function.
-_STEP_ARGS = "ctx, status, value, state, settled, queued, dirty"
+_STEP_ARGS = "ctx, status, value, state, settled, queued"
+
+# presence statuses as small ints: 0 unknown, 1 present, 2 absent, 3
+# constant (the interpreter uses one-letter strings; error messages render
+# these by their letter)
+_ST_NAME = "UPAC"
+
+
+class _Pending:
+    def __repr__(self) -> str:
+        return "PENDING"
+
+
+_PENDING = _Pending()
+
+
+class PlanBudgetError(ReproError):
+    """A generated function of the component would exceed
+    :data:`MAX_STEP_LINES` or :data:`MAX_STEP_DEPTH`."""
+
+
+class _Ctx:
+    """Mutable per-reaction solver state (slot-indexed)."""
+
+    __slots__ = ("status", "value", "state", "settled", "queued")
+
+    def __init__(self, status: List[int], value: List[object], state, n_steps: int):
+        self.status = status
+        self.value = value
+        self.state = state
+        self.settled = bytearray(n_steps)
+        self.queued = bytearray(n_steps)
+
 
 #: Constant ``j`` of a shape is the literal ``_HOLE + j``: an int no
 #: generated source holds otherwise, and too large for an instruction's
 #: own argument, so each one has its own entry in ``co_consts``.
 _HOLE = 1 << 40
 
-#: Global name ``j`` of a shape (a builtin or a fallback step).
+#: Global name ``j`` of a shape (a builtin).
 _NAME = "G{}"
 
 #: Shapes the code table keeps; the least recently used goes first.
@@ -164,14 +215,14 @@ def _bind(text, consts, names, name, namespace, counts) -> types.FunctionType:
 
 
 def _make_force(names):
-    """The in-sweep backward force of one plan.
+    """The backward force of one plan's steps.
 
     ``force(ctx, st, targets)`` sets each slot of ``targets`` — ``(slot,
-    requeue)`` pairs in force order — to status ``st`` as
-    :func:`repro.sim.plan._set_status` would, but instead of recording a
-    dirty fact it queues the slot's consumers that already ran this sweep
-    (``requeue``, computed when the source is generated).  Returns how
-    many steps it queued."""
+    requeue)`` pairs in force order — to status ``st``: a slot already at
+    ``st`` is left alone, one at the opposite status is a clock
+    contradiction, and an unknown one is set, which queues the slot's
+    unsettled consumers that already ran this pass (``requeue``, computed
+    when the source is generated).  Returns how many steps it queued."""
 
     def force(ctx, st, targets):
         status = ctx.status
@@ -205,7 +256,7 @@ class _Gen:
     module docstring), or, with ``render``, as literal source appended to
     :attr:`chunks`."""
 
-    def __init__(self, plan: ReactionPlan, render: bool = False):
+    def __init__(self, plan: "SpecializedPlan", render: bool = False):
         self.plan = plan
         self.render = render
         self.lines: List[str] = []
@@ -219,17 +270,14 @@ class _Gen:
         self.depth = 0
         self.n_tmp = 0
         self.fn_names: Dict[str, str] = {}
-        # while emitting sweep step k, new facts requeue their dependent
-        # steps by the in-sweep rule ``d <= k``, expanded statically; None =
-        # the register update, which runs after the fixpoint
+        # while emitting step k, new facts requeue their dependent steps by
+        # the in-pass rule ``d <= k``, expanded statically; None = the
+        # register update, which runs after the fixpoint
         self.cur_step: Optional[int] = None
         self.namespace: Dict[str, object] = {
             "PENDING": _PENDING,
             "SimulationError": SimulationError,
-            "DEPS": plan.dependents,
-            "NAMES": plan.names,
             "force": _make_force(plan.names),
-            "set_status": _set_status,
         }
 
     # -- low-level emission --------------------------------------------------
@@ -239,12 +287,16 @@ class _Gen:
             self.depth = depth
         self.lines.append("    " * depth + text)
 
-    def fits(self, mark: int) -> bool:
-        """Whether the code emitted since line ``mark`` is within budget."""
-        return (
-            len(self.lines) - mark <= MAX_STEP_LINES
-            and self.depth <= MAX_STEP_DEPTH
-        )
+    def check_budget(self, what: str) -> None:
+        """Raise :class:`PlanBudgetError` when the function emitted since
+        the last chunk is past :data:`MAX_STEP_LINES` lines or
+        :data:`MAX_STEP_DEPTH` levels."""
+        if len(self.lines) > MAX_STEP_LINES or self.depth > MAX_STEP_DEPTH:
+            raise PlanBudgetError(
+                "{} of {!r} needs {} lines at depth {}".format(
+                    what, self.plan.component.name, len(self.lines), self.depth
+                )
+            )
 
     def const(self, value: object) -> str:
         """``value`` as an expression of the current function: its literal
@@ -262,12 +314,6 @@ class _Gen:
             return name
         self.names.append(name)
         return _NAME.format(len(self.names) - 1)
-
-    def rollback(self, mark: int) -> None:
-        """Drop the current function's lines from ``mark`` on, and its
-        placeholders (the lines kept, before ``mark``, hold none)."""
-        del self.lines[mark:]
-        self.consts, self.names = [], []
 
     def end_chunk(self, name: str, args: str, comment: str = "") -> None:
         """Close the function ``name(args)`` whose body was emitted since
@@ -299,15 +345,14 @@ class _Gen:
             self.namespace[name] = BUILTIN_FUNCTIONS[op].fn
         return self.name(name)
 
-    # -- monotone sets of the step's target (inlined _set_status/_set_value) -
+    # -- monotone sets of the step's target ----------------------------------
 
     def requeue(self, i: int, skip_self: bool = False) -> Tuple[int, ...]:
-        """The steps a new fact on slot ``i`` requeues during the current
-        sweep step ``k``: its consumers at or before ``k`` (later ones pick
-        the fact up in-sweep).  ``skip_self`` drops ``k`` itself, for sets
-        whose step settles in the same branch — the base sweep drains
-        *after* settling, so the settling step never requeues itself on
-        its own facts."""
+        """The steps a new fact on slot ``i`` requeues while step ``k``
+        runs: its consumers at or before ``k`` (every later unsettled step
+        runs later in the same pass and picks the fact up).  ``skip_self``
+        drops ``k`` itself, for sets whose step settles in the same branch:
+        a settled step never runs again."""
         k = self.cur_step
         return tuple(
             d
@@ -323,7 +368,7 @@ class _Gen:
             self.w(d + 1, "queued[{}] = 1".format(dep))
             self.w(d + 1, "nq += 1")
 
-    def emit_set_status(self, i: int, st: int, d: int) -> None:
+    def emit_status_set(self, i: int, st: int, d: int) -> None:
         """Set the settling step's target (slot ``i``, status read into
         ``ts``)."""
         w = self.w
@@ -337,7 +382,7 @@ class _Gen:
         w(d + 1, "status[{}] = {}".format(self.const(i), st))
         self.emit_requeue(i, d + 1)
 
-    def emit_set_value(self, i: int, v: str, d: int) -> None:
+    def emit_value_set(self, i: int, v: str, d: int) -> None:
         w = self.w
         c = "c{}".format(self.tmp())
         fmt = "value contradiction on {!r}: {{!r}} vs {{!r}}".format(
@@ -353,17 +398,18 @@ class _Gen:
             self.const(fmt), c, v
         ))
 
-    # -- expression evaluation (mirrors ReactionPlan._compile_eval) ----------
+    # -- expression evaluation (as Interpreter._eval) ------------------------
 
     def emit_eval(self, expr: Expr, d: int) -> Tuple[str, str]:
         """Emit statements computing ``expr``; returns the names of the
-        locals holding its (status, value).  Statement order and branch
-        structure mirror the closure evaluators, side effects (backward
-        forces, raised contradictions) included.  Two facts of those
-        evaluators keep the code short: an absent or unknown status (2 or
-        0) always comes with a ``PENDING`` value, and no local is assigned
-        again after its node, so a node may pass an operand's status
-        through by name."""
+        locals holding its (status, value).  The statuses, values, raised
+        contradictions and backward forces are those of
+        :meth:`repro.sim.engine.Interpreter._eval`, except that a force
+        that cannot set anything (its operand's status is already known)
+        is left out.  Two facts keep the code short: an absent or unknown
+        status (2 or 0) always comes with a ``PENDING`` value, and no local
+        is assigned again after its node, so a node may pass an operand's
+        status through by name."""
         w = self.w
         k = self.tmp()
         s, v = "s{}".format(k), "v{}".format(k)
@@ -433,7 +479,7 @@ class _Gen:
             args[1], Const
         ):
             # a constant operand is constant at every clock and forces
-            # nothing, so ev_app2 reduces to a unary application of the
+            # nothing, so the application reduces to a unary one of the
             # other operand: its status, and a value once that one has one
             k = 1 if isinstance(args[0], Const) else 0
             s, vk = self.emit_eval(args[k], d)
@@ -459,8 +505,7 @@ class _Gen:
 
     def emit_app_status(self, expr: App, svars: List[str], d: int, s: str) -> None:
         """The status chain of an application of two or more operands,
-        with its raised contradiction and backward forces (mirrors
-        ev_app2 and ev_app)."""
+        with its raised contradiction and backward forces."""
         w = self.w
         msg = self.const(
             "operands of {!r} are not synchronous this instant".format(expr.op)
@@ -470,7 +515,8 @@ class _Gen:
             w(d, "if {} == 1 or {} == 1:".format(s1, s2))
             w(d + 1, "if {} == 2 or {} == 2:".format(s1, s2))
             w(d + 2, "raise SimulationError({})".format(msg))
-            # one unresolved operand inherits presence (elif, as in ev_app2)
+            # with one operand present and none absent, at most one is
+            # unknown, and it inherits presence
             f1, f2 = self.force_lines(a1, 1), self.force_lines(a2, 1)
             if f1 or f2:
                 w(d + 1, "if {} == 0:".format(s1))
@@ -502,7 +548,7 @@ class _Gen:
         w(d, "else:")
         w(d + 1, "{} = 0".format(s))
 
-    # -- backward presence propagation (mirrors _compile_force) --------------
+    # -- backward presence propagation (as Interpreter._force) ---------------
 
     def force_slots(self, expr: Expr, st: int) -> List[int]:
         """The slots a force of ``expr`` to status ``st`` sets, in order."""
@@ -531,15 +577,15 @@ class _Gen:
     def force_lines(self, expr: Expr, st: int) -> List[str]:
         """The statements forcing ``expr`` to literal status ``st`` (1/2);
         empty when the force cannot set anything.  A slot met twice is
-        forced once: the second set is a no-op."""
+        forced once: the second set is a no-op.  The register update runs
+        after the fixpoint, when no status is unknown, so its forces only
+        check and requeue nothing."""
         slots = list(dict.fromkeys(self.force_slots(expr, st)))
         if not slots:
             return []
         if self.cur_step is None:
-            return [
-                "set_status(ctx, {}, {}, NAMES)".format(self.const(i), st)
-                for i in slots
-            ]
+            targets = tuple((i, ()) for i in slots)
+            return ["force(ctx, {}, {})".format(st, self.const(targets))]
         targets = tuple((i, self.requeue(i)) for i in slots)
         return ["nq += force(ctx, {}, {})".format(st, self.const(targets))]
 
@@ -567,8 +613,8 @@ class _Gen:
         # testing the value first is pure, so the contradiction order is
         # unchanged; it lets the settling branch skip the self-requeue
         w(d + 1, "if {} is not PENDING:".format(v))
-        self.emit_set_status(ti, 1, d + 2)
-        self.emit_set_value(ti, v, d + 2)
+        self.emit_status_set(ti, 1, d + 2)
+        self.emit_value_set(ti, v, d + 2)
         w(d + 2, settle)
         # present without a value yet: the step stays unsettled, and the
         # set, a cold branch, goes through the force helper
@@ -577,11 +623,11 @@ class _Gen:
             self.const(((ti, self.requeue(ti)),))
         ))
         w(d, "elif {} == 2:".format(s))
-        self.emit_set_status(ti, 2, d + 1)
+        self.emit_status_set(ti, 2, d + 1)
         w(d + 1, settle)
         w(d, "elif {} == 3:".format(s))
         w(d + 1, "if ts == 1 and {} is not PENDING:".format(v))
-        self.emit_set_value(ti, v, d + 2)
+        self.emit_value_set(ti, v, d + 2)
         w(d + 2, settle)
         w(d + 1, "elif ts == 2:")
         w(d + 2, settle)
@@ -624,14 +670,12 @@ class _Gen:
             self.w(d + 1, "status[{}] = {}".format(self.const(i), st))
             self.emit_requeue(i, d + 1)
 
-    # -- the generated sweep -------------------------------------------------
+    # -- the generated functions ---------------------------------------------
 
-    def emit_step(self, k: int) -> bool:
+    def emit_step(self, k: int) -> None:
         """Schedule step ``k`` as the function ``_s<k>``: the step's body
-        with the in-sweep requeue rule (``d <= k``) expanded after each
-        new fact, returning how many steps it queued.  A step over budget
-        calls its closure step and drains the dirty list by the same rule,
-        as the base sweep does.  Returns whether the step was inlined."""
+        with the in-pass requeue rule (``d <= k``) expanded after each new
+        fact, returning how many steps it queued."""
         w = self.w
         kind, st = self.plan.schedule[k]
         w(1, "nq = 0")
@@ -642,60 +686,40 @@ class _Gen:
         else:
             self.emit_sync_body(st, 1)
         self.cur_step = None
-        fits = self.fits(0)
-        if not fits:
-            self.rollback(1)
-            fb = "_fb_{}".format(k)
-            self.namespace[fb] = self.plan.steps[k]
-            w(1, "if {}(ctx):".format(self.name(fb)))
-            w(2, "settled[{}] = 1".format(self.const(k)))
-            w(1, "while dirty:")
-            w(2, "i = dirty.pop()")
-            w(2, "for d in DEPS[i]:")
-            w(3, "if d <= {} and not queued[d] and not settled[d]:".format(
-                self.const(k)
-            ))
-            w(4, "queued[d] = 1")
-            w(4, "nq += 1")
-        w(1, "return nq")
         label = st.target if kind == "eq" else "sync {}".format(st.names)
+        self.check_budget("step {} ({})".format(k, label))
+        w(1, "return nq")
         self.end_chunk(
             "_s{}".format(k), _STEP_ARGS, "step {}: {}".format(k, label)
         )
-        return fits
 
-    def emit_sweep(self) -> int:
-        """The initial sweep of :meth:`ReactionPlan._propagate`: every
-        step function, called once in schedule order.  Returns the number
-        of inlined (non-fallback) steps."""
+    def emit_sweep(self) -> None:
+        """Every step function, then ``_sweep``, the initial pass: each
+        step called once in schedule order."""
         w = self.w
-        inlined = 0
         for k in range(len(self.plan.schedule)):
-            inlined += self.emit_step(k)
+            self.emit_step(k)
         w(1, "status = ctx.status")
         w(1, "value = ctx.value")
         w(1, "state = ctx.state")
         w(1, "settled = ctx.settled")
         w(1, "queued = ctx.queued")
-        w(1, "dirty = ctx.dirty")
-        w(1, "del dirty[:]")
         w(1, "nq = 0")
         for k in range(len(self.plan.schedule)):
             w(1, "nq += _s{}({})".format(k, _STEP_ARGS))
         w(1, "return nq")
         self.end_chunk("_sweep", "ctx")
-        return inlined
 
-    def emit_advance(self) -> bool:
-        """The ``pre``-register update (mirrors ReactionPlan._next_state);
-        returns False (and rolls back) when over budget."""
+    def emit_advance(self) -> None:
+        """The ``pre``-register update, ``_advance(ctx, old)``: the new
+        state, from each register operand as the fixpoint left it."""
         w = self.w
         self.depth = 0
         w(1, "status = ctx.status")
         w(1, "value = ctx.value")
         w(1, "state = ctx.state")
         w(1, "new = list(old)")
-        for k, _, node in self.plan.pre_updaters:
+        for k, node in enumerate(self.plan.pre_nodes):
             msg = self.const(
                 "pre operand present without a value: {!r}".format(node)
             )
@@ -704,46 +728,261 @@ class _Gen:
             w(2, "if {} is PENDING:".format(v))
             w(3, "raise SimulationError({})".format(msg))
             w(2, "new[{}] = {}".format(self.const(k), v))
-        if not self.fits(0):
-            self.rollback(0)
-            return False
+        self.check_budget("the register update")
         w(1, "return new")
         self.end_chunk("_advance", "ctx, old")
-        return True
 
-    def emit_module(self) -> int:
+    def emit_module(self) -> None:
         """Every function of the plan: ``_s<k>`` and ``_sweep``, then
-        ``_advance`` when the plan has registers and it fits.  Returns the
-        number of inlined steps."""
-        inlined = self.emit_sweep()
-        if self.plan.pre_updaters:
+        ``_advance`` when the plan has registers."""
+        self.emit_sweep()
+        if self.plan.pre_nodes:
             self.emit_advance()
-        return inlined
 
 
-class SpecializedPlan(ReactionPlan):
-    """A :class:`~repro.sim.plan.ReactionPlan` whose initial sweep is
-    generated straight-line Python instead of closure chains.
+class SpecializedPlan:
+    """A component compiled to a static schedule of generated step
+    functions (see the module docstring).
 
-    Construction compiles the plan normally first (the closure steps
-    serve the residual worklist and any over-budget step), then binds
-    the generated functions from the code table.  Execution and
-    introspection are inherited; :attr:`kind` names the reaction counts
-    of ``simulate`` and ``simulate_batch`` (``sim.plan.spec.reactions``
-    vs ``sim.plan.reactions``).  A plan pickles as its component, and
-    loading one runs this constructor again."""
+    :attr:`kind` names the reaction counts of ``simulate`` and
+    ``simulate_batch`` (``sim.plan.spec.reactions``, against
+    ``sim.interp.reactions`` for the interpreter).  A plan pickles as its
+    component, and loading one runs this constructor again.  Raises
+    :class:`PlanBudgetError` when a generated function would be over
+    budget."""
 
     kind = "plan.spec"
 
     def __init__(self, component: Component):
-        super().__init__(component)
+        self.component = component
+        self.names: List[str] = list(component.signals())
+        self.slot: Dict[str, int] = {n: i for i, n in enumerate(self.names)}
+        self.n_signals = len(self.names)
+        self.input_slot: Dict[str, int] = {
+            n: self.slot[n] for n in component.inputs
+        }
+        self._input_slots: Tuple[int, ...] = tuple(self.input_slot.values())
+        equations = component.equations()
+        self.pre_nodes, self.pre_slot_of = pre_registers(equations)
+        self.init_state: Tuple[object, ...] = tuple(n.init for n in self.pre_nodes)
+        self.schedule: Tuple[Tuple[str, object], ...] = self._schedule(
+            component, equations
+        )
+        # reverse index: signal slot -> steps that consume its facts
+        dependents: List[List[int]] = [[] for _ in self.names]
+        for k, (kind, st) in enumerate(self.schedule):
+            reads = (
+                st.expr.free_vars() | {st.target} if kind == "eq"
+                else frozenset(st.names)
+            )
+            for n in reads:
+                dependents[self.slot[n]].append(k)
+        self.dependents: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(d) for d in dependents
+        )
+        self._init_status: List[int] = [0] * self.n_signals
+        self._init_value: List[object] = [_PENDING] * self.n_signals
+
         gen = _Gen(self)
-        n_inlined = gen.emit_module()
-        PERF.merge(gen.counts, "plan")
-        self._sweep_fn = gen.namespace["_sweep"]
-        self._advance_fn = gen.namespace.get("_advance")
-        self.specialized_steps = n_inlined
-        self.fallback_steps = len(self.steps) - n_inlined
+        try:
+            gen.emit_module()
+        finally:
+            PERF.merge(gen.counts, "plan")
+        namespace = gen.namespace
+        # the residual re-sweep calls the steps through this tuple; the
+        # generated _sweep calls them by name
+        self.steps = tuple(
+            namespace["_s{}".format(k)] for k in range(len(self.schedule))
+        )
+        self._sweep_fn = namespace["_sweep"]
+        self._advance_fn = namespace.get("_advance")
+
+    # -- schedule construction -----------------------------------------------
+
+    @classmethod
+    def _schedule(cls, component: Component, equations: List[Equation]):
+        """The steps: equations in data-flow order, each synchronization
+        constraint right after the first point where one of its members
+        can be known (inputs: immediately), so its status assignments
+        flow forward through the sweep instead of arriving after every
+        equation already ran.  Fixpoint results are order-independent;
+        the order only decides how much one sweep settles."""
+        ordered = cls._topo_order(component, equations)
+        avail = {n: 0 for n in component.inputs}
+        for pos, eq in enumerate(ordered):
+            avail[eq.target] = pos + 1
+        sync_at: List[List[SyncConstraint]] = [
+            [] for _ in range(len(ordered) + 1)
+        ]
+        for sc in component.sync_constraints():
+            pos = min(avail.get(n, len(ordered)) for n in sc.names)
+            sync_at[pos].append(sc)
+        schedule: List[Tuple[str, object]] = []
+        for pos in range(len(ordered) + 1):
+            for sc in sync_at[pos]:
+                schedule.append(("sync", sc))
+            if pos < len(ordered):
+                schedule.append(("eq", ordered[pos]))
+        return tuple(schedule)
+
+    @staticmethod
+    def _topo_order(component: Component, equations: List[Equation]) -> List[Equation]:
+        """Equations sorted so dependencies come first.
+
+        The order is over the strongly connected components of the *full*
+        data-flow graph (``pre``/clock operands included: their presence —
+        though not their value — is resolved instantaneously, so
+        scheduling them early settles clocks in one pass).  A component
+        comes after every component it depends on; among the ready ones,
+        the earliest-declared comes first.  Only the members of one cycle
+        (state feedback through ``pre``, legal presence loops) keep their
+        declaration order among themselves.
+        """
+        deps = dependency_graph(component, instantaneous=False)
+        sccs = strongly_connected_components(deps)
+        scc_of = {name: c for c, members in enumerate(sccs) for name in members}
+        members: List[List[Equation]] = [[] for _ in sccs]
+        first: List[int] = [len(equations)] * len(sccs)
+        for pos, eq in enumerate(equations):
+            c = scc_of[eq.target]
+            members[c].append(eq)
+            first[c] = min(first[c], pos)
+        preds: List[set] = [set() for _ in sccs]
+        for target, sources in deps.items():
+            preds[scc_of[target]].update(scc_of[n] for n in sources if n in scc_of)
+        users: List[List[int]] = [[] for _ in sccs]
+        for c, before in enumerate(preds):
+            before.discard(c)
+            for e in before:
+                users[e].append(c)
+        waiting = [len(before) for before in preds]
+        ready = [(first[c], c) for c in range(len(sccs)) if not waiting[c]]
+        heapq.heapify(ready)
+        out: List[Equation] = []
+        while ready:
+            _, c = heapq.heappop(ready)
+            out.extend(members[c])
+            for u in users[c]:
+                waiting[u] -= 1
+                if not waiting[u]:
+                    heapq.heappush(ready, (first[u], u))
+        return out
+
+    # -- execution -----------------------------------------------------------
+
+    def react_slots(
+        self,
+        inputs: Mapping[str, object],
+        state,
+        oracle,
+        instant_index: int,
+        absent_marker,
+    ) -> Tuple[List[int], List[object], List[object]]:
+        """One reaction from ``state``: the raw slot-indexed ``(statuses,
+        values, new_state)`` in :attr:`names` order (statuses are the
+        internal small ints, ``1`` present and ``2`` absent; values of
+        non-present slots are unspecified)."""
+        # every slot starts unknown and ``inputs`` names each input once,
+        # so binding them cannot contradict: plain stores, visible to
+        # every step of the initial sweep
+        status = self._init_status[:]
+        value = self._init_value[:]
+        input_slot = self.input_slot
+        for name, v in inputs.items():
+            i = input_slot.get(name)
+            if i is None:
+                raise SimulationError("unknown input {!r}".format(name))
+            if v is absent_marker:
+                status[i] = 2
+            else:
+                status[i] = 1
+                value[i] = v
+        for i in self._input_slots:
+            if status[i] == 0:
+                status[i] = 2
+        ctx = _Ctx(status, value, state, len(self.steps))
+        self._solve(ctx, oracle, instant_index)
+        advance = self._advance_fn
+        return status, value, list(state) if advance is None else advance(ctx, state)
+
+    def _solve(self, ctx: _Ctx, oracle, instant_index: int) -> None:
+        names = self.names
+        status = ctx.status
+        if self._sweep_fn(ctx):
+            self._resweep(ctx)
+        while 0 in status:
+            undetermined = tuple(
+                name for name, st in zip(names, status) if st == 0
+            )
+            if oracle is not None:
+                decisions = oracle(instant_index, undetermined)
+                applied = [
+                    (self.slot[name], 1 if present else 2)
+                    for name, present in dict(decisions).items()
+                    if name in undetermined
+                ]
+                if applied:
+                    for i, st in applied:
+                        status[i] = st
+                    self._requeue_consumers(ctx, [i for i, _ in applied])
+                    self._resweep(ctx)
+                    continue
+            # least-clock completion: everything unknown is absent
+            slots = [self.slot[name] for name in undetermined]
+            for i in slots:
+                status[i] = 2
+            self._requeue_consumers(ctx, slots)
+            try:
+                self._resweep(ctx)
+            except SimulationError as exc:
+                raise NonDeterministicClockError(
+                    "presence of {} not determined by inputs and the "
+                    "least-clock completion is inconsistent ({}); "
+                    "provide an oracle".format(sorted(undetermined), exc),
+                    undetermined,
+                )
+            break
+        missing = [
+            name
+            for name, st, v in zip(names, status, ctx.value)
+            if v is _PENDING and st == 1
+        ]
+        if missing:
+            raise SimulationError(
+                "present signals without a value: {}".format(sorted(missing))
+            )
+
+    def _requeue_consumers(self, ctx: _Ctx, slots) -> None:
+        """Queue every unsettled consumer of ``slots``, whose statuses
+        were just set outside any step."""
+        dependents = self.dependents
+        settled = ctx.settled
+        queued = ctx.queued
+        for i in slots:
+            for d in dependents[i]:
+                if not settled[d]:
+                    queued[d] = 1
+
+    def _resweep(self, ctx: _Ctx) -> None:
+        """The residual: while a step is queued, re-run every unsettled
+        step from the first queued one to the end of the schedule,
+        clearing the queued flags the pass meets (a step queues only
+        consumers at or before itself, so flags set during a pass wait
+        for the next one)."""
+        steps = self.steps
+        n_steps = len(steps)
+        status, value, state = ctx.status, ctx.value, ctx.state
+        settled = ctx.settled
+        queued = ctx.queued
+        first = queued.find(1)
+        while first >= 0:
+            for k in range(first, n_steps):
+                queued[k] = 0
+                if not settled[k]:
+                    steps[k](ctx, status, value, state, settled, queued)
+            first = queued.find(1)
+
+    # -- introspection -------------------------------------------------------
 
     @property
     def source(self) -> str:
@@ -758,28 +997,7 @@ class SpecializedPlan(ReactionPlan):
     def __reduce__(self):
         return (SpecializedPlan, (self.component,))
 
-    def _propagate(self, ctx, initial: bool = False) -> None:
-        if initial:
-            nq = self._sweep_fn(ctx)
-            if nq or ctx.dirty:
-                self._residual(ctx, nq)
-        else:
-            super()._propagate(ctx, initial)
-
-    def _next_state(self, ctx, state):
-        fn = self._advance_fn
-        if fn is not None:
-            return fn(ctx, state)
-        return super()._next_state(ctx, state)
-
     def __repr__(self) -> str:
-        return (
-            "SpecializedPlan({!r}: {} signals, {} steps "
-            "[{} inlined], {} registers)".format(
-                self.component.name,
-                self.n_signals,
-                len(self.steps),
-                self.specialized_steps,
-                len(self.pre_nodes),
-            )
+        return "SpecializedPlan({!r}: {} signals, {} steps, {} registers)".format(
+            self.component.name, self.n_signals, len(self.steps), len(self.pre_nodes)
         )

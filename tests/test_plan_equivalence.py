@@ -1,11 +1,12 @@
-"""The compiled reaction plan is observationally identical to the interpreter.
+"""The specialized reaction plan is observationally identical to the
+interpreter.
 
-The plan (:mod:`repro.sim.plan`) executes the same monotone constraint
-fixpoint as the reference interpreter, only pre-scheduled; these tests pin
-the equivalence empirically: instant-for-instant outputs, state
-trajectories, rejection behavior (exception type and failing instant) and
-oracle interaction must match on random programs and on the paper's
-designs.
+The plan (:mod:`repro.sim.specialize`) executes the same monotone
+constraint fixpoint as the reference interpreter, only pre-scheduled and
+generated; these tests pin the equivalence empirically: instant-for-instant
+outputs, state trajectories, rejection behavior (exception type and failing
+instant) and oracle interaction must match on random programs and on the
+paper's designs.
 """
 
 import pytest
@@ -14,12 +15,19 @@ from hypothesis import given, settings, strategies as st
 from repro import designs
 from repro.designs import modular_producer_consumer
 from repro.desync import desynchronize
-from repro.errors import NonDeterministicClockError, SimulationError
+from repro.errors import SimulationError
 from repro.lang import parse_component
 from repro.lang.analysis import dependency_graph, flatten_program
-from repro.lang.ast import App, Component, Equation, Pre, Var
+from repro.lang.ast import App, Component, Equation, Pre, SyncConstraint, Var
 from repro.lang.types import INT
-from repro.sim import Interpreter, ReactionPlan, Reactor, SpecializedPlan, stimuli
+from repro.sim import (
+    Interpreter,
+    Reactor,
+    SpecializedPlan,
+    shared_plan,
+    simulate_batch,
+    stimuli,
+)
 from repro.sim.runner import simulate
 from repro.sim.trace import SimTrace
 
@@ -27,27 +35,29 @@ from tests.test_property_random_programs import random_component, random_stimulu
 from tests.test_specialize_batch import _corpus_and_networks
 
 
+def run_outcome(reactor, rows):
+    """(outcome, states) of ``reactor`` over ``rows``; the outcome rows end
+    with a rejection marker naming the exception type when the run dies."""
+    out = []
+    states = [reactor.state()]
+    for row in rows:
+        try:
+            out.append(reactor.react(row))
+        except SimulationError as exc:
+            out.append(("rejected", type(exc).__name__))
+            break
+        states.append(reactor.state())
+    return out, states
+
+
 def run_both(comp, rows, oracle=None):
-    """(outcome, states) on the interpreter, then on the plan; outcome
-    rows end with a rejection marker naming the exception type when the
-    run dies."""
-    results = []
-    for executor in (Interpreter, ReactionPlan):
-        reactor = Reactor(comp, check=False, plan=executor(comp), oracle=oracle)
-        out = []
-        states = [reactor.state()]
-        for row in rows:
-            try:
-                out.append(reactor.react(row))
-            except NonDeterministicClockError:
-                out.append("needs-oracle")
-                break
-            except SimulationError:
-                out.append("rejected")
-                break
-            states.append(reactor.state())
-        results.append((out, states))
-    return results
+    """:func:`run_outcome` on the interpreter, then on the plan."""
+    return [
+        run_outcome(
+            Reactor(comp, check=False, plan=executor(comp), oracle=oracle), rows
+        )
+        for executor in (Interpreter, SpecializedPlan)
+    ]
 
 
 @settings(max_examples=80, deadline=None)
@@ -63,7 +73,7 @@ def test_prop_plan_matches_interpreter(comp, rows):
 def test_prop_plan_trace_render_identical(comp, rows):
     """Full rendered traces (the user-visible artifact) are byte-identical."""
     traces = []
-    for executor in (Interpreter, ReactionPlan):
+    for executor in (Interpreter, SpecializedPlan):
         reactor = Reactor(comp, check=False, plan=executor(comp))
         trace = SimTrace()
         try:
@@ -73,6 +83,44 @@ def test_prop_plan_trace_render_identical(comp, rows):
             pass
         traces.append(trace.render())
     assert traces[0] == traces[1]
+
+
+@st.composite
+def synced_component(draw):
+    """A random component plus one ``^=`` between two of its defined
+    signals."""
+    comp = draw(random_component().filter(lambda c: len(c.outputs) >= 2))
+    pair = draw(
+        st.lists(
+            st.sampled_from(sorted(comp.outputs)),
+            min_size=2, max_size=2, unique=True,
+        )
+    )
+    return comp.with_statements(list(comp.statements) + [SyncConstraint(pair)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(synced_component(), random_stimulus(10))
+def test_prop_sync_constraint_executors_agree(comp, rows):
+    """The generated sync steps against the oracle: the interpreter, a bare
+    ``Reactor`` (the cached specialized plan) and the batch lanes agree on
+    outputs, states, the rejecting instant and the exception type.  The
+    messages may differ: the plan can meet the conflict first as a clock
+    contradiction of a member."""
+    ref_out, ref_states = run_outcome(
+        Reactor(comp, check=False, plan=Interpreter(comp)), rows
+    )
+    reactor = Reactor(comp, check=False)
+    assert isinstance(reactor.plan, SpecializedPlan)
+    assert run_outcome(reactor, rows) == (ref_out, ref_states)
+    rejected = bool(ref_out) and isinstance(ref_out[-1], tuple)
+    expected_error = ref_out[-1][1] if rejected else None
+    expected_rows = ref_out[:-1] if rejected else ref_out
+    report = simulate_batch(comp, [iter(rows), iter(rows)], capture_errors=True)
+    for lane in range(2):
+        error = report.errors[lane]
+        assert (error and error[0]) == expected_error
+        assert repr(report.traces[lane].instants) == repr(expected_rows)
 
 
 @st.composite
@@ -105,7 +153,7 @@ def assert_schedule_follows_scc_order(comp):
     on one dependency cycle."""
     deps = dependency_graph(comp, instantaneous=False)
     deps = {t: {d for d in ds if d in deps} for t, ds in deps.items()}
-    order = [stmt for kind, stmt in ReactionPlan(comp).schedule if kind == "eq"]
+    order = [stmt for kind, stmt in SpecializedPlan(comp).schedule if kind == "eq"]
     assert sorted(map(repr, order)) == sorted(map(repr, comp.equations()))
 
     def reaches(source, target):
@@ -194,7 +242,7 @@ class TestPaperDesigns:
             "process C = (? integer a; ? integer b; ! integer x;)"
             "(| x := b | x ^= a |) end"
         )
-        for executor in (Interpreter, ReactionPlan):
+        for executor in (Interpreter, SpecializedPlan):
             reactor = Reactor(comp, plan=executor(comp))
             with pytest.raises(SimulationError):
                 reactor.react({"a": 1})
@@ -206,15 +254,29 @@ class TestPaperDesigns:
         reactor = Reactor(comp, plan=Interpreter(comp))
         assert reactor.plan.kind == "interp"
         assert reactor.react({"a": 2}) == {"a": 2, "x": 3}
-        assert Reactor(comp).plan.kind == "plan"  # the default: closure plan
+        # the default: the cached specialized plan
+        assert Reactor(comp).plan is shared_plan(comp)
+        assert Reactor(comp).plan.kind == "plan.spec"
 
 
-EXECUTORS = (Interpreter, ReactionPlan, SpecializedPlan)
+EXECUTORS = (Interpreter, SpecializedPlan)
 
 
 class TestPlanArgument:
     """``plan=`` picks the executor; the component check is its only
     validation."""
+
+    def test_pickled_interpreter_reacts_identically(self):
+        """An interpreter pickles as its component (its registers are
+        keyed by node identity, which a pickle does not keep)."""
+        import pickle
+
+        comp = flatten_program(designs.producer_consumer())
+        rows = [{"p_act": True}, {}, {"p_act": True}, {"p_act": True}]
+        own = Reactor(comp, plan=Interpreter(comp))
+        shipped = Reactor(comp, plan=pickle.loads(pickle.dumps(own.plan)))
+        assert [shipped.react(r) for r in rows] == [own.react(r) for r in rows]
+        assert shipped.state() == own.state() != tuple(own.plan.init_state)
 
     @pytest.mark.parametrize("executor", EXECUTORS, ids=lambda e: e.__name__)
     def test_plan_of_another_component_rejected(self, executor):

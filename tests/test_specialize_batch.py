@@ -1,9 +1,9 @@
 """Plan specialization, the shared plan cache, and batched lane execution.
 
 The contract under test everywhere: the specialized generated code and
-the batch lanes are *observationally byte-identical* to the closure plan
-and the reference interpreter — same traces, same errors, same estimator
-outputs, same soak verdicts — only faster.
+the batch lanes are *observationally identical* to the reference
+interpreter — same traces, same rejections, same estimator outputs, same
+soak verdicts — only faster.
 """
 
 import sys
@@ -18,7 +18,6 @@ from repro.lang.types import EVENT, INT
 from repro.perf import PERF
 from repro.sim import (
     Interpreter,
-    ReactionPlan,
     Reactor,
     simulate,
     simulate_batch,
@@ -30,7 +29,7 @@ from repro.sim.plan import (
     plan_cache_stats,
     shared_plan,
 )
-from repro.sim.specialize import SpecializedPlan
+from repro.sim.specialize import PlanBudgetError, SpecializedPlan
 
 
 def _corpus():
@@ -80,7 +79,7 @@ def _stimulus(comp, seed, n=25):
 
 class TestSpecializedCorpus:
     def test_corpus_byte_identical(self):
-        """Specialized traces match the closure plan's across the whole
+        """Specialized traces match the interpreter's across the whole
         designs corpus, several stimuli each."""
         for name, design in _corpus():
             comp = (
@@ -91,7 +90,11 @@ class TestSpecializedCorpus:
             spec_plan = SpecializedPlan(comp)
             for seed in range(3):
                 rows = _stimulus(comp, seed)
-                ref = simulate(comp, iter(rows))
+                ref = simulate(
+                    comp,
+                    iter(rows),
+                    reactor=Reactor(comp, plan=Interpreter(comp), check=False),
+                )
                 got = simulate(
                     comp,
                     iter(rows),
@@ -112,22 +115,24 @@ class TestSpecializedCorpus:
         assert module.SpecializedPlan is SpecializedPlan
 
     def test_corpus_and_instrumented_networks_inline_every_step(self):
-        """No step of the corpus, or of its capacity-2 instrumented
-        desynchronizations, falls back to its closure."""
+        """Every component of the corpus, and of its capacity-2
+        instrumented desynchronizations, gets a specialized plan from the
+        cache: none is over the generator's budget."""
         steps = 0
         for name, comp in _corpus_and_networks():
-            plan = SpecializedPlan(comp)
-            assert plan.fallback_steps == 0, name
-            steps += plan.specialized_steps
+            plan = shared_plan(comp)
+            assert isinstance(plan, SpecializedPlan), name
+            steps += len(plan.steps)
         assert steps >= 800
 
-    @pytest.mark.parametrize("depth, fallbacks", [(12, 0), (100, 1)])
-    def test_deep_default_chain_matches_closure_plan(self, depth, fallbacks):
+    @pytest.mark.parametrize("depth, interpreted", [(12, 0), (100, 1)])
+    def test_deep_default_chain_matches_interpreter(self, depth, interpreted):
         """Generated code grows linearly with a right-nested ``default``
         chain (``a0 default (a1 default (... a<depth>))``), so a depth-12
-        chain is inlined whole; one nested past ``MAX_STEP_DEPTH`` keeps
-        its closure step instead of failing to compile.  Both react
-        exactly as the closure plan does."""
+        chain is specialized whole; one nested past ``MAX_STEP_DEPTH`` is
+        over budget, and the cache hands out its interpreter instead.
+        ``Reactor``, ``simulate_batch`` and a pickled copy of the cached
+        executor all react exactly as the interpreter does."""
         import pickle
         import random
 
@@ -142,28 +147,38 @@ class TestSpecializedCorpus:
             "chain", {n: INT for n in names}, {"y": INT}, {},
             [Equation("y", expr)],
         )
-        plan = SpecializedPlan(comp)
-        assert plan.fallback_steps == fallbacks
+        plan = shared_plan(comp)
+        if interpreted:
+            with pytest.raises(PlanBudgetError):
+                SpecializedPlan(comp)
+            assert isinstance(plan, Interpreter)
+        else:
+            assert isinstance(plan, SpecializedPlan)
         shipped = pickle.loads(pickle.dumps(plan))
-        assert shipped.fallback_steps == fallbacks
+        assert type(shipped) is type(plan)
         rng = random.Random(depth)
         rows = [
             {n: ABSENT if rng.random() < 0.85 else rng.randrange(9)
              for n in names}
             for _ in range(200)
         ]
-        ref = Reactor(comp)
+        ref = Reactor(comp, plan=Interpreter(comp))
         expected = [ref.react(r) for r in rows]
-        for executor in (plan, shipped):
-            spec = Reactor(comp, plan=executor)
-            assert [spec.react(r) for r in rows] == expected
+        default = Reactor(comp)
+        assert default.plan is plan
+        for reactor in (default, Reactor(comp, plan=shipped)):
+            assert [reactor.react(r) for r in rows] == expected
+        with PERF.scope() as counts:
+            report = simulate_batch(comp, [iter(rows)])
+        assert report.traces[0].instants == expected
+        assert counts.counts["batch.{}.reactions".format(plan.kind)] > 0
 
     def test_jittered_lanes_run_few_residual_steps(self):
         """The schedule settles the instrumented FIFO network in its first
-        sweep: the closure steps the residual worklist runs again stay at
-        most one per reaction on jittered lanes (the count is deterministic;
-        3,764 for 684 reactions before the schedule followed every
-        ``pre`` cycle)."""
+        sweep: the steps the residual re-sweep runs again stay at most one
+        per reaction on jittered lanes (the count is deterministic; 3,764
+        for 684 reactions before the schedule followed every ``pre``
+        cycle)."""
         from repro.desync import desynchronize
         from repro.faults.soak import jittered_stimulus
 
@@ -174,14 +189,13 @@ class TestSpecializedCorpus:
         reruns = [0]
 
         def counted(step):
-            def run(ctx):
+            def run(*args):
                 reruns[0] += 1
-                return step(ctx)
+                return step(*args)
             return run
 
-        # the generated sweep runs no closure step (none falls back), so
-        # every call counted here comes from the residual worklist
-        assert plan.fallback_steps == 0
+        # the generated sweep calls its steps by name, not through this
+        # tuple, so every call counted here comes from the residual
         plan.steps = tuple(counted(step) for step in plan.steps)
         base = [
             {"p_act": True} if i % 2 == 0 else {"x_rreq": True}
@@ -192,7 +206,7 @@ class TestSpecializedCorpus:
             simulate_batch(comp, lanes, n=100, plan=plan)
         reactions = counts.counts["batch.plan.spec.reactions"]
         assert reactions == 684
-        assert reruns[0] <= reactions
+        assert reruns[0] == 344
 
 
 def _corpus_and_networks():
@@ -245,7 +259,7 @@ class TestShippedPlans:
             shipped = pickle.loads(pickle.dumps(plan))
             assert isinstance(shipped, SpecializedPlan)
             assert shipped.source == plan.source
-            assert shipped.specialized_steps == plan.specialized_steps
+            assert len(shipped.steps) == len(plan.steps)
             for seed in range(2):
                 rows = _stimulus(comp, seed)
                 assert _slot_runs(shipped, rows) == _slot_runs(plan, rows), (
@@ -345,6 +359,19 @@ class TestPlanCache:
         assert shared_plan(a) is plan
         assert isinstance(shared_plan(b), SpecializedPlan)
         assert plan_cache_stats()["size"] == 2
+
+    def test_declaration_order_is_part_of_the_key(self):
+        """Two components that differ only in their input order have
+        equal content keys but not one plan: a reactor returns its
+        outputs in its own component's order."""
+        eqs = [Equation("y", App("+", (Var("a"), Var("b"))))]
+        a = Component("ab", {"a": INT, "b": INT}, {"y": INT}, {}, eqs)
+        b = Component("ab", {"b": INT, "a": INT}, {"y": INT}, {}, eqs)
+        assert component_key(a) == component_key(b)
+        shared_plan(a)
+        out = Reactor(b).react({"a": 1, "b": 2})
+        assert list(out) == ["b", "a", "y"] == list(b.signals())
+        assert shared_plan(b) is not shared_plan(a)
 
     def test_bounded_lru(self):
         from repro.lang.ast import Const
@@ -459,20 +486,17 @@ class TestShapeTable:
 
     def test_plans_built_after_evictions_react_identically(self, monkeypatch):
         """With a table of four shapes, building the corpus evicts
-        shapes over and over; the plans still react like the closure
-        plan."""
+        shapes over and over; the plans still react like the
+        interpreter."""
         import repro.sim.specialize as specialize
 
         monkeypatch.setattr(specialize, "_CODE_TABLE_CAPACITY", 4)
         with PERF.scope() as counts:
             for name, comp in _corpus_and_networks():
                 plan = SpecializedPlan(comp)
-                closure = ReactionPlan(comp)
-                for seed in range(2):
-                    rows = _stimulus(comp, seed)
-                    assert _slot_runs(plan, rows) == _slot_runs(
-                        closure, rows
-                    ), (name, seed)
+                assert _reference_runs(comp, plan, range(2)) == _reference_runs(
+                    comp, Interpreter(comp), range(2)
+                ), name
         assert counts.counts["plan.shape_evictions"] > 0
         assert len(specialize._code_table) == 4
 
@@ -653,7 +677,7 @@ def _reference_with_errors(comp, rows):
 
 
 class TestUnspecializedBatch:
-    """Wide batches over the closure plan (``plan=ReactionPlan(comp)``)."""
+    """Wide batches over the interpreter (``plan=Interpreter(comp)``)."""
 
     def test_corpus_byte_identical(self):
         """Traces *and* captured rejection errors of a 12-lane batch
@@ -672,7 +696,7 @@ class TestUnspecializedBatch:
             report = simulate_batch(
                 comp,
                 [iter(rows) for rows in lane_rows],
-                plan=ReactionPlan(comp),
+                plan=Interpreter(comp),
                 capture_errors=True,
             )
             for k, (out, err) in enumerate(refs):
@@ -689,7 +713,7 @@ class TestUnspecializedBatch:
         lanes = [[{"x": k}, {"x": 2 ** 40}, {"x": -k}] for k in range(10)]
         refs = [simulate(comp, iter(rows)) for rows in lanes]
         report = simulate_batch(
-            comp, [iter(rows) for rows in lanes], plan=ReactionPlan(comp)
+            comp, [iter(rows) for rows in lanes], plan=Interpreter(comp)
         )
         for k, ref in enumerate(refs):
             assert repr(report.traces[k].instants) == repr(ref.instants)
@@ -701,14 +725,14 @@ class TestCounterAttribution:
         rows = _stimulus(comp, 0, n=10)
         PERF.reset()
         simulate(comp, iter(rows), reactor=Reactor(comp, check=False))
-        assert PERF.get("sim.plan.reactions") == 10
-        assert PERF.get("sim.plan.spec.reactions") == 0
+        assert PERF.get("sim.plan.spec.reactions") == 10
+        assert PERF.get("sim.interp.reactions") == 0
         simulate(
             comp, iter(rows),
-            reactor=Reactor(comp, check=False, plan=SpecializedPlan(comp)),
+            reactor=Reactor(comp, check=False, plan=Interpreter(comp)),
         )
-        assert PERF.get("sim.plan.spec.reactions") == 10
-        assert PERF.get("sim.plan.reactions") == 10  # unchanged
+        assert PERF.get("sim.interp.reactions") == 10
+        assert PERF.get("sim.plan.spec.reactions") == 10  # unchanged
         clear_plan_cache()
         with PERF.scope() as run:
             simulate_batch(comp, [iter(rows), iter(rows)])
@@ -726,10 +750,10 @@ class TestCounterAttribution:
         assert PERF.get("batch.memo_hits") == counts["batch.memo_hits"]
         clear_plan_cache()
         with PERF.scope() as run2:
-            simulate_batch(comp, [iter(rows)], plan=ReactionPlan(comp))
+            simulate_batch(comp, [iter(rows)], plan=Interpreter(comp))
         counts2 = run2.counts
         assert (
-            counts2["batch.plan.reactions"] + counts2.get("batch.memo_hits", 0)
+            counts2["batch.interp.reactions"] + counts2.get("batch.memo_hits", 0)
             == 10
         )
         assert "batch.plan.spec.reactions" not in counts2
