@@ -18,7 +18,9 @@ The specialized plan is built once, before the first cell, and its build
 time is reported on its own row: a campaign pays it once, so charging it
 to whichever cell happens to run first would misstate that cell.
 
-Every cell asserts the batched trace is byte-identical to the
+Each cell runs both sides ``REPEATS`` times, interleaved, and reports
+each side's minimum, so one slow run cannot decide the 64-lane floor.
+Every run asserts the batched trace is byte-identical to the
 sequential trace, lane by lane — the speedup must come from
 amortization and sharing, never from approximation.
 
@@ -47,6 +49,10 @@ HORIZON = 120 if quick() else 400
 #: direction)
 FLOOR_64 = 2.0 if quick() else 5.0
 
+#: runs per cell: each side's time is its minimum over this many runs,
+#: the sequential and batched runs interleaved
+REPEATS = 3 if quick() else 5
+
 
 def _base_rows(n):
     # the steady produce/consume handshake the jitter perturbs
@@ -70,23 +76,26 @@ def _lane_rows(n_lanes, rate):
 
 def _cell(comp, plan, n_lanes, rate):
     lanes = _lane_rows(n_lanes, rate)
-
-    t0 = time.perf_counter()
-    sequential = []
-    for rows in lanes:
-        reactor = Reactor(comp, check=False)
-        sequential.append([reactor.react(row) for row in rows])
-    t_seq = time.perf_counter() - t0
-
-    with PERF.scope() as counts:
+    t_seq = t_batch = float("inf")
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
-        report = simulate_batch(comp, [iter(rows) for rows in lanes], plan=plan)
-        t_batch = time.perf_counter() - t0
+        sequential = []
+        for rows in lanes:
+            reactor = Reactor(comp, check=False)
+            sequential.append([reactor.react(row) for row in rows])
+        t_seq = min(t_seq, time.perf_counter() - t0)
 
-    for k in range(n_lanes):
-        assert repr(report.traces[k].instants) == repr(sequential[k]), (
-            n_lanes, rate, k,
-        )
+        with PERF.scope() as counts:
+            t0 = time.perf_counter()
+            report = simulate_batch(
+                comp, [iter(rows) for rows in lanes], plan=plan
+            )
+            t_batch = min(t_batch, time.perf_counter() - t0)
+
+        for k in range(n_lanes):
+            assert repr(report.traces[k].instants) == repr(sequential[k]), (
+                n_lanes, rate, k,
+            )
 
     instants = n_lanes * HORIZON
     return {
@@ -116,9 +125,8 @@ def test_a11_batched_soak(benchmark):
     )
     emit(
         "A11_batched_soak",
-        "batched soak, {} instants/lane, jittered handshake lanes\n".format(
-            HORIZON
-        )
+        "batched soak, {} instants/lane, jittered handshake lanes, "
+        "min of {} interleaved runs per cell\n".format(HORIZON, REPEATS)
         + "specialized plan build (once, before the cells): {:.3f} s\n".format(
             build_s
         )
@@ -134,7 +142,7 @@ def test_a11_batched_soak(benchmark):
                 for r in records
             ],
         ),
-        data={"plan_build_s": build_s, "cells": records},
+        data={"plan_build_s": build_s, "repeats": REPEATS, "cells": records},
     )
     for r in records:
         # the batch memo exists to exploit cross-lane redundancy; on this

@@ -9,6 +9,10 @@ for the rebuilt backend.
 Expected shape: states grow geometrically with FIFO depth (each slot adds
 a value dimension) and polynomially with the datapath modulus.
 
+Each point builds its specialized plan cold (plan cache and compiled
+step shapes cleared first) and times that build on its own, so the
+exploration time and its reactions/s cover the exploration alone.
+
 A second section ablates the *simulation* substrate on the same design:
 the reference interpreter vs the specialized generated-code plan
 (``repro.sim.specialize``), reactions per second on the desynchronized
@@ -25,8 +29,8 @@ from repro.designs import modular_producer_consumer
 from repro.desync import desynchronize
 from repro.lang.analysis import flatten_program
 from repro.mc import compile_lts
-from repro.perf.sweep import sweep
-from repro.sim import Interpreter, Reactor, SpecializedPlan
+from repro.sim import Interpreter, Reactor, SpecializedPlan, shared_plan
+from repro.sim.plan import clear_plan_cache
 
 from _report import emit, quick, table
 
@@ -39,36 +43,43 @@ SIM_INSTANTS = 400 if quick() else 4000
 SIM_REPEATS = 1 if quick() else 6
 
 
-def explore(point):
-    capacity, modulus = point
+def explore(capacity, modulus):
+    """States, transitions, the cold build of the point's plan and the
+    exploration on that built plan, each timed on its own (wall
+    seconds)."""
     res = desynchronize(
         modular_producer_consumer(modulus=modulus), capacities=capacity
     )
-    lts = compile_lts(res.program, alphabet=FREE, max_states=500000)
-    return lts.num_states(), lts.num_transitions()
+    comp = flatten_program(res.program)
+    clear_plan_cache()
+    start = time.perf_counter()
+    shared_plan(comp)
+    build = time.perf_counter() - start
+    start = time.perf_counter()
+    lts = compile_lts(comp, alphabet=FREE, max_states=500000)
+    seconds = time.perf_counter() - start
+    return lts.num_states(), lts.num_transitions(), build, seconds
 
 
 def run_experiment():
     # the depth sweep at modulus 2, then the modulus sweep at depth 2 (the
-    # shared (2, 2) point is intentionally measured twice); sequential so
-    # each per-task wall time is an honest single-core exploration cost
+    # shared (2, 2) point is intentionally measured twice)
     points = [(c, 2) for c in CAPACITIES] + [(2, m) for m in MODULI]
-    report = sweep(explore, points)
     records = []
     by_depth = {}
     by_modulus = {}
-    for point, task in zip(points, report.results):
-        capacity, modulus = point
-        states, transitions = task.value
+    for capacity, modulus in points:
+        states, transitions, build, seconds = explore(capacity, modulus)
         records.append(
             {
                 "capacity": capacity,
                 "modulus": modulus,
                 "states": states,
                 "transitions": transitions,
-                "seconds": task.seconds,
+                "build_seconds": build,
+                "seconds": seconds,
                 "reactions_per_s":
-                    int(transitions / task.seconds) if task.seconds else 0,
+                    int(transitions / seconds) if seconds else 0,
             }
         )
         if modulus == 2:
@@ -137,9 +148,10 @@ def test_a3_mc_scaling(benchmark):
         "A3_mc_scaling",
         table(
             ["FIFO depth", "modulus", "states", "transitions",
-             "explore time (s)", "reactions/s"],
+             "plan build (s)", "explore time (s)", "reactions/s"],
             [
                 (r["capacity"], r["modulus"], r["states"], r["transitions"],
+                 "{:.3f}".format(r["build_seconds"]),
                  "{:.3f}".format(r["seconds"]), r["reactions_per_s"])
                 for r in records
             ],

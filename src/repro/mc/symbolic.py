@@ -28,14 +28,19 @@ Partitioned image computation
 
 By default ``R`` is *never* conjoined into one monolithic BDD.  The
 per-equation conjuncts are kept as a partitioned transition relation,
-ordered by support, and the image ``∃ m, signals . (frontier ∧ R)`` is
-computed as a chain of fused :meth:`repro.mc.bdd.BDD.and_exists`
-relational products with an *early quantification* schedule: each
-variable is quantified out at the conjunct where its support dies, so
-the intermediate products stay small and the monolithic peak never
-materializes.  ``partitioned=False`` restores the monolithic path (the
-two provably compute the identical reachable-set BDD — hash consing
-makes that checkable by node-id equality, and the test suite does).
+ordered by support and merged bottom-up into small clusters, and the
+image ``∃ m, signals . (frontier ∧ R)`` is computed as a chain of fused
+:meth:`repro.mc.bdd.BDD.and_exists` relational products with an *early
+quantification* schedule: each variable is quantified out at the
+cluster where its support dies, so the intermediate products stay small
+and the monolithic peak never materializes.  ``partitioned=False``
+restores the monolithic path (the two provably compute the identical
+reachable-set BDD — hash consing makes that checkable by node-id
+equality, and the test suite does).
+
+A ``never`` query takes one relational product over the whole reachable
+set; only when that product is not empty does it scan the reachability
+rings for the earliest violation and walk a counterexample back.
 
 Semantic note: a constant operand is context-clocked ("chameleon"), so
 the relation for e.g. ``y default 0`` leaves the result's presence free
@@ -64,9 +69,41 @@ from repro.lang.ast import (
     Var,
     When,
 )
+from repro.lang.printer import format_expression
 from repro.lang.types import BOOL, EVENT
 from repro.mc.bdd import BDD, FALSE, TRUE
 from repro.mc.safety import CounterExample
+
+
+def boolean_core(design) -> Component:
+    """``design`` flattened and normalized to the core form (one operator
+    per equation) that :class:`SymbolicChecker` encodes.
+
+    Raises :class:`~repro.errors.VerificationError` unless every signal
+    of that core form is boolean, the temporaries normalization
+    introduces included: an integer constant can give a program whose
+    declared signals are all boolean an integer temporary, as in
+    ``y := (-1 when x) == -1``."""
+    comp = flatten_program(design) if isinstance(design, Program) else design
+    declared = comp.signals()
+    for name, ty in declared.items():
+        if ty not in (BOOL, EVENT):
+            raise VerificationError(
+                "symbolic backend handles boolean programs only; "
+                "{!r} has type {}".format(name, ty)
+            )
+    core = normalize_component(comp, lower_clocks=False, to_core=True)
+    for st in core.statements:
+        if isinstance(st, Equation) and st.target not in declared:
+            ty = core.locals[st.target]
+            if ty not in (BOOL, EVENT):
+                raise VerificationError(
+                    "symbolic backend handles boolean programs only; "
+                    "the sub-expression {} has type {}".format(
+                        format_expression(st.expr), ty
+                    )
+                )
+    return core
 
 
 class SymbolicChecker:
@@ -99,14 +136,7 @@ class SymbolicChecker:
         partitioned: bool = True,
         store=None,
     ):
-        comp = flatten_program(design) if isinstance(design, Program) else design
-        for name, ty in comp.signals().items():
-            if ty not in (BOOL, EVENT):
-                raise VerificationError(
-                    "symbolic backend handles boolean programs only; "
-                    "{!r} has type {}".format(name, ty)
-                )
-        comp = normalize_component(comp, lower_clocks=False, to_core=True)
+        comp = boolean_core(design)
         self.component = comp
         self.bdd = BDD()
         self.partitioned = partitioned
@@ -327,9 +357,14 @@ class SymbolicChecker:
 
         Per-equation conjuncts are sorted by support (top-most variable
         first, i.e. dataflow order) and then greedily merged while the
-        merged product stays small (:data:`CLUSTER_LIMIT` nodes).  This
-        is the conjunction schedule early quantification is planned
-        over; it is computed once, against the registration-order
+        merged product stays small (:data:`CLUSTER_LIMIT` nodes).  The
+        merge runs bottom-up, from the last conjunct to the first: each
+        conjunct sits above the cluster it joins, so the ``AND`` walks
+        the conjunct's few nodes and shares the cluster beneath them,
+        where a top-down merge would rebuild every cluster node above
+        the new conjunct.  The clusters are then put back in dataflow
+        order.  This is the conjunction schedule early quantification is
+        planned over; it is computed once, against the registration-order
         levels, and every cluster is pinned."""
         if self._ordered is None:
             bdd = self.bdd
@@ -345,14 +380,15 @@ class SymbolicChecker:
             ]
             clusters: List[int] = []
             limit = self.CLUSTER_LIMIT
-            for part in ordered:
+            for part in reversed(ordered):
                 if clusters:
-                    merged = bdd.AND(clusters[-1], part)
+                    merged = bdd.AND(part, clusters[-1])
                     if self._bdd_size(merged, limit) <= limit:
                         bdd.unpin(clusters[-1])
                         clusters[-1] = bdd.pin(merged)
                         continue
                 clusters.append(bdd.pin(part))
+            clusters.reverse()
             self._ordered = clusters
         return self._ordered
 
@@ -583,7 +619,10 @@ class SymbolicChecker:
         """The Section 5.2 obligation, symbolically, with a counterexample
         input sequence reconstructed from the reachability rings."""
         bad = self.presence(signal)
-        self.reachable_states()
+        # one product over the whole reachable set settles a proven
+        # query; only a refuted one scans the rings for its earliest hit
+        if not self.reachable(bad):
+            return None
         bdd = self.bdd
         # The reconstruction only reads input presences/values and the
         # current memory out of each satisfying assignment, so everything
@@ -597,17 +636,13 @@ class SymbolicChecker:
                 keep.add("v:" + name)
         hidden = [v for v in self._non_state if v not in keep]
         hidden += [s + "'" for s in self._state_vars]
-        # find the earliest ring from which a bad reaction fires
-        hit_ring = None
-        final = FALSE
-        for k, ring in enumerate(self._rings):
+        # find the earliest ring from which a bad reaction fires (one
+        # does: the reachable set is the union of the rings)
+        for hit_ring, ring in enumerate(self._rings):
             final = self._relation_product(bdd.AND(ring, bad), hidden)
             if final != FALSE:
-                hit_ring = k
                 break
-        if hit_ring is None:
-            return None
-        # walk backward: pick a bad state in ring k, then predecessors
+        # walk backward: pick a bad state in the hit ring, then predecessors
         inputs: List[Dict[str, object]] = []
         # choose the final (bad) reaction
         assignment = bdd.any_sat(final)

@@ -44,7 +44,6 @@ from typing import (
 from repro.errors import ReproError
 from repro.lang.analysis import flatten_program, shared_signals
 from repro.lang.ast import Program
-from repro.lang.types import BOOL, EVENT
 from repro.lint.bounds import PeriodicWord
 from repro.perf import PERF
 from repro.prove.affine import (
@@ -395,6 +394,7 @@ def _mc_certificate(
     max_states, read_requests, fifo, backpressure, assumptions, store,
 ) -> ProofCertificate:
     from repro.mc.harness import never_present_verdicts
+    from repro.mc.symbolic import boolean_core
 
     def unknown(method: str, reason: str, stats=None) -> ProofCertificate:
         return ProofCertificate(
@@ -419,12 +419,16 @@ def _mc_certificate(
 
     chosen = backend
     if backend == "auto":
-        all_bool = all(
-            ty in (BOOL, EVENT)
-            for comp in info.program.components
-            for ty in comp.signals().values()
-        )
-        chosen = "symbolic" if all_bool else "explicit"
+        # the symbolic backend's own test: its core form, normalization's
+        # temporaries included, must be boolean; a product that does not
+        # even flatten goes to explicit, whose failure the certificate
+        # reports as before
+        try:
+            boolean_core(info.program)
+        except ReproError:
+            chosen = "explicit"
+        else:
+            chosen = "symbolic"
     if chosen not in ("explicit", "symbolic", "compose"):
         raise ValueError("unknown prove backend {!r}".format(backend))
     method = "mc-" + chosen

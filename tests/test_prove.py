@@ -177,6 +177,21 @@ class TestModelCheckingPath:
         assert cert.method == "mc-explicit"
         assert cert.verdict == "proven"
 
+    def test_auto_picks_explicit_for_integer_temporary(self):
+        # every declared signal is boolean, but normalization gives the
+        # consumer an integer temporary for ``-1 when x``: the symbolic
+        # backend rejects that product, so auto must not pick it
+        prog = parse_program(
+            "process P = (? event p_act; ! boolean x;)"
+            "(| x := not (pre false x) | x ^= p_act |) end "
+            "process Q = (? boolean x; ! boolean y;)"
+            "(| y := (-1 when x) == -1 |) end",
+            name="int_temporary",
+        )
+        _, cert = prove(prog, fifo="boolean", backpressure={"P": "p_act"})
+        assert cert.method == "mc-explicit"
+        assert cert.verdict == "proven"
+
     def test_state_explosion_is_unknown_with_reason(self):
         # the INT accumulator payload is unbounded: the explicit backend
         # must degrade soundly, never silently
