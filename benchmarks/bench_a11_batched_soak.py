@@ -81,7 +81,7 @@ def _cell(comp, plan, n_lanes, rate):
         t0 = time.perf_counter()
         sequential = []
         for rows in lanes:
-            reactor = Reactor(comp, check=False)
+            reactor = Reactor(comp)
             sequential.append([reactor.react(row) for row in rows])
         t_seq = min(t_seq, time.perf_counter() - t0)
 

@@ -118,7 +118,7 @@ def sim_speed():
     traces = {}
     for _ in range(SIM_REPEATS):
         for name, executor in ENGINES:
-            reactor = Reactor(comp, check=False, plan=executor(comp))
+            reactor = Reactor(comp, plan=executor(comp))
             start = time.process_time()
             out = [reactor.react(row) for row in rows]
             elapsed = time.process_time() - start

@@ -22,6 +22,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import CausalityError, SignalTypeError
@@ -231,8 +232,8 @@ def shared_signals(program: Program) -> List[SharedSignal]:
 
     Only *interface* signals participate: component locals — including the
     ``<component>__``-namespaced locals minted by :func:`flatten_program`
-    with ``namespace_locals=True`` — are private and never reported, so a
-    local renamed apart from a same-named sibling cannot show up as shared.
+    — are private and never reported, so a local renamed apart from a
+    same-named sibling cannot show up as shared.
 
     When several components write one signal, all writers are listed in
     ``producers`` (program order) and none of them appears in
@@ -260,15 +261,26 @@ def shared_signals(program: Program) -> List[SharedSignal]:
     return out
 
 
-def flatten_program(program: Program, namespace_locals: bool = True) -> Component:
+def flatten_program(design: Union[Program, Component]) -> Component:
     """Fuse all components into one (synchronous composition by names).
 
-    Locals are prefixed ``<component>__`` when ``namespace_locals`` so
-    same-named private state in different components cannot collide.  The
-    flat component's inputs are the signals nobody defines; its outputs are
-    every defined interface signal (so traces of the composition remain
-    observable); locals of members stay local.
+    Locals are prefixed ``<component>__`` so same-named private state in
+    different components cannot collide; two namespaced names that still
+    meet (``P``'s ``_m`` and ``P_``'s ``m``) raise.  The flat component's
+    inputs are the signals nobody defines; its outputs are every defined
+    interface signal (so traces of the composition remain observable);
+    locals of members stay local.
+
+    A component is its own flattening and comes back unchanged.  A
+    program keeps its flattening in ``_flat``, so later calls on the same
+    program return the same component object.  Threads racing on a new
+    program may each build one; the copies are equal in content, and no
+    caller depends on more than content.
     """
+    if isinstance(design, Component):
+        return design
+    if design._flat is not None:
+        return design._flat
     inputs: Dict[str, Type] = {}
     outputs: Dict[str, Type] = {}
     locals_: Dict[str, Type] = {}
@@ -276,19 +288,12 @@ def flatten_program(program: Program, namespace_locals: bool = True) -> Componen
     defined: Set[str] = set()
     iface_types: Dict[str, Type] = {}
 
-    renamed: List[Component] = []
-    for comp in program.components:
-        if namespace_locals:
-            mapping = {n: "{}__{}".format(comp.name, n) for n in comp.locals}
-            comp = comp.rename(mapping)
-        renamed.append(comp)
-
-    for comp in renamed:
+    for comp in design.components:
+        comp = comp.rename({n: "{}__{}".format(comp.name, n) for n in comp.locals})
         for name, ty in comp.locals.items():
             if name in locals_:
                 raise SignalTypeError(
-                    "local {!r} defined in two components; "
-                    "use namespace_locals=True".format(name)
+                    "local {!r} defined in two components".format(name)
                 )
             locals_[name] = ty
         for name, ty in list(comp.inputs.items()) + list(comp.outputs.items()):
@@ -310,7 +315,8 @@ def flatten_program(program: Program, namespace_locals: bool = True) -> Componen
         if name not in defined:
             inputs[name] = locals_.pop(name)
 
-    return Component(program.name, inputs, outputs, locals_, statements)
+    design._flat = Component(design.name, inputs, outputs, locals_, statements)
+    return design._flat
 
 
 # -- normalization to core form ------------------------------------------------

@@ -471,9 +471,12 @@ class Component:
     statement must be declared.  Deeper well-formedness (single assignment,
     every non-input defined, type agreement) is checked by
     :func:`repro.lang.typecheck.check_component`.
+
+    A component is never changed in place, so it keeps its content key
+    (:func:`repro.lang.serializer.content_key`) in ``_key`` once taken.
     """
 
-    __slots__ = ("name", "inputs", "outputs", "locals", "statements")
+    __slots__ = ("name", "inputs", "outputs", "locals", "statements", "_key")
 
     def __init__(
         self,
@@ -488,6 +491,7 @@ class Component:
         self.outputs: Dict[str, Type] = dict(outputs)
         self.locals: Dict[str, Type] = dict(locals)
         self.statements: Tuple[Statement, ...] = tuple(statements)
+        self._key: Optional[str] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -587,14 +591,16 @@ class Program:
 
     Components communicate through equal signal names; the composition's
     denotation is the synchronous parallel composition (Definition 3) of
-    the components' denotations.
+    the components' denotations.  It keeps its flattening
+    (:func:`repro.lang.analysis.flatten_program`) in ``_flat`` once built.
     """
 
-    __slots__ = ("name", "components")
+    __slots__ = ("name", "components", "_flat")
 
     def __init__(self, name: str, components: Sequence[Component]):
         self.name = name
         self.components: Tuple[Component, ...] = tuple(components)
+        self._flat: Optional[Component] = None
         seen = set()
         for comp in self.components:
             if comp.name in seen:

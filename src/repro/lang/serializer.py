@@ -22,8 +22,9 @@ Schema (informal)::
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Dict
+from typing import Any, Dict
 
 from repro.errors import ReproError
 from repro.lang.ast import (
@@ -194,6 +195,33 @@ def program_from_dict(d: Dict) -> Program:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError("malformed program: {}".format(exc))
+
+
+def canonical_json(obj: Any) -> str:
+    """The one serialization everything content-addressed hashes and
+    digests: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def digest(obj: Any) -> str:
+    """The sha256 hex digest of :func:`canonical_json` of ``obj``."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def content_key(design) -> str:
+    """The content hash of a Component or Program: :func:`digest` of its
+    dictionary form.  A component keeps its key in ``_key`` after the
+    first call (components are never changed in place; ``rename`` and
+    ``with_statements`` build new ones).  A program is keyed afresh on
+    every call, since one resolved program serves every job on a design
+    (see "Design identity" in docs/performance.md)."""
+    if isinstance(design, Component):
+        if design._key is None:
+            design._key = digest(component_to_dict(design))
+        return design._key
+    if isinstance(design, Program):
+        return digest(program_to_dict(design))
+    raise TypeError("cannot key {!r}".format(type(design).__name__))
 
 
 def dumps(design, indent=2) -> str:

@@ -46,12 +46,7 @@ from repro.mc.harness import (
     never_present_verdicts,
 )
 from repro.mc.symbolic import SymbolicChecker
-from repro.mc.store import (
-    MCStore,
-    default_store,
-    design_content_key,
-    store_key,
-)
+from repro.mc.store import MCStore, default_store, store_key
 from repro.mc.compose import (
     AlternatingBitContract,
     ChannelContract,
@@ -92,7 +87,6 @@ __all__ = [
     "never_present_verdicts",
     "MCStore",
     "default_store",
-    "design_content_key",
     "store_key",
     "AlternatingBitContract",
     "ChannelContract",

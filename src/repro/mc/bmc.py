@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import NonDeterministicClockError, SimulationError, VerificationError
 from repro.lang.analysis import flatten_program
-from repro.lang.ast import Component, Program
 from repro.mc.compile import boolean_alphabet
 from repro.mc.safety import CounterExample
 from repro.sim.engine import Reactor
@@ -64,7 +63,7 @@ def bounded_check(
     shortest-by-construction violating input sequence (the search is
     iterative-deepening breadth-first over sequence length).
     """
-    comp = flatten_program(design) if isinstance(design, Program) else design
+    comp = flatten_program(design)
     if alphabet is None:
         alphabet = boolean_alphabet(comp)
     if not alphabet:

@@ -18,10 +18,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import NonDeterministicClockError, SimulationError, VerificationError
 from repro.lang.analysis import flatten_program
-from repro.lang.ast import Component, Program
+from repro.lang.ast import Component
 from repro.lang.types import BOOL, EVENT, INT
 from repro.perf import PERF
-from repro.sim.engine import ABSENT, Reactor
+from repro.sim.engine import Reactor
 from repro.mc.lts import LTS, freeze_letter
 
 
@@ -79,7 +79,7 @@ def _react_outcome(plan, letter, state, oracle, instant_index, visible):
     ``(name, value)`` pairs, and the successor state as a tuple.  An
     inconsistent reaction raises :class:`~repro.errors.SimulationError`."""
     statuses, values, new_state = plan.react_slots(
-        letter, state, oracle, instant_index, ABSENT
+        letter, state, oracle, instant_index
     )
     return (
         tuple((name, values[i]) for name, i in visible if statuses[i] == 1),
@@ -115,19 +115,20 @@ def compile_lts(
     under ``mc.store.*``).  Read one call's counts from a
     :meth:`repro.perf.PerfCounters.scope` around it.
     """
-    comp = flatten_program(design) if isinstance(design, Program) else design
+    comp = flatten_program(design)
     if alphabet is None:
         alphabet = boolean_alphabet(comp)
     if not alphabet:
         alphabet = [{}]
     key = None
     if store is not None and oracle is None:
+        from repro.lang.serializer import content_key
         from repro.mc.lts import lts_from_dict
-        from repro.mc.store import design_content_key, store_key
+        from repro.mc.store import store_key
 
         key = store_key(
             "explicit-lts",
-            design_content_key(comp),
+            content_key(comp),
             {"alphabet": alphabet},
         )
         payload = store.get(key, kind="explicit-lts")

@@ -344,7 +344,7 @@ def verify_composed(
     def monolithic(
         reason: Optional[str], checks: List[LocalCheck]
     ) -> ComposeCertificate:
-        flat = flatten_program(design) if isinstance(design, Program) else design
+        flat = flatten_program(design)
         alphabet = input_alphabet(
             flat,
             int_values=int_values,

@@ -39,7 +39,6 @@ from typing import (
 
 from repro.errors import VerificationError
 from repro.lang.analysis import flatten_program
-from repro.lang.ast import Program
 
 #: the backends :func:`never_present_verdicts` dispatches to
 BACKENDS = ("explicit", "symbolic", "bounded", "compose")
@@ -142,13 +141,14 @@ def never_present_verdicts(
 ) -> Iterator[BackendVerdict]:
     """Answer ``never <signal>`` on one backend, for each of ``signals``.
 
-    ``design`` is a :class:`~repro.lang.ast.Program` or its flattened
-    component; compose cuts a program along its channels and checks a
-    flat component monolithically.  ``alphabet`` is the input alphabet,
-    prebuilt or derived from ``int_values``/``always_present``/
-    ``never_present`` as :func:`repro.mc.compile.input_alphabet` does;
-    compose derives one per sub-check from those options and ignores
-    ``alphabet``.  ``max_states`` bounds explicit exploration (compose's
+    ``design`` is a :class:`~repro.lang.ast.Program` or a component;
+    compose cuts a program along its channels and checks a component
+    monolithically, and the other backends check the flattening that the
+    program keeps.  ``alphabet`` is the input alphabet, prebuilt or
+    derived from ``int_values``/``always_present``/``never_present`` as
+    :func:`repro.mc.compile.input_alphabet` does; compose derives one
+    per sub-check from those options and ignores ``alphabet``.
+    ``max_states`` bounds explicit exploration (compose's
     sub-checks included), ``depth`` the bounded search, ``contracts``
     names compose's channel contracts, and ``store``
     (:mod:`repro.mc.store`) persists the explicit, symbolic and compose
@@ -190,7 +190,7 @@ def never_present_verdicts(
     def check_flat(alphabet) -> Iterator[BackendVerdict]:
         from repro.mc.compile import input_alphabet
 
-        flat = flatten_program(design) if isinstance(design, Program) else design
+        flat = flatten_program(design)
         if alphabet is None:
             alphabet = input_alphabet(
                 flat, int_values=int_values, always_present=always_present,
@@ -255,18 +255,13 @@ def never_present_verdicts(
 
 def _require_interface(design, signals: List[str]) -> None:
     """Raise unless every signal is an input or output of the flattened
-    design.  Each component's interface signal is one, so a program is
-    flattened here only to settle a name no component declares."""
-    if isinstance(design, Program):
-        declared = frozenset().union(*(c.interface() for c in design.components))
-        if declared.issuperset(signals):
-            return
-        design = flatten_program(design)
-    stray = [s for s in signals if s not in design.interface()]
+    design."""
+    flat = flatten_program(design)
+    stray = [s for s in signals if s not in flat.interface()]
     if stray:
         raise VerificationError(
             "never {}: not an input or output of design {!r}".format(
-                ", ".join(repr(s) for s in stray), design.name
+                ", ".join(repr(s) for s in stray), flat.name
             )
         )
 

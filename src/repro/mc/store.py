@@ -15,20 +15,20 @@ exploration:
 - final ``verify`` verdicts from the service runner and the compose
   layer (:mod:`repro.mc.compose`).
 
-Addressing: a key (:func:`store_key`) is the sha256 of the canonical
-JSON of ``{"kind", "design", "params"}``, where ``design`` is the
-content hash of the design (:func:`design_content_key`); the service
-keys its jobs with the same two functions
-(:func:`repro.service.jobs.job_key`).  A one-token design edit
-therefore changes the key, and no stale artifact can ever be served
-(tested by the service invalidation suite).
+Addressing: a key (:func:`store_key`) is the
+:func:`~repro.lang.serializer.digest` of ``{"kind", "design",
+"params"}``, where ``design`` is the content hash of the design
+(:func:`repro.lang.serializer.content_key`); the service keys its jobs
+with the same two functions (:func:`repro.service.jobs.job_key`).  A
+one-token design edit therefore changes the key, and no stale artifact
+can ever be served (tested by the service invalidation suite).
 
 Layout and durability
 ---------------------
 
 Entries live under ``<root>/<key[:2]>/<key>.json`` wrapped in an
 envelope carrying a format stamp (:data:`STORE_FORMAT`) and the kind,
-encoded as one :func:`repro.service.jobs.canonical_json` string.
+encoded as one :func:`repro.lang.serializer.canonical_json` string.
 Writes go through a same-directory temp file plus :func:`os.replace`, so
 concurrent readers (and a crash mid-write) only ever see complete
 entries.  An entry that does not decode to an envelope of the current
@@ -71,8 +71,8 @@ import threading
 from types import SimpleNamespace
 from typing import Any, Dict, Iterator, Optional, Tuple
 
+from repro.lang.serializer import canonical_json, digest
 from repro.perf import PERF
-from repro.service.jobs import canonical_json, _sha256
 
 #: format stamp of the on-disk envelope; bumping it invalidates every
 #: existing entry at once (they read back as misses and are dropped)
@@ -92,30 +92,10 @@ STORE_ENV = "REPRO_MC_STORE"
 LIMIT_ENV = "REPRO_MC_STORE_LIMIT"
 
 
-def design_content_key(design) -> str:
-    """Content hash of a Component/Program — identical for structurally
-    equal designs.  A component's is :func:`repro.sim.plan.component_key`,
-    and :func:`repro.service.jobs.design_key` is this of the resolved
-    job design."""
-    from repro.lang.ast import Component, Program
-
-    if isinstance(design, Program):
-        from repro.lang.serializer import program_to_dict
-
-        return _sha256(canonical_json(program_to_dict(design)))
-    if isinstance(design, Component):
-        from repro.sim.plan import component_key
-
-        return component_key(design)
-    raise TypeError("cannot key {!r}".format(type(design).__name__))
-
-
 def store_key(kind: str, design_key: str, params: Dict[str, Any]) -> str:
     """The content address of one artifact: kind + design content +
     every parameter that can change the result (and nothing else)."""
-    return _sha256(
-        canonical_json({"kind": kind, "design": design_key, "params": params})
-    )
+    return digest({"kind": kind, "design": design_key, "params": params})
 
 
 class MCStore:

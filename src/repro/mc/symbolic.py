@@ -64,27 +64,27 @@ from repro.lang.ast import (
     Default,
     Equation,
     Pre,
-    Program,
     SyncConstraint,
     Var,
     When,
 )
 from repro.lang.printer import format_expression
-from repro.lang.types import BOOL, EVENT
+from repro.lang.types import BOOL, BUILTIN_FUNCTIONS, EVENT
 from repro.mc.bdd import BDD, FALSE, TRUE
 from repro.mc.safety import CounterExample
 
 
 def boolean_core(design) -> Component:
     """``design`` flattened and normalized to the core form (one operator
-    per equation) that :class:`SymbolicChecker` encodes.
+    per equation) that :class:`SymbolicChecker` encodes, with every
+    temporary over constants only folded into its value.
 
     Raises :class:`~repro.errors.VerificationError` unless every signal
     of that core form is boolean, the temporaries normalization
     introduces included: an integer constant can give a program whose
     declared signals are all boolean an integer temporary, as in
     ``y := (-1 when x) == -1``."""
-    comp = flatten_program(design) if isinstance(design, Program) else design
+    comp = flatten_program(design)
     declared = comp.signals()
     for name, ty in declared.items():
         if ty not in (BOOL, EVENT):
@@ -93,7 +93,13 @@ def boolean_core(design) -> Component:
                 "{!r} has type {}".format(name, ty)
             )
     core = normalize_component(comp, lower_clocks=False, to_core=True)
+    folded: Dict[str, Const] = {}
+    statements = []
     for st in core.statements:
+        if isinstance(st, Equation) and folded:
+            st = Equation(st.target, st.expr.map_children(
+                lambda a: folded.get(a.name, a) if isinstance(a, Var) else a
+            ))
         if isinstance(st, Equation) and st.target not in declared:
             ty = core.locals[st.target]
             if ty not in (BOOL, EVENT):
@@ -103,7 +109,20 @@ def boolean_core(design) -> Component:
                         format_expression(st.expr), ty
                     )
                 )
-    return core
+            # the engine clocks an application of constants (the ``not
+            # false`` of ``(not false) when c``) by its context, as a
+            # constant; a temporary would give it a free clock of its own
+            if isinstance(st.expr, App) and all(
+                isinstance(a, Const) for a in st.expr.args
+            ):
+                fn = BUILTIN_FUNCTIONS[st.expr.op].fn
+                folded[st.target] = Const(fn(*(a.value for a in st.expr.args)))
+                continue
+        statements.append(st)
+    if not folded:
+        return core
+    locals_ = {n: ty for n, ty in core.locals.items() if n not in folded}
+    return Component(core.name, core.inputs, core.outputs, locals_, statements)
 
 
 class SymbolicChecker:
@@ -285,13 +304,9 @@ class SymbolicChecker:
                 continue
             if isinstance(rhs, App):
                 ops = [self._operand(a) for a in rhs.args]
-                concrete = [p for p, _ in ops if p is not None]
-                for p in concrete:
-                    parts.append(bdd.IFF(p_x, p))
-                if not concrete:
-                    raise VerificationError(
-                        "all-constant application has a free clock"
-                    )
+                # with no clocked operand (``x := not false``) the clock
+                # is set elsewhere, as for ``x := true``
+                parts.extend(bdd.IFF(p_x, p) for p, _ in ops if p is not None)
                 value = self._apply_op(rhs.op, [v for _, v in ops])
                 parts.append(bdd.IMPLIES(p_x, bdd.IFF(v_x, value)))
                 continue
@@ -544,11 +559,12 @@ class SymbolicChecker:
         """Content address of this checker's fixpoint: normalized
         component + alphabet + image strategy."""
         if self._reach_key is None:
-            from repro.mc.store import design_content_key, store_key
+            from repro.lang.serializer import content_key
+            from repro.mc.store import store_key
 
             self._reach_key = store_key(
                 "symbolic-reach",
-                design_content_key(self.component),
+                content_key(self.component),
                 {"alphabet": self._alphabet, "partitioned": self.partitioned},
             )
         return self._reach_key

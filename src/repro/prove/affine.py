@@ -89,7 +89,7 @@ def channel_edge_words(
     clock word once the fixpoint stalls.
     """
     try:
-        flat = flatten_program(program, namespace_locals=True)
+        flat = flatten_program(program)
     except ReproError:
         return []
     words = infer_clock_words(flat, rates)
@@ -202,7 +202,7 @@ def affine_flow_analysis(
 ) -> AffineAnalysis:
     """Run the inductive path: constraints, endochrony, per-edge bounds."""
     try:
-        flat = flatten_program(program, namespace_locals=True)
+        flat = flatten_program(program)
         constraints = len(extract_constraints(flat))
         analysis = analyze_clocks(flat)
         free = set(analysis.free)

@@ -179,10 +179,11 @@ def _capacity_map(program: Program, capacities) -> Dict[str, int]:
 def prove_certificate_key(program: Program, assumptions: Mapping[str, Any]) -> str:
     """The :mod:`repro.mc.store` address of this (design, assumptions)
     certificate — exported so benches can probe warm rates."""
-    from repro.mc.store import design_content_key, store_key
+    from repro.lang.serializer import content_key
+    from repro.mc.store import store_key
 
-    flat = flatten_program(program)
-    return store_key(CERT_KIND, design_content_key(flat), dict(assumptions))
+    key = content_key(flatten_program(program))
+    return store_key(CERT_KIND, key, dict(assumptions))
 
 
 # -- the prover ---------------------------------------------------------------

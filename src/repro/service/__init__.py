@@ -41,7 +41,6 @@ from repro.service.jobs import (
     PENDING,
     RUNNING,
     JobSpec,
-    canonical_json,
     design_key,
     job_key,
     resolve_program,
@@ -65,7 +64,6 @@ __all__ = [
     "Scheduler",
     "ServiceClient",
     "ServiceServer",
-    "canonical_json",
     "design_key",
     "execute",
     "job_key",

@@ -21,7 +21,7 @@ A job is ``(kind, design, params, priority)``:
   scheduling, never the result.
 
 Content addressing: :func:`design_key` is
-:func:`repro.mc.store.design_content_key` of the *resolved program* (its
+:func:`repro.lang.serializer.content_key` of the *resolved program* (its
 canonical serialization, identity and source spans ignored), and
 :func:`job_key` is :func:`repro.mc.store.store_key` of kind, design key
 and params — one recipe for job results and store entries.  Two
@@ -32,9 +32,9 @@ in-flight coalescing sound.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, NamedTuple, Optional, Tuple
+
+from repro.lang.serializer import canonical_json, content_key, digest
 
 JOB_KINDS = ("lint", "estimate", "verify", "prove", "soak")
 
@@ -84,16 +84,6 @@ def spec_from_dict(d: Dict[str, Any]) -> JobSpec:
         raise ValueError("job params must be a dict")
     priority = int(d.get("priority", 0))
     return JobSpec(kind, design, params, priority)
-
-
-def canonical_json(obj: Any) -> str:
-    """The one serialization everything content-addressed hashes and
-    digests: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- design resolution --------------------------------------------------------
@@ -154,9 +144,7 @@ def _memoize(key: str, program):
 def design_key(design: Any) -> str:
     """Content hash of the resolved design: equal for structurally equal
     programs regardless of how the spec named them."""
-    from repro.mc.store import design_content_key
-
-    return design_content_key(resolve_program(design))
+    return content_key(resolve_program(design))
 
 
 def job_key(spec: JobSpec) -> str:
@@ -171,4 +159,4 @@ def job_key(spec: JobSpec) -> str:
 def result_digest(result: Any) -> str:
     """Digest of a job's result payload; the byte-identity benchmarks and
     the smoke gate compare these across worker counts."""
-    return _sha256(canonical_json(result))
+    return digest(result)

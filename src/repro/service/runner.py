@@ -12,7 +12,7 @@ The determinism contract every handler honors:
   scheduler's :class:`~repro.service.scheduler.JobRecord`, outside the
   digest);
 - all dict-shaped output is either naturally ordered or sorted before it
-  is returned, and the digest is taken over :func:`canonical_json`;
+  is returned, and the digest is :func:`repro.lang.serializer.digest`;
 - randomness only ever comes from seeds carried in ``params``.
 
 Byte-identity of :func:`execute` output across worker counts and
@@ -196,6 +196,7 @@ def _run_verify(program, params: Dict[str, Any]) -> Dict[str, Any]:
     warm hit is digest-identical by construction.
     """
     from repro.lang import flatten_program
+    from repro.lang.serializer import content_key
     from repro.mc.harness import never_present_verdicts
     from repro.mc.store import default_store
 
@@ -206,11 +207,10 @@ def _run_verify(program, params: Dict[str, Any]) -> Dict[str, Any]:
     never_input = tuple(_as_list(params.get("never_input")))
     max_states = int(params.get("max_states", 20000))
     depth = int(params.get("depth", 6))
-    flat = flatten_program(program)
     store = default_store()
     verdict_key = None
     if store is not None:
-        from repro.mc.store import design_content_key, store_key
+        from repro.mc.store import store_key
 
         relevant: Dict[str, Any] = {
             "backend": backend,
@@ -226,15 +226,13 @@ def _run_verify(program, params: Dict[str, Any]) -> Dict[str, Any]:
         if backend == "bounded":
             relevant["depth"] = depth
         verdict_key = store_key(
-            "verify-verdict", design_content_key(flat), relevant
+            "verify-verdict", content_key(flatten_program(program)), relevant
         )
         cached = store.get(verdict_key, kind="verify-verdict")
         if cached is not None:
             return cached
-    # compose cuts the program along its channels; the other backends
-    # check the flattening the key was taken from
     verdict = next(never_present_verdicts(
-        program if backend == "compose" else flat,
+        program,
         backend,
         [never],
         int_values=int_values,

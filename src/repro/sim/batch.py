@@ -46,7 +46,7 @@ from repro.errors import SimulationError
 from repro.lang.analysis import flatten_program
 from repro.lang.ast import Component, Program
 from repro.perf import PERF
-from repro.sim.engine import ABSENT, Oracle
+from repro.sim.engine import Oracle
 from repro.sim.plan import shared_plan
 from repro.sim.trace import SimTrace
 
@@ -134,9 +134,8 @@ def simulate_batch(
     finish; by default the error propagates exactly as ``simulate``'s
     would.
     """
-    comp = flatten_program(design) if isinstance(design, Program) else design
     if plan is None:
-        plan = shared_plan(comp)
+        plan = shared_plan(flatten_program(design))
     lane_stimuli = list(stimuli)
 
     start = time.perf_counter()
@@ -211,7 +210,7 @@ def _run_lanes(plan, lane_stimuli, oracle, n, capture_errors):
                     memo_hits += 1
                 else:
                     statuses, values, state = react_slots(
-                        inputs, state, oracle, index, ABSENT
+                        inputs, state, oracle, index
                     )
                     reactions += 1
                     row = {names[i]: values[i] for i in slots if statuses[i] == 1}

@@ -65,10 +65,6 @@ class CosimReport(NamedTuple):
         return not self.mismatches
 
 
-def _as_component(design: Union[Component, Program]) -> Component:
-    return flatten_program(design) if isinstance(design, Program) else design
-
-
 def _shared_outputs_view(left: Component, right: Component) -> View:
     shared = frozenset(left.outputs) & frozenset(right.outputs)
 
@@ -93,7 +89,7 @@ class Cosim:
         view: Optional[View] = None,
         oracle=None,
     ):
-        lc, rc = _as_component(left), _as_component(right)
+        lc, rc = flatten_program(left), flatten_program(right)
         missing = set(lc.inputs) ^ set(rc.inputs)
         if missing:
             raise ValueError(

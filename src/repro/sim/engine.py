@@ -151,18 +151,18 @@ class Reactor:
     component's :class:`~repro.sim.specialize.SpecializedPlan`, or its
     interpreter when the generated code would be over budget.
 
+    The reactor does not type-check: each executor checks its component
+    when it is built, and a cached plan's component was checked then.
+
     Parameters
     ----------
     component:
-        The component to execute.  It is type-checked on construction.
+        The component to execute.
     oracle:
         Optional presence oracle for free clocks, called as
         ``oracle(instant_index, undetermined_names)`` and returning a
         mapping ``name -> bool`` (present/absent) for (a subset of) the
         undetermined signals.
-    check:
-        Set to ``False`` to skip the static type check (e.g. for
-        generated components already checked).
     plan:
         The executor, built for this component or a structurally equal
         one: a :class:`~repro.sim.specialize.SpecializedPlan` or the
@@ -173,11 +173,8 @@ class Reactor:
         self,
         component: Component,
         oracle: Optional[Oracle] = None,
-        check: bool = True,
         plan=None,
     ):
-        if check:
-            check_component(component)
         if plan is None:
             from repro.sim.plan import shared_plan
 
@@ -225,7 +222,7 @@ class Reactor:
         """
         plan = self.plan
         statuses, values, self._state = plan.react_slots(
-            inputs, self._state, self.oracle, self.instant_index, ABSENT
+            inputs, self._state, self.oracle, self.instant_index
         )
         self.instant_index += 1
         # a loop, not a comprehension: before 3.12 a comprehension costs
@@ -245,13 +242,15 @@ class Interpreter:
     given ``plan=Interpreter(component)``.  It shares no solving code with
     the plans, which makes it the independent oracle of the byte-identity
     suites (``tests/test_plan_equivalence.py``).  Reactions on it count
-    as ``sim.interp.reactions``.  It pickles as its component (its
-    registers are keyed by node identity, which a pickle does not keep).
+    as ``sim.interp.reactions``.  It type-checks its component when
+    built.  It pickles as its component (its registers are keyed by node
+    identity, which a pickle does not keep).
     """
 
     kind = "interp"
 
     def __init__(self, component: Component):
+        check_component(component)
         self.component = component
         self.names: List[str] = list(component.signals())
         self._inputs = set(component.inputs)
@@ -263,15 +262,16 @@ class Interpreter:
     def __reduce__(self):
         return (Interpreter, (self.component,))
 
-    def react_slots(self, inputs, state, oracle, instant_index, absent_marker):
+    def react_slots(self, inputs, state, oracle, instant_index):
         """One reaction from ``state``: ``(statuses, values, new_state)``
         in :attr:`names` order, status ``1`` for present and ``2`` for
-        absent (values of absent signals are unspecified)."""
+        absent (values of absent signals are unspecified).  An input
+        mapped to :data:`ABSENT` is absent, as is one left out."""
         inst = _Instant(self.names, state)
         for name, v in inputs.items():
             if name not in self._inputs:
                 raise SimulationError("unknown input {!r}".format(name))
-            if v is absent_marker:
+            if v is ABSENT:
                 inst.set_status(name, _A)
             else:
                 inst.set_status(name, _P)

@@ -2,7 +2,7 @@
 
 Soaks, sweeps, the estimator and the checkers build the *same* components
 over and over (one fresh :class:`~repro.gals.network.AsyncNetwork` per
-task, one flattened design per job), so :func:`shared_plan` compiles each
+task, one design per job), so :func:`shared_plan` compiles each
 component once per process into its
 :class:`~repro.sim.specialize.SpecializedPlan` and every
 :class:`~repro.sim.engine.Reactor` built without ``plan=`` and every
@@ -19,19 +19,22 @@ from collections import OrderedDict
 from typing import Dict
 
 from repro.lang.ast import Component
+from repro.lang.serializer import content_key
 from repro.perf import PERF
 from repro.sim.engine import Interpreter
 from repro.sim.specialize import PlanBudgetError, SpecializedPlan, clear_code_table
 
 
-# A build walks the AST once per equation, generates the step functions,
-# and compile()s each step shape not yet compiled in this process.  Plans
-# are cached by component *content* — the canonical serialized form,
-# which ignores identity and source spans — and by signal declaration
-# order (a plan's slots, and so a reactor's outputs, follow that order),
-# under a bounded LRU.  Hits, misses and evictions are counted in
-# repro.perf as ``plan.cache_hits`` / ``plan.cache_misses`` /
-# ``plan.cache_evictions``, which :func:`plan_cache_stats` reads back.
+# A build type-checks the component, walks the AST once per equation,
+# generates the step functions, and compile()s each step shape not yet
+# compiled in this process.  Plans are cached by component *content*
+# (repro.lang.serializer.content_key, which ignores identity and source
+# spans) and by signal declaration order (a plan's slots, and so a
+# reactor's outputs, follow that order), under a bounded LRU; a hit's
+# content was type-checked when its plan was built.  Hits, misses and
+# evictions are counted in repro.perf as ``plan.cache_hits`` /
+# ``plan.cache_misses`` / ``plan.cache_evictions``, which
+# :func:`plan_cache_stats` reads back.
 #
 # The cache is shared state between whatever threads build reactors — in
 # particular the verification service's scheduler thread and its socket
@@ -44,28 +47,15 @@ _plan_cache: "OrderedDict[tuple, object]" = OrderedDict()
 _plan_lock = threading.RLock()
 
 
-def component_key(component: Component) -> str:
-    """A content hash of ``component``: equal for structurally equal
-    components regardless of object identity or source locations."""
-    import hashlib
-    import json
-
-    from repro.lang.serializer import component_to_dict
-
-    payload = json.dumps(
-        component_to_dict(component), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def shared_plan(component: Component):
     """The process-wide cached executor of ``component``: its
     :class:`~repro.sim.specialize.SpecializedPlan`, or its
     :class:`~repro.sim.engine.Interpreter` when a generated function
-    would be over budget.  One entry per :func:`component_key` and signal
-    declaration order; :func:`clear_plan_cache` empties the cache (useful
-    around benchmarks)."""
-    key = (component_key(component), tuple(component.signals()))
+    would be over budget.  One entry per
+    :func:`~repro.lang.serializer.content_key` and signal declaration
+    order; :func:`clear_plan_cache` empties the cache (useful around
+    benchmarks)."""
+    key = (content_key(component), tuple(component.signals()))
     with _plan_lock:
         plan = _plan_cache.get(key)
         if plan is not None:

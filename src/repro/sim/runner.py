@@ -35,8 +35,7 @@ def simulate(
     :meth:`repro.perf.PerfCounters.scope` around it.
     """
     if reactor is None:
-        comp = flatten_program(design) if isinstance(design, Program) else design
-        reactor = Reactor(comp, oracle=oracle)
+        reactor = Reactor(flatten_program(design), oracle=oracle)
     trace = SimTrace()
     rows = stimulus if n is None else itertools.islice(stimulus, n)
     start = time.perf_counter()

@@ -100,9 +100,10 @@ from repro.lang.ast import (
     Var,
     When,
 )
+from repro.lang.typecheck import check_component
 from repro.lang.types import BUILTIN_FUNCTIONS
 from repro.perf import PERF
-from repro.sim.engine import pre_registers
+from repro.sim.engine import ABSENT, pre_registers
 
 #: Per-function emitted-line budget; a plan past it is not built.
 MAX_STEP_LINES = 4000
@@ -746,14 +747,16 @@ class SpecializedPlan:
 
     :attr:`kind` names the reaction counts of ``simulate`` and
     ``simulate_batch`` (``sim.plan.spec.reactions``, against
-    ``sim.interp.reactions`` for the interpreter).  A plan pickles as its
-    component, and loading one runs this constructor again.  Raises
+    ``sim.interp.reactions`` for the interpreter).  The constructor
+    type-checks the component first.  A plan pickles as its component,
+    and loading one runs this constructor again.  Raises
     :class:`PlanBudgetError` when a generated function would be over
     budget."""
 
     kind = "plan.spec"
 
     def __init__(self, component: Component):
+        check_component(component)
         self.component = component
         self.names: List[str] = list(component.signals())
         self.slot: Dict[str, int] = {n: i for i, n in enumerate(self.names)}
@@ -876,12 +879,12 @@ class SpecializedPlan:
         state,
         oracle,
         instant_index: int,
-        absent_marker,
     ) -> Tuple[List[int], List[object], List[object]]:
         """One reaction from ``state``: the raw slot-indexed ``(statuses,
         values, new_state)`` in :attr:`names` order (statuses are the
         internal small ints, ``1`` present and ``2`` absent; values of
-        non-present slots are unspecified)."""
+        non-present slots are unspecified).  An input mapped to
+        :data:`~repro.sim.engine.ABSENT` is absent, as is one left out."""
         # every slot starts unknown and ``inputs`` names each input once,
         # so binding them cannot contradict: plain stores, visible to
         # every step of the initial sweep
@@ -892,7 +895,7 @@ class SpecializedPlan:
             i = input_slot.get(name)
             if i is None:
                 raise SimulationError("unknown input {!r}".format(name))
-            if v is absent_marker:
+            if v is ABSENT:
                 status[i] = 2
             else:
                 status[i] = 1

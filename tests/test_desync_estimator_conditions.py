@@ -96,7 +96,7 @@ class TestEstimator:
         network at an integer capacity is the network at that capacity
         on every channel."""
         from repro.lang.analysis import flatten_program
-        from repro.sim.plan import component_key
+        from repro.lang.serializer import content_key
 
         prog = request_response()
         whole = desynchronize(prog, capacities=3, instrument=True)
@@ -105,7 +105,7 @@ class TestEstimator:
             capacities={ch.signal: 3 for ch in whole.channels},
             instrument=True,
         )
-        assert component_key(flatten_program(whole.program)) == component_key(
+        assert content_key(flatten_program(whole.program)) == content_key(
             flatten_program(per_channel.program)
         )
 

@@ -234,6 +234,15 @@ class TestSharedSignals:
 
 
 class TestFlatten:
+    def test_flattening_is_remembered(self):
+        prog = parse_program(
+            "process P = (? integer a; ! integer x;) (| x := a + 1 |) end\n"
+            "process Q = (? integer x; ! integer y;) (| y := x * 2 |) end\n"
+        )
+        flat = flatten_program(prog)
+        assert flatten_program(prog) is flat
+        assert flatten_program(flat) is flat
+
     def test_flatten_fuses_and_namespaces(self):
         prog = parse_program(
             "process P = (? integer a; ! integer x;) (| x := a + m |)"
@@ -253,15 +262,19 @@ class TestFlatten:
         assert set(flat.locals) == {"P__m", "Q__m"}
         check_component(flat)
 
-    def test_flatten_collision_without_namespacing(self):
-        prog = parse_program(
-            "process P = (! integer x;) (| x := m | m := pre 0 m |)"
-            " where integer m; end\n"
-            "process Q = (? integer x; ! integer y;) (| y := m | m := pre 0 m |)"
-            " where integer m; end\n"
+    def test_flatten_collision_of_namespaced_locals(self):
+        """``P``'s local ``_m`` and ``P_``'s local ``m`` both namespace
+        to ``P___m``: flattening refuses to merge them."""
+        p = Component(
+            "P", {}, {"x": INT}, {"_m": INT},
+            [Equation("x", var("_m")), Equation("_m", pre(0, var("_m")) + 1)],
+        )
+        q = Component(
+            "P_", {"x": INT}, {"y": INT}, {"m": INT},
+            [Equation("y", var("m")), Equation("m", var("x") + 1)],
         )
         with pytest.raises(SignalTypeError):
-            flatten_program(prog, namespace_locals=False)
+            flatten_program(Program("main", [p, q]))
 
     def test_undefined_local_becomes_input(self):
         prog = parse_program(
@@ -371,7 +384,7 @@ class TestSharedSignalsMultiProducer:
             "process Q = (? integer x; ! integer y;)"
             " (| t := x * 2 | y := t |) where integer t; end\n"
         )
-        flat = flatten_program(prog, namespace_locals=True)
+        flat = flatten_program(prog)
         names = {eq.target for eq in flat.statements
                  if isinstance(eq, Equation)}
         assert "P__t" in names and "Q__t" in names

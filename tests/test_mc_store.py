@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -24,15 +25,14 @@ from repro.mc import (
     check_never_present,
     compile_lts,
     default_store,
-    design_content_key,
     input_alphabet,
     lts_to_dict,
     store_key,
 )
 from repro.mc.store import LEDGER_NAME, STORE_ENV, STORE_FORMAT
 from repro.lang.analysis import flatten_program
+from repro.lang.serializer import canonical_json, content_key
 from repro.perf import PERF
-from repro.service.jobs import canonical_json
 
 
 def key(i):
@@ -75,23 +75,37 @@ def count_scans(monkeypatch):
 
 class TestKeys:
     def test_structurally_equal_designs_share_a_key(self):
-        assert design_content_key(designs.toggle_producer()) == \
-            design_content_key(designs.toggle_producer())
-        assert design_content_key(designs.gals_relay_chain(3)) == \
-            design_content_key(designs.gals_relay_chain(3))
+        assert content_key(designs.toggle_producer()) == \
+            content_key(designs.toggle_producer())
+        assert content_key(designs.gals_relay_chain(3)) == \
+            content_key(designs.gals_relay_chain(3))
 
     def test_one_token_edit_changes_the_key(self):
         # same shape, one renamed signal / one changed default
-        base = design_content_key(designs.toggle_producer(out="x"))
-        assert base != design_content_key(designs.toggle_producer(out="y"))
-        assert base != design_content_key(designs.toggle_producer(act="go"))
+        base = content_key(designs.toggle_producer(out="x"))
+        assert base != content_key(designs.toggle_producer(out="y"))
+        assert base != content_key(designs.toggle_producer(act="go"))
 
     def test_kind_and_params_discriminate(self):
-        d = design_content_key(designs.toggle_producer())
+        d = content_key(designs.toggle_producer())
         k = store_key("explicit-lts", d, {"alphabet": []})
         assert k != store_key("symbolic-reach", d, {"alphabet": []})
         assert k != store_key("explicit-lts", d, {"alphabet": [{"p_act": True}]})
         assert k == store_key("explicit-lts", d, {"alphabet": []})
+
+    def test_importing_mc_loads_no_service(self):
+        """The store keys with the serializer, so a fresh interpreter
+        importing :mod:`repro.mc` loads nothing of :mod:`repro.service`."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro.mc; "
+                "print(sorted(m for m in sys.modules if m.startswith('repro.service')))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestMCStore:
@@ -560,7 +574,7 @@ class TestExplicitWarmPath:
         comp = designs.toggle_producer()
         cold = compile_lts(comp, alphabet=FREE)
         entry = store_key(
-            "explicit-lts", design_content_key(comp), {"alphabet": FREE}
+            "explicit-lts", content_key(comp), {"alphabet": FREE}
         )
         store.put(entry, "explicit-lts",
                   dict(lts_to_dict(cold), stats={"reactions": 8}))

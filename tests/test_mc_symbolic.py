@@ -12,7 +12,7 @@ from repro.lang.typecheck import check_component
 from repro.lang.types import BOOL, EVENT
 from repro.mc import check_never_present, compile_lts
 from repro.mc.harness import never_present_verdicts
-from repro.mc.symbolic import SymbolicChecker
+from repro.mc.symbolic import SymbolicChecker, boolean_core
 from repro.sim import simulate
 from tests.test_property_random_programs import _chameleon, typed_expr
 
@@ -399,10 +399,10 @@ def _symbolic_answers(comp, alphabet, partitioned):
 @given(nested_boolean_component(), alphabets)
 def test_prop_partitioned_matches_monolithic(comp, alphabet):
     """The partitioned image is an evaluation strategy only: on nested
-    operator trees with constants, both paths count the same states in
-    the same iterations and give every output the same verdict and the
-    same counterexample inputs.  A program the backend rejects (an
-    integer temporary, an all-constant application) is rejected on
+    operator trees with constants, applications of constants included,
+    both paths count the same states in the same iterations and give
+    every output the same verdict and the same counterexample inputs.
+    A program the backend rejects (an integer temporary) is rejected on
     construction."""
     try:
         partitioned = _symbolic_answers(comp, alphabet, True)
@@ -454,3 +454,51 @@ def test_hoisted_default_branch_synchronizes_only_symbolically():
     symbolic = SymbolicChecker(comp, alphabet=alphabet).check_never_present("x0")
     assert explicit is not None
     assert symbolic is not None
+
+
+@pytest.mark.parametrize("alphabet", [
+    [{"c": True}, {}], [{"c": False}, {"d": True}], [{}], LETTERS,
+], ids=["c-or-silent", "c-false-or-d", "silent", "every-letter"])
+@pytest.mark.parametrize("expr", [
+    App("and", (Var("c"), App("not", (Const(False),)))),
+    App("or", (App("not", (Const(True),)), Var("d"))),
+    When(App("not", (Const(False),)), Var("c")),
+], ids=["c-and-not-false", "not-true-or-d", "not-false-when-c"])
+def test_constant_application_is_clocked_by_its_context(expr, alphabet):
+    """Normalization hoists an application of constants (``not false``)
+    into a temporary, which the boolean core folds into its value, so it
+    stays clocked by its context as in the engine.  The symbolic and
+    explicit backends agree on the verdict and the counterexample
+    length, and under every letter each ``x0`` can be present."""
+    comp = Component("Rand", GEN_INPUTS, {"x0": BOOL}, {}, [Equation("x0", expr)])
+    symbolic = SymbolicChecker(comp, alphabet=alphabet).check_never_present("x0")
+    explicit = check_never_present(compile_lts(comp, alphabet=alphabet), "x0")
+    assert (symbolic is None) == (explicit is None)
+    if symbolic is not None:
+        assert len(symbolic.inputs) == len(explicit)
+    if alphabet is LETTERS:
+        assert symbolic is not None
+
+
+@pytest.mark.parametrize("true", [
+    App("not", (Const(False),)), App("not", (App("not", (Const(True),)),)),
+], ids=["not-false", "not-not-true"])
+def test_constant_application_has_no_clock_of_its_own(true):
+    """``(not false) when c`` is present whenever ``c`` is true, as
+    ``true when c`` is: a clock of its own for the hoisted ``not false``
+    would let ``x0`` be absent then, ``w`` be ``not c`` = false, and
+    ``z`` fire.  Both backends prove ``never z`` and agree on ``x0`` and
+    ``w`` under every alphabet."""
+    comp = Component("Rand", GEN_INPUTS, {"x0": BOOL, "w": BOOL, "z": BOOL}, {}, [
+        Equation("x0", When(true, Var("c"))),
+        Equation("w", Default(Var("x0"), App("not", (Var("c"),)))),
+        Equation("z", When(Const(True), App("not", (Var("w"),)))),
+    ])
+    core = boolean_core(comp)
+    assert core.statements[0] == Equation("x0", When(Const(True), Var("c")))
+    for alphabet in ([{"c": True}, {}], [{"c": False}, {"d": True}], [{}], LETTERS):
+        for signal in ("x0", "w", "z"):
+            symbolic = SymbolicChecker(comp, alphabet=alphabet).check_never_present(signal)
+            explicit = check_never_present(compile_lts(comp, alphabet=alphabet), signal)
+            assert (symbolic is None) == (explicit is None)
+        assert SymbolicChecker(comp, alphabet=alphabet).check_never_present("z") is None

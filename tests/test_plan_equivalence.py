@@ -54,7 +54,7 @@ def run_both(comp, rows, oracle=None):
     """:func:`run_outcome` on the interpreter, then on the plan."""
     return [
         run_outcome(
-            Reactor(comp, check=False, plan=executor(comp), oracle=oracle), rows
+            Reactor(comp, plan=executor(comp), oracle=oracle), rows
         )
         for executor in (Interpreter, SpecializedPlan)
     ]
@@ -74,7 +74,7 @@ def test_prop_plan_trace_render_identical(comp, rows):
     """Full rendered traces (the user-visible artifact) are byte-identical."""
     traces = []
     for executor in (Interpreter, SpecializedPlan):
-        reactor = Reactor(comp, check=False, plan=executor(comp))
+        reactor = Reactor(comp, plan=executor(comp))
         trace = SimTrace()
         try:
             for row in rows:
@@ -108,9 +108,9 @@ def test_prop_sync_constraint_executors_agree(comp, rows):
     messages may differ: the plan can meet the conflict first as a clock
     contradiction of a member."""
     ref_out, ref_states = run_outcome(
-        Reactor(comp, check=False, plan=Interpreter(comp)), rows
+        Reactor(comp, plan=Interpreter(comp)), rows
     )
-    reactor = Reactor(comp, check=False)
+    reactor = Reactor(comp)
     assert isinstance(reactor.plan, SpecializedPlan)
     assert run_outcome(reactor, rows) == (ref_out, ref_states)
     rejected = bool(ref_out) and isinstance(ref_out[-1], tuple)

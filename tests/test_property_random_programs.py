@@ -154,7 +154,7 @@ def random_stimulus(draw, n):
 @settings(max_examples=60, deadline=None)
 @given(random_component(), random_stimulus(12))
 def test_prop_engine_matches_denotation(comp, rows):
-    reactor = Reactor(comp, check=False)
+    reactor = Reactor(comp)
     trace = SimTrace()
     try:
         for row in rows:
@@ -199,13 +199,13 @@ def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
             out.append(("rejected", type(exc).__name__, str(exc)))
         return out
 
-    ref = run(Reactor(comp, check=False, plan=Interpreter(comp)))
-    spec = Reactor(comp, check=False)
+    ref = run(Reactor(comp, plan=Interpreter(comp)))
+    spec = Reactor(comp)
     assert isinstance(spec.plan, SpecializedPlan)  # never over budget
     spec_out = run(spec)
     shipped = pickle.loads(pickle.dumps(spec.plan))
     assert isinstance(shipped, SpecializedPlan)
-    shipped_out = run(Reactor(comp, check=False, plan=shipped))
+    shipped_out = run(Reactor(comp, plan=shipped))
     assert repr(spec_out) == repr(ref)
     assert repr(shipped_out) == repr(ref)
 
@@ -233,7 +233,7 @@ def test_prop_interpreter_plan_specialized_batch_agree(comp, rows):
 @given(random_component(), random_stimulus(10))
 def test_prop_engine_deterministic(comp, rows):
     def run():
-        reactor = Reactor(comp, check=False)
+        reactor = Reactor(comp)
         out = []
         try:
             for row in rows:
@@ -249,7 +249,7 @@ def test_prop_engine_deterministic(comp, rows):
 @given(random_component(), random_stimulus(10))
 def test_prop_state_roundtrip(comp, rows):
     """Saving and restoring engine state replays identically."""
-    reactor = Reactor(comp, check=False)
+    reactor = Reactor(comp)
     outs = []
     states = [reactor.state()]
     try:
@@ -305,7 +305,7 @@ def test_null_clocked_default_left_defers_to_constant_right():
         ),
     )
     check_component(comp)
-    reactor = Reactor(comp, check=False)
+    reactor = Reactor(comp)
     trace = SimTrace()
     rows = [{} for _ in range(11)] + [{"e": True}]
     for row in rows:

@@ -171,7 +171,7 @@ class TestSupervisor:
     def _reactor(self):
         from repro.sim import Reactor
 
-        return Reactor(producer_accumulator().components[0], check=False)
+        return Reactor(producer_accumulator().components[0])
 
     def test_restart_restores_checkpoint_and_replays(self):
         from repro.sim import Reactor
@@ -181,7 +181,7 @@ class TestSupervisor:
             "process Acc = (? integer v; ! integer total;)"
             "(| total := (pre 0 total) + v |) end"
         )
-        live = Reactor(comp, check=False)
+        live = Reactor(comp)
         sup = Supervisor(watchdog=1.0, checkpoint_interval=2.0)
         feed = [{"v": 1}, {"v": 2}, {"v": 3}, {"v": 4}]
         for i, inputs in enumerate(feed):
@@ -206,7 +206,7 @@ class TestSupervisor:
         comp = parse_component(
             "process C = (? integer v; ! integer o;)(| o := v |) end"
         )
-        r = Reactor(comp, check=False)
+        r = Reactor(comp)
         sup = Supervisor(watchdog=1.0, policy=RestartPolicy(max_restarts=1))
         sup.before_fire("C", r, 0.0)
         r.react({"v": 1})
@@ -225,7 +225,7 @@ class TestSupervisor:
         comp = parse_component(
             "process C = (? integer v; ! integer o;)(| o := v |) end"
         )
-        r = Reactor(comp, check=False)
+        r = Reactor(comp)
         sup = Supervisor(watchdog=100.0, checkpoint_interval=2.0)
         for i in range(6):
             sup.before_fire("C", r, float(i))

@@ -15,10 +15,9 @@ import pytest
 
 from repro import designs
 from repro.errors import VerificationError
-from repro.lang.analysis import flatten_program
 from repro.lang.ast import Component, Program
-from repro.lang.serializer import program_to_dict
-from repro.mc.store import STORE_ENV, design_content_key, store_key
+from repro.lang.serializer import content_key, program_to_dict
+from repro.mc.store import STORE_ENV, store_key
 from repro.perf import PERF
 from repro.perf.sweep import run_task
 from repro.service import (
@@ -33,7 +32,6 @@ from repro.service import (
     resolve_program,
 )
 from repro.service.jobs import design_key, result_digest, spec_from_dict
-from repro.sim.plan import component_key
 
 
 LINT = {"kind": "lint", "design": "producer_consumer", "params": {}}
@@ -102,14 +100,11 @@ class TestJobKeys:
         assert k3 == design_key("pipeline")  # default stages=3
 
     def test_one_key_recipe_with_the_store(self):
-        """Job keys, design keys and component keys are the store's."""
+        """Job keys and design keys are the store's."""
         names = corpus_names()
         assert len(names) >= 7
         for name in names:
-            program = resolve_program(name)
-            assert design_key(name) == design_content_key(program)
-            for comp in list(program.components) + [flatten_program(program)]:
-                assert design_content_key(comp) == component_key(comp)
+            assert design_key(name) == content_key(resolve_program(name))
         for spec in map(spec_from_dict, MIXED):
             assert job_key(spec) == store_key(
                 spec.kind, design_key(spec.design), spec.params)

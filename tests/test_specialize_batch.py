@@ -14,6 +14,7 @@ from repro import designs
 from repro.errors import SimulationError
 from repro.lang.analysis import flatten_program
 from repro.lang.ast import App, Component, Equation, Program, Var
+from repro.lang.serializer import content_key
 from repro.lang.types import EVENT, INT
 from repro.perf import PERF
 from repro.sim import (
@@ -23,12 +24,7 @@ from repro.sim import (
     simulate_batch,
     stimuli,
 )
-from repro.sim.plan import (
-    clear_plan_cache,
-    component_key,
-    plan_cache_stats,
-    shared_plan,
-)
+from repro.sim.plan import clear_plan_cache, plan_cache_stats, shared_plan
 from repro.sim.specialize import PlanBudgetError, SpecializedPlan
 
 
@@ -93,12 +89,12 @@ class TestSpecializedCorpus:
                 ref = simulate(
                     comp,
                     iter(rows),
-                    reactor=Reactor(comp, plan=Interpreter(comp), check=False),
+                    reactor=Reactor(comp, plan=Interpreter(comp)),
                 )
                 got = simulate(
                     comp,
                     iter(rows),
-                    reactor=Reactor(comp, plan=spec_plan, check=False),
+                    reactor=Reactor(comp, plan=spec_plan),
                 )
                 assert repr(got.instants) == repr(ref.instants), (name, seed)
 
@@ -228,13 +224,11 @@ def _corpus_and_networks():
 def _slot_runs(plan, rows):
     """``plan.react_slots`` over ``rows`` from the initial state, each
     result (or the rejection) as its ``repr``."""
-    from repro.sim.engine import ABSENT
-
     out = []
     state = list(plan.init_state)
     try:
         for t, row in enumerate(rows):
-            status, value, state = plan.react_slots(row, state, None, t, ABSENT)
+            status, value, state = plan.react_slots(row, state, None, t)
             out.append(repr((status, value, state)))
     except SimulationError as exc:
         out.append(("rejected", type(exc).__name__, str(exc)))
@@ -337,7 +331,7 @@ class TestPlanCache:
         a = flatten_program(designs.producer_consumer())
         b = flatten_program(designs.producer_consumer())
         assert a is not b
-        assert component_key(a) == component_key(b)
+        assert content_key(a) == content_key(b)
         assert shared_plan(a) is shared_plan(b)
 
     def test_hit_miss_counters(self):
@@ -367,7 +361,7 @@ class TestPlanCache:
         eqs = [Equation("y", App("+", (Var("a"), Var("b"))))]
         a = Component("ab", {"a": INT, "b": INT}, {"y": INT}, {}, eqs)
         b = Component("ab", {"b": INT, "a": INT}, {"y": INT}, {}, eqs)
-        assert component_key(a) == component_key(b)
+        assert content_key(a) == content_key(b)
         shared_plan(a)
         out = Reactor(b).react({"a": 1, "b": 2})
         assert list(out) == ["b", "a", "y"] == list(b.signals())
@@ -396,7 +390,7 @@ def _reference_runs(comp, plan, seeds=range(3)):
         rows = _stimulus(comp, seed)
         try:
             trace = simulate(
-                comp, iter(rows), reactor=Reactor(comp, plan=plan, check=False)
+                comp, iter(rows), reactor=Reactor(comp, plan=plan)
             )
             out.append(repr(trace.instants))
         except SimulationError as exc:
@@ -533,11 +527,11 @@ class TestBatchLanes:
 
     def test_capture_errors_per_lane(self):
         comp = Component(
-            "sync", {"a": EVENT, "b": EVENT}, {"o": INT}, {},
+            "sync", {"a": INT, "b": INT}, {"o": INT}, {},
             [Equation("o", App("+", (Var("a"), Var("b"))))],
         )
-        good = [{"a": True, "b": True}] * 3
-        bad = [{"a": True, "b": True}, {"a": True}]
+        good = [{"a": 1, "b": 2}] * 3
+        bad = [{"a": 1, "b": 2}, {"a": 1}]
         report = simulate_batch(
             comp, [iter(good), iter(bad)], capture_errors=True
         )
@@ -665,7 +659,7 @@ class TestBatchMemo:
 
 
 def _reference_with_errors(comp, rows):
-    reactor = Reactor(comp, check=False)
+    reactor = Reactor(comp)
     out, err = [], None
     for row in rows:
         try:
@@ -724,12 +718,12 @@ class TestCounterAttribution:
         comp = flatten_program(designs.producer_consumer())
         rows = _stimulus(comp, 0, n=10)
         PERF.reset()
-        simulate(comp, iter(rows), reactor=Reactor(comp, check=False))
+        simulate(comp, iter(rows), reactor=Reactor(comp))
         assert PERF.get("sim.plan.spec.reactions") == 10
         assert PERF.get("sim.interp.reactions") == 0
         simulate(
             comp, iter(rows),
-            reactor=Reactor(comp, check=False, plan=Interpreter(comp)),
+            reactor=Reactor(comp, plan=Interpreter(comp)),
         )
         assert PERF.get("sim.interp.reactions") == 10
         assert PERF.get("sim.plan.spec.reactions") == 10  # unchanged
