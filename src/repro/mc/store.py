@@ -12,8 +12,11 @@ exploration:
 - BDD transition partitions and reachable-set fixpoints from
   :class:`repro.mc.symbolic.SymbolicChecker` (serialized by
   :meth:`repro.mc.bdd.BDD.dump`);
-- final ``verify`` verdicts from the service runner and the compose
-  layer (:mod:`repro.mc.compose`).
+- flow-equivalence certificates from
+  :func:`repro.prove.prove_flow_equivalence`;
+- the result envelopes of the service's ``verify`` and ``prove`` jobs
+  (kind ``job-result``, under the job key; :mod:`repro.service.runner`),
+  which a new server lifetime serves at submit.
 
 Addressing: a key (:func:`store_key`) is the
 :func:`~repro.lang.serializer.digest` of ``{"kind", "design",
@@ -32,8 +35,8 @@ encoded as one :func:`repro.lang.serializer.canonical_json` string.
 Writes go through a same-directory temp file plus :func:`os.replace`, so
 concurrent readers (and a crash mid-write) only ever see complete
 entries.  An entry that does not decode to an envelope of the current
-format and the requested kind (truncated, garbage, stale) is a miss and
-is unlinked.
+format and the requested kind (truncated, garbage, stale), or whose
+payload the caller's check refuses, is a miss and is unlinked.
 
 A byte-size cap is enforced LRU-by-mtime (reads refresh mtime).  The
 byte total of the entries lives in a ledger file at the root
@@ -69,7 +72,7 @@ import os
 import tempfile
 import threading
 from types import SimpleNamespace
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.lang.serializer import canonical_json, digest
 from repro.perf import PERF
@@ -117,9 +120,15 @@ class MCStore:
 
     # -- core ----------------------------------------------------------------
 
-    def get(self, key: str, kind: Optional[str] = None) -> Optional[Any]:
+    def get(
+        self,
+        key: str,
+        kind: Optional[str] = None,
+        accept: Optional[Callable[[Any], bool]] = None,
+    ) -> Optional[Any]:
         """The stored payload for ``key``, or ``None`` (counted as a
-        miss).  ``kind`` (when given) must match the entry's kind — a
+        miss).  ``kind`` (when given) must match the entry's kind, and
+        ``accept`` (when given) must return true for the payload — a
         mismatch is a miss, never a wrong answer."""
         path = self._path(key)
         try:
@@ -134,8 +143,10 @@ class MCStore:
             isinstance(envelope, dict)
             and envelope.get("format") == STORE_FORMAT
             and (kind is None or envelope.get("kind") == kind)
+            and (accept is None or accept(envelope.get("payload")))
         ):
-            # corrupt, stale format or kind collision: drop it and miss
+            # corrupt, stale format, kind collision or a payload the
+            # caller refuses: drop it and miss
             self._drop(path)
             PERF.incr("mc.store.misses")
             return None

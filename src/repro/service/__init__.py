@@ -17,13 +17,16 @@ perf layers bought:
   cancellation, in-flight coalescing and backfill over a persistent
   worker pool (generalizing :mod:`repro.perf.sweep` from
   one-grid-one-pool to a long-lived service); a resubmitted job key is
-  served from the job table, which keeps every ``done`` envelope, and
-  the hit/miss counts live in :data:`repro.perf.PERF`;
+  served from the job table, which keeps every ``done`` envelope, a
+  ``verify`` or ``prove`` key the persistent store holds is served from
+  it at submit, without a worker, and the hit/miss counts live in
+  :data:`repro.perf.PERF`;
 - :mod:`repro.service.server` / :mod:`repro.service.client` — a
   line-delimited JSON socket API (``repro serve`` / ``repro submit``)
   with streaming progress events;
 - :mod:`repro.service.smoke` — the ``make serve-smoke`` gate: a real
-  server, a mixed batch, byte-identity vs sequential execution.
+  server, a mixed batch, byte-identity vs sequential execution, and a
+  second server lifetime served from the store the first one filled.
 
 Determinism contract: a job's ``result`` payload depends only on its
 spec, never on worker count, scheduling order or cache state, so the

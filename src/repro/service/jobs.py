@@ -27,7 +27,11 @@ canonical serialization, identity and source spans ignored), and
 and params — one recipe for job results and store entries.  Two
 submissions of structurally equal designs with equal parameters
 therefore share one key, which is what makes serving repeats and
-in-flight coalescing sound.
+in-flight coalescing sound.  The key is taken once per job: the
+scheduler keys a job at submit, looks it up in its job table and, for
+the kinds whose envelopes the store keeps, in the store (a
+``job-result`` entry under this same key), and hands the key to the
+worker with the dispatched job.
 """
 
 from __future__ import annotations

@@ -18,18 +18,35 @@ The determinism contract every handler honors:
 Byte-identity of :func:`execute` output across worker counts and
 scheduling orders is asserted by ``tests/test_service.py``, the
 ``make serve-smoke`` gate and experiment A12.
+
+Stored results: when the persistent verification store is enabled (see
+:mod:`repro.mc.store`), the envelope of every job of a kind in
+:data:`STORED_KINDS` is put under its job key as one
+:data:`RESULT_KIND` entry, so a later server lifetime answers the job
+from disk.  The scheduler reads that entry at submit
+(:func:`stored_envelope`) and hands the key it took there to the worker
+with the job, so a dispatched job is keyed and looked up once.  A caller
+without a key (the CLI, a test, a benchmark) gets both done here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable
+from typing import Any, Dict, Iterable, Optional
 
+from repro.mc.store import MCStore, default_store
 from repro.service.jobs import (
     job_key,
     resolve_program,
     result_digest,
     spec_from_dict,
 )
+
+#: the job kinds whose envelopes the store keeps: the model-checking
+#: ones, where a repeat saves an exploration
+STORED_KINDS = ("verify", "prove")
+
+#: the store kind of a job's envelope, put under the job key
+RESULT_KIND = "job-result"
 
 
 def execute(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
@@ -38,17 +55,51 @@ def execute(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     The envelope is ``{"kind", "key", "digest", "result"}`` where
     ``digest`` is the content hash of ``result`` — what the byte-identity
     gates compare — and ``key`` is the cache address.
+
+    ``spec_dict["key"]``, when present, is the job key the scheduler took
+    at submit, where it also looked the job up in the store; it is
+    trusted, and neither step is repeated.  Without it, the key is taken
+    here and a stored envelope is returned as it is.  A computed envelope
+    of a stored kind is put into the store, if one is enabled.
     """
     spec = spec_from_dict(spec_dict)
+    store = default_store() if spec.kind in STORED_KINDS else None
+    key = spec_dict.get("key")
+    if key is None:
+        key = job_key(spec)
+        stored = None if store is None else stored_envelope(store, key, spec.kind)
+        if stored is not None:
+            return stored
     program = resolve_program(spec.design)
-    handler = _HANDLERS[spec.kind]
-    result = handler(program, dict(spec.params))
-    return {
+    result = _HANDLERS[spec.kind](program, dict(spec.params))
+    envelope = {
         "kind": spec.kind,
-        "key": job_key(spec),
+        "key": key,
         "digest": result_digest(result),
         "result": result,
     }
+    if store is not None:
+        store.put(key, RESULT_KIND, envelope)
+    return envelope
+
+
+def stored_envelope(
+    store: MCStore, key: str, kind: str
+) -> Optional[Dict[str, Any]]:
+    """The envelope ``store`` keeps for the job ``key`` of ``kind``, or
+    ``None``.  An entry whose ``key`` or ``kind`` is not the job's, or
+    whose ``digest`` is not its result's, is a miss too: the store drops
+    it, and the job is computed and put again."""
+
+    def intact(envelope: Any) -> bool:
+        return (
+            isinstance(envelope, dict)
+            and envelope.get("key") == key
+            and envelope.get("kind") == kind
+            and envelope.get("digest") == result_digest(envelope.get("result"))
+        )
+
+    return store.get(key, kind=RESULT_KIND, accept=intact)
 
 
 # -- stimulus specs -----------------------------------------------------------
@@ -186,74 +237,35 @@ def _run_verify(program, params: Dict[str, Any]) -> Dict[str, Any]:
     (explicit and compose, default 20000), ``depth`` (bounded, default
     6), ``contracts`` (compose).
 
-    When the persistent verification store is enabled (see
-    :mod:`repro.mc.store`), final verdicts are cached under a
-    ``verify-verdict`` key of the resolved design plus every
-    result-relevant parameter, and the store is threaded into the
-    backends so exploration intermediates (compiled LTSs, symbolic
-    fixpoints) persist even across *different* obligations on the same
-    design.  The cached payload is the handler's own return value, so a
-    warm hit is digest-identical by construction.
+    The store, when enabled, is threaded into the backends, so
+    exploration intermediates (compiled LTSs, symbolic fixpoints) persist
+    even across *different* obligations on the same design; the verdict
+    itself is stored by :func:`execute`, as the job's envelope.
     """
-    from repro.lang import flatten_program
-    from repro.lang.serializer import content_key
     from repro.mc.harness import never_present_verdicts
-    from repro.mc.store import default_store
 
     never = params.get("never", "alarm")
     backend = params.get("backend", "explicit")
-    int_values = tuple(_as_list(params.get("int_values")) or (0, 1))
-    always = tuple(_as_list(params.get("always")))
-    never_input = tuple(_as_list(params.get("never_input")))
-    max_states = int(params.get("max_states", 20000))
-    depth = int(params.get("depth", 6))
-    store = default_store()
-    verdict_key = None
-    if store is not None:
-        from repro.mc.store import store_key
-
-        relevant: Dict[str, Any] = {
-            "backend": backend,
-            "never": never,
-            "int_values": list(int_values),
-            "always": list(always),
-            "never_input": list(never_input),
-        }
-        if backend in ("explicit", "compose"):
-            relevant["max_states"] = max_states
-        if backend == "compose":
-            relevant["contracts"] = params.get("contracts") or {}
-        if backend == "bounded":
-            relevant["depth"] = depth
-        verdict_key = store_key(
-            "verify-verdict", content_key(flatten_program(program)), relevant
-        )
-        cached = store.get(verdict_key, kind="verify-verdict")
-        if cached is not None:
-            return cached
     verdict = next(never_present_verdicts(
         program,
         backend,
         [never],
-        int_values=int_values,
-        always_present=always,
-        never_present=never_input,
-        max_states=max_states,
-        depth=depth,
+        int_values=tuple(_as_list(params.get("int_values")) or (0, 1)),
+        always_present=tuple(_as_list(params.get("always"))),
+        never_present=tuple(_as_list(params.get("never_input"))),
+        max_states=int(params.get("max_states", 20000)),
+        depth=int(params.get("depth", 6)),
         contracts=params.get("contracts"),
-        store=store,
+        store=default_store(),
     ))
     ce = verdict.counterexample
-    result = {
+    return {
         "backend": backend,
         "never": never,
         "verdict": verdict.verdict,
         **verdict.figures,
         "counterexample": None if ce is None else ce.render(),
     }
-    if verdict_key is not None:
-        store.put(verdict_key, "verify-verdict", result)
-    return result
 
 
 def _run_prove(program, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -266,13 +278,13 @@ def _run_prove(program, params: Dict[str, Any]) -> Dict[str, Any]:
     (``{component: input}``), ``int_values`` / ``always`` /
     ``never_input`` / ``max_states`` (product alphabet and bounds).
 
-    The certificate is itself store-cached (kind ``prove-certificate``)
-    inside :func:`repro.prove.prove_flow_equivalence`, so no extra
-    caching layer is needed here — a warm run returns the byte-identical
-    ``to_dict()`` payload the cold run stored.
+    The certificate is also store-cached inside
+    :func:`repro.prove.prove_flow_equivalence` (kind
+    ``prove-certificate``, which the CLI reads as well), so a job whose
+    envelope is not stored still reuses a certificate proved under the
+    same assumptions.
     """
     from repro.lint import parse_rates
-    from repro.mc.store import default_store
     from repro.prove import prove_flow_equivalence
 
     capacities = params.get("capacities", 1)

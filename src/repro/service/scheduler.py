@@ -19,13 +19,20 @@ results gathered at the end — into a long-lived service:
   moment one opens — no barriers between batches;
 - **results are content-addressed**: the job table keeps the envelope
   of every key that finished ``done``, and a resubmitted key is served
-  from it instantly (``cache_hit=True``).  A key already pending or
-  running is *coalesced* instead — it waits on the in-flight twin
-  rather than recomputing — and counted under
-  ``service.jobs_coalesced``.  One critical section decides between
-  serving, coalescing and queueing, so a resubmission racing its twin's
-  completion never runs the job twice.  The table has no bound: every
-  record keeps its envelope for the ``result`` op anyway;
+  from it instantly (``cache_hit=True``).  A ``verify`` or ``prove``
+  key the table does not know is looked up in the persistent store
+  (:func:`repro.service.runner.stored_envelope`), and an intact stored
+  envelope is served at submit too, without a worker
+  (``service.store_served``).  A key already pending or running is
+  *coalesced* instead — it waits on the in-flight twin rather than
+  recomputing — and counted under ``service.jobs_coalesced``.  One
+  critical section decides between serving, coalescing and queueing, so
+  a resubmission racing its twin's completion never runs the job twice.
+  The table has no bound: every record keeps its envelope for the
+  ``result`` op anyway;
+- **each job is keyed once**: the key taken at submit travels with the
+  dispatched job, so the worker neither keys it again nor looks it up
+  in the store a second time;
 - **events**: every state change is broadcast to subscriber queues,
   which is what the socket server's ``watch`` op streams.
 
@@ -45,8 +52,9 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.mc.store import default_store, global_stats
 from repro.perf import PERF
 from repro.perf.sweep import (
     TaskResult,
@@ -165,12 +173,9 @@ class Scheduler:
         """A pool whose workers are already forked.  The executor forks
         lazily, on its first task; doing that here, before the dispatcher
         and any socket handler thread run, keeps a child from inheriting
-        an import lock another thread holds.  Job keys are store keys, so
-        this process imports the store anyway: importing it before the
-        fork lets the workers inherit it instead of each importing it
-        for its first job."""
-        import repro.mc.store  # noqa: F401
-
+        an import lock another thread holds.  (The store, which
+        :meth:`submit` reads, is imported with this module for the same
+        reason: a request thread never imports it for the first time.)"""
         pool = worker_pool(runner.execute, self.workers)
         for f in [pool.submit(os.getpid) for _ in range(self.workers)]:
             f.result()
@@ -215,16 +220,20 @@ class Scheduler:
     ) -> str:
         """Queue one job; returns its id immediately.
 
-        A key that already finished ``done`` is served synchronously; a
-        job whose key is pending or running coalesces onto the in-flight
-        twin.  Either way counts one ``service.cache_hits`` or one
-        ``service.cache_misses``.
+        A key that already finished ``done`` is served synchronously, and
+        so is a key the store holds an intact envelope for
+        (:meth:`_read_store`); a job whose key is pending or running
+        coalesces onto the in-flight twin.  Every submit counts one
+        ``service.cache_hits`` (served by the job table) or one
+        ``service.cache_misses``; a store-served one also counts one
+        ``service.store_served``.
         """
         if isinstance(spec, dict):
             spec = spec_from_dict(spec)
         if priority is not None:
             spec = spec._replace(priority=int(priority))
         key = job_key(spec)
+        stored = self._read_store(spec.kind, key)
         with self._cv:
             seq = next(self._seq)
             job_id = "J{:06d}".format(seq)
@@ -241,6 +250,12 @@ class Scheduler:
                 self._finish_locked(record, DONE)
                 return job_id
             PERF.incr("service.cache_misses")
+            if stored is not None:
+                PERF.incr("service.store_served")
+                record.envelope, record.seconds, record.counters = stored
+                self._done_by_key[key] = record.envelope
+                self._finish_locked(record, DONE)
+                return job_id
             twins = self._inflight_by_key.get(key)
             if twins is not None:
                 record.coalesced = True
@@ -253,6 +268,31 @@ class Scheduler:
             self._emit(record)
             self._cv.notify_all()
             return job_id
+
+    def _read_store(
+        self, kind: str, key: str
+    ) -> Optional[Tuple[Dict[str, Any], float, Dict[str, Any]]]:
+        """``(envelope, seconds, counters)`` of the store's intact
+        envelope for ``key``, or ``None``.  A key this scheduler has
+        answered or has in flight is not read.  That peek and the read run
+        outside the lock; :meth:`submit` settles a racing twin under it,
+        job table first.  The read runs in a counter scope of its own,
+        which becomes the record's ``counters``."""
+        store = default_store()
+        if (
+            store is None
+            or kind not in runner.STORED_KINDS
+            or key in self._done_by_key
+            or key in self._inflight_by_key
+        ):
+            return None
+        with PERF.scope() as tables:
+            t0 = time.perf_counter()
+            envelope = runner.stored_envelope(store, key, kind)
+            seconds = time.perf_counter() - t0
+        if envelope is None:
+            return None
+        return envelope, seconds, tables.state()
 
     def submit_many(
         self, specs: Iterable[Union[JobSpec, Dict[str, Any]]]
@@ -329,10 +369,9 @@ class Scheduler:
             "hits": hits,
             "misses": misses,
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            "store_served": PERF.get("service.store_served"),
         }
         out["plan_cache"] = plan_cache_stats()
-        from repro.mc.store import global_stats
-
         out["mc_store"] = global_stats()
         return out
 
@@ -396,7 +435,9 @@ class Scheduler:
                 record.state = RUNNING
                 self._inflight += 1
                 self._emit(record)
-            spec_dict = record.spec.to_dict()
+            # the key rides along: the worker neither keys the job again
+            # nor repeats the store lookup submit made
+            spec_dict = dict(record.spec.to_dict(), key=record.key)
             if self._pool is not None:
                 try:
                     future = submit_task(self._pool, seq, spec_dict, True)

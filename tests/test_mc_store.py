@@ -131,6 +131,16 @@ class TestMCStore:
             assert store.get("ab" * 32, kind="verdict") is None
         assert count(counts, "misses") == 2
 
+    def test_refused_payload_is_a_miss_and_drops_the_entry(self, tmp_path):
+        store = MCStore(str(tmp_path))
+        store.put("ab" * 32, "verdict", {"holds": True})
+        with PERF.scope() as counts:
+            assert store.get("ab" * 32, kind="verdict",
+                             accept=lambda payload: payload["holds"] is False) is None
+            assert store.get("ab" * 32, kind="verdict") is None
+        assert count(counts, "misses") == 2 and count(counts, "hits") == 0
+        assert store.stats()["entries"] == 0
+
     def test_stale_format_is_a_miss(self, tmp_path):
         store = MCStore(str(tmp_path))
         store.put("ab" * 32, "verdict", 1)

@@ -173,7 +173,7 @@ class TestResultCache:
             first = sched.submit(LINT)
             cache = sched.stats()["result_cache"]
             assert cache == {"size": 0, "hits": 0, "misses": 1,
-                             "hit_rate": 0.0}
+                             "hit_rate": 0.0, "store_served": 0}
             sched.start()
             try:
                 assert sched.wait([first], timeout=60)
@@ -488,7 +488,7 @@ class TestSchedulerInline:
             for field in ("hits", "misses"):
                 assert field in stats[section]
         assert sorted(stats["result_cache"]) == [
-            "hit_rate", "hits", "misses", "size"]
+            "hit_rate", "hits", "misses", "size", "store_served"]
 
 
 def _drain(q):

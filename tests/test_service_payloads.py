@@ -7,10 +7,11 @@ digest of one job: one proven and one refuted ``verify`` job per
 backend, model-checked ``prove`` jobs on every prover backend, and one
 affine proof each way.  A change to how the backends are dispatched must
 leave every digest as it is, whether the job runs without a store, cold
-into a fresh store, or warm from the store's ``verify-verdict`` and
-``prove-certificate`` entries.  The ``soak`` and ``estimate`` jobs read
-no store; their digests pin the batched fault soak and buffer estimation
-behind those handlers.
+into a fresh store, or warm from the store, where each job is one read
+of its ``job-result`` entry (the envelope :func:`execute` put under the
+job key).  The ``soak`` and ``estimate`` jobs read no store; their
+digests pin the batched fault soak and buffer estimation behind those
+handlers.
 """
 
 from repro.mc.store import STORE_ENV
@@ -121,7 +122,7 @@ def test_digests_cold_and_warm_store(monkeypatch, tmp_path):
     monkeypatch.setenv(STORE_ENV, str(tmp_path / "store"))
     assert _digests() == PINNED   # cold: every job computed and stored
     with PERF.scope() as warm:
-        assert _digests() == PINNED   # warm: one verdict or certificate read each
+        assert _digests() == PINNED   # warm: one job-result read each
     assert (warm.counts.get("mc.store.hits", 0),
             warm.counts.get("mc.store.misses", 0)) == (len(JOBS), 0)
 
