@@ -35,8 +35,9 @@ from repro.lint.bounds import PeriodicWord
 from repro.mc.store import MCStore, default_store
 from repro.perf import PERF
 from repro.prove import prove_flow_equivalence, replay_witness
-from repro.service.runner import execute, stimulus_factory
+from repro.service.runner import execute
 from repro.service.scheduler import Scheduler
+from repro.sim.stimuli import stimulus_factory
 
 from _report import emit, quick, table
 

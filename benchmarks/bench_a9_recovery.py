@@ -14,15 +14,16 @@ window on the consumer node, and reports:
 - the health verdict: flow-equivalent to the zero-fault reference with
   no abandoned frames and no denied restarts.
 
-The rows come from
-:func:`repro.workloads.scenarios.batched_recovery_sweep`.  A9's specs
-share one workload, so at every worker count the sweep is a single
-:func:`repro.perf.sweep.sweep` task with one shared reference run.  The
-run asserts that the summaries are byte-identical at 1, 2 and 4
-workers: that checks determinism, not fan-out (the tier-1 test
-``test_recovery_sweep_identical_across_workers`` checks fan-out on two
-workloads).  ``sweep_seconds`` times each worker count with
-:func:`time.perf_counter`, after one untimed warm-up sweep.
+The rows come from :func:`repro.workloads.scenarios.batched_soak_sweep`
+over :func:`~repro.workloads.scenarios.recovery_rate_specs`, whose specs
+carry ``CONFIG`` as their ``recovery``, so each soak runs the hardened
+deployment.  A9's specs share one workload and one config, so at every
+worker count the sweep is a single :func:`repro.perf.sweep.sweep` task
+with one shared reference run.  The run asserts that the summaries are
+byte-identical at 1, 2 and 4 workers: that checks determinism, not
+fan-out (the tier-1 test ``test_recovery_sweep_identical_across_workers``
+checks fan-out on two workloads).  ``sweep_seconds`` times each worker
+count with :func:`time.perf_counter`, after one untimed warm-up sweep.
 
 ``BENCH_QUICK=1`` shrinks the rate axis (``make recover-quick``).
 """
@@ -49,20 +50,20 @@ CONFIG = RecoveryConfig(
 
 def run_experiment():
     program = producer_accumulator()
-    specs = scenarios.recovery_rate_specs(rates=RATES, seed=11, crash=CRASH)
+    specs = scenarios.recovery_rate_specs(
+        rates=RATES, seed=11, crash=CRASH, recovery=CONFIG
+    )
     rows = {}
     seconds = {}
     # the first sweep of a process pays imports and plan builds; the
     # specs make one in-process task at every worker count, so timing
     # that sweep would charge the warm-up to ``workers=1`` and read as a
     # fan-out speed-up
-    scenarios.batched_recovery_sweep(
-        program, specs, config=CONFIG, horizon=HORIZON, workers=1
-    )
+    scenarios.batched_soak_sweep(program, specs, horizon=HORIZON, workers=1)
     for workers in (1, 2, 4):
         start = time.perf_counter()
-        rows[workers] = scenarios.batched_recovery_sweep(
-            program, specs, config=CONFIG, horizon=HORIZON, workers=workers
+        rows[workers] = scenarios.batched_soak_sweep(
+            program, specs, horizon=HORIZON, workers=workers
         )
         seconds[workers] = round(time.perf_counter() - start, 6)
     serialized = {w: json.dumps(r, sort_keys=True) for w, r in rows.items()}

@@ -58,7 +58,7 @@ def _load(path: str):
 def _stimulus_factory(args):
     """The ``--stim`` specs as a stimulus factory; a malformed spec is a
     usage error."""
-    from repro.service.runner import stimulus_factory
+    from repro.sim.stimuli import stimulus_factory
 
     try:
         return stimulus_factory(args.stim or ())
@@ -546,18 +546,22 @@ def cmd_faults(args) -> int:
     report = soak(
         program, workload, plan, horizon=args.horizon, estimate=estimate
     )
+    return _soak_verdict(args, report)
+
+
+def _soak_verdict(args, report) -> int:
+    """Write a soak's JSON digest and render it; exit 0 iff healthy (an
+    unhardened soak is healthy iff it is flow-equivalent)."""
     if args.json:
         _emit_json(args.json, {
             "design": args.design,
             "seed": args.seed,
             "horizon": args.horizon,
-            "flow_equivalent": report.flow_equivalent,
-            "classification": dict(sorted(report.classification.items())),
-            "fault_counts": dict(sorted(report.fault_counts.items())),
+            **report.summary(),
         })
     if args.json != "-":
         print(report.render())
-    return 0 if report.flow_equivalent else 1
+    return 0 if report.healthy else 1
 
 
 def _emit_json(path: str, data) -> None:
@@ -590,7 +594,7 @@ def _parse_windows(specs, flag):
 
 def cmd_recover(args) -> int:
     from repro import designs
-    from repro.faults import ChannelFaults, FaultPlan, NodeFaults, recovery_soak
+    from repro.faults import ChannelFaults, FaultPlan, NodeFaults, soak
     from repro.resilience import (
         RecoveryConfig, ReliableConfig, RestartPolicy,
     )
@@ -631,19 +635,10 @@ def cmd_recover(args) -> int:
             max_restarts=args.max_restarts, min_spacing=args.restart_spacing
         ),
     )
-    report = recovery_soak(
-        program, workload, plan, config, horizon=args.horizon
+    report = soak(
+        program, workload, plan, horizon=args.horizon, recovery=config
     )
-    if args.json:
-        _emit_json(args.json, {
-            "design": args.design,
-            "seed": args.seed,
-            "horizon": args.horizon,
-            **report.summary(),
-        })
-    if args.json != "-":
-        print(report.render())
-    return 0 if report.healthy else 1
+    return _soak_verdict(args, report)
 
 
 def cmd_serve(args) -> int:
@@ -757,6 +752,26 @@ def cmd_coverage(args) -> int:
     report = measure_coverage(trace, component=flat, clock_groups=groups)
     print(report.render())
     return 0
+
+
+def _fault_flags(p, design: str, horizon: float) -> None:
+    """The flags ``faults`` and ``recover`` share, with each command's
+    design and horizon defaults.  ``--stall`` is declared by each: a
+    probability for ``faults``, ``NODE:START:END`` windows for
+    ``recover``."""
+    p.add_argument("--design", choices=sorted(_FAULT_DESIGNS), default=design)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--drop", type=float, default=0.0, help="P(drop) per push")
+    p.add_argument("--dup", type=float, default=0.0, help="P(duplicate)")
+    p.add_argument("--reorder", type=float, default=0.0, help="P(reorder)")
+    p.add_argument("--window", type=int, default=2, help="reorder window")
+    p.add_argument("--jitter", type=float, default=0.0, help="max extra latency")
+    p.add_argument("--corrupt", type=float, default=0.0, help="P(value flip)")
+    p.add_argument("--horizon", type=float, default=horizon)
+    p.add_argument(
+        "--json", metavar="PATH",
+        help="write a JSON digest to PATH ('-' for stdout)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -974,19 +989,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="soak: faulted vs reference co-simulation; plan: dump the "
         "explicit fault schedule",
     )
-    p.add_argument(
-        "--design", choices=sorted(_FAULT_DESIGNS), default="prodcons"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--drop", type=float, default=0.0, help="P(drop) per push")
-    p.add_argument("--dup", type=float, default=0.0, help="P(duplicate)")
-    p.add_argument("--reorder", type=float, default=0.0, help="P(reorder)")
-    p.add_argument("--window", type=int, default=2, help="reorder window")
-    p.add_argument("--jitter", type=float, default=0.0, help="max extra latency")
-    p.add_argument("--corrupt", type=float, default=0.0, help="P(value flip)")
+    _fault_flags(p, design="prodcons", horizon=50.0)
     p.add_argument("--stall", type=float, default=0.0, help="P(node stall window)")
     p.add_argument("--stall-period", type=float, default=2.0)
-    p.add_argument("--horizon", type=float, default=50.0)
     p.add_argument("--period", type=int, default=1, help="producer period")
     p.add_argument("--reader-period", type=int, default=1)
     p.add_argument(
@@ -995,10 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--hold", type=float, default=0.25, help="P(read deferred)")
     p.add_argument("-n", type=int, default=20, help="plan prefix / estimate horizon")
-    p.add_argument(
-        "--json", metavar="PATH",
-        help="write a JSON digest to PATH ('-' for stdout)",
-    )
     p.set_defaults(fn=cmd_faults)
 
     p = sub.add_parser(
@@ -1009,16 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
         "action", choices=("soak",),
         help="soak: co-simulate with reliable channels + supervisor woven in",
     )
-    p.add_argument(
-        "--design", choices=sorted(_FAULT_DESIGNS), default="prodacc"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--drop", type=float, default=0.0, help="P(drop) per push")
-    p.add_argument("--dup", type=float, default=0.0, help="P(duplicate)")
-    p.add_argument("--reorder", type=float, default=0.0, help="P(reorder)")
-    p.add_argument("--window", type=int, default=2, help="reorder window")
-    p.add_argument("--jitter", type=float, default=0.0, help="max extra latency")
-    p.add_argument("--corrupt", type=float, default=0.0, help="P(value flip)")
+    _fault_flags(p, design="prodacc", horizon=40.0)
     p.add_argument(
         "--crash", action="append", metavar="NODE:START:END",
         help="crash window: node down and loses state (repeatable)",
@@ -1033,7 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--burst", type=int, default=10, help="burst length")
     p.add_argument("--period", type=float, default=1.0, help="consumer/drain period")
-    p.add_argument("--horizon", type=float, default=40.0)
     p.add_argument("--rto", type=float, default=1.5, help="retransmit timeout")
     p.add_argument("--rto-backoff", type=float, default=1.5)
     p.add_argument("--retries", type=int, default=10, help="retry budget per frame")
@@ -1042,10 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-interval", type=float, default=3.0)
     p.add_argument("--max-restarts", type=int, default=3)
     p.add_argument("--restart-spacing", type=float, default=0.0)
-    p.add_argument(
-        "--json", metavar="PATH",
-        help="write a JSON digest to PATH ('-' for stdout)",
-    )
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser(

@@ -17,7 +17,9 @@ package makes those faults first-class and reproducible:
 - :mod:`repro.faults.soak` — :func:`soak`: faulted-vs-reference
   co-simulation, per-signal divergence classification (flow-equivalent /
   lost / duplicated / order-divergent / value-divergent), capacity
-  inflation under read jitter, and ``faults.*`` perf counters.
+  inflation under read jitter, and ``faults.*`` perf counters; with
+  ``recovery=``, the faulted deployment is hardened by
+  :func:`repro.resilience.harden` first (a recovery soak).
 """
 
 from repro.faults.spec import (
@@ -37,11 +39,9 @@ from repro.faults.inject import (
 from repro.faults.soak import (
     CapacityInflation,
     EstimateConfig,
-    RecoveryReport,
     SoakReport,
     capacity_inflation,
     jittered_stimulus,
-    recovery_soak,
     soak,
 )
 
@@ -61,9 +61,7 @@ __all__ = [
     "EstimateConfig",
     "CapacityInflation",
     "SoakReport",
-    "RecoveryReport",
     "soak",
-    "recovery_soak",
     "capacity_inflation",
     "jittered_stimulus",
 ]

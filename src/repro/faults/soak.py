@@ -3,10 +3,11 @@
 Co-simulates a faulted GALS network against the zero-fault reference
 deployment of the same program under the same workload, classifies every
 signal's divergence (via the flow machinery of :mod:`repro.tags.equivalence`
-and :func:`repro.sim.cosim.compare_flows`), optionally re-runs the
-Section 5.2 buffer-size estimation under read jitter to report capacity
-inflation, and exports fault/divergence counters through
-:data:`repro.perf.PERF`.
+and :func:`repro.sim.cosim.compare_flows`), optionally hardens the faulted
+deployment with the :mod:`repro.resilience` stack first (a recovery
+soak), optionally re-runs the Section 5.2 buffer-size estimation under
+read jitter to report capacity inflation, and exports fault, divergence
+and recovery counters through :data:`repro.perf.PERF`.
 
 The whole pipeline is deterministic: the fault plan compiles from its
 seed into an explicit schedule, so two soaks with the same arguments
@@ -67,7 +68,13 @@ class CapacityInflation(NamedTuple):
 
 
 class SoakReport(NamedTuple):
-    """Everything one soak run learned."""
+    """Everything one soak run learned.
+
+    A hardened soak (``recovery`` given to :func:`soak_batch`) also
+    carries the reliable channels' protocol totals and the supervisor's
+    metrics in ``recovery``, and the supervisor's alarms in ``alarms``;
+    an unhardened soak has neither.
+    """
 
     plan: FaultPlan
     horizon: float
@@ -76,188 +83,9 @@ class SoakReport(NamedTuple):
     classification: Dict[str, str]   # per recorded signal
     flow_equivalent: bool            # Definition 4, over the shared domain
     fault_counts: Dict[str, int]
-    inflation: Optional[CapacityInflation] = None
-
-    @property
-    def divergent(self) -> Dict[str, str]:
-        return {
-            s: c for s, c in self.classification.items()
-            if c != FLOW_EQUIVALENT
-        }
-
-    def render(self) -> str:
-        lines = [
-            "fault soak (seed {}, horizon {}): {}".format(
-                self.plan.seed,
-                self.horizon,
-                "FLOW EQUIVALENT" if self.flow_equivalent else "DIVERGENT",
-            ),
-            "  injected: " + (
-                ", ".join(
-                    "{}={}".format(k, v)
-                    for k, v in sorted(self.fault_counts.items()) if v
-                ) or "nothing"
-            ),
-        ]
-        for signal in sorted(self.classification):
-            lines.append(
-                "  {:<12} {}".format(signal, self.classification[signal])
-            )
-        if self.inflation is not None:
-            lines.append(self.inflation.render())
-        return "\n".join(lines)
-
-
-def _net_from(program, workload, net_kwargs) -> AsyncNetwork:
-    return AsyncNetwork.from_program(
-        program, workload.gals_schedules(), **net_kwargs
-    )
-
-
-def _classify(
-    reference: NetworkTrace,
-    subject: NetworkTrace,
-    signals: Optional[Iterable[str]],
-) -> Tuple[Dict[str, str], bool]:
-    """Per-signal divergence classes plus the Definition 4 verdict over
-    the shared projection — the comparison core of every soak variant."""
-    names = (
-        sorted(set(reference.behavior.vars()) | set(subject.behavior.vars()))
-        if signals is None else list(signals)
-    )
-    classification = compare_flows(reference.behavior, subject.behavior, names)
-    shared = [
-        n for n in names
-        if n in reference.behavior and n in subject.behavior
-    ]
-    flow_ok = all(
-        c == FLOW_EQUIVALENT for c in classification.values()
-    ) and equivalence.flow_equivalent(
-        reference.behavior.project(shared), subject.behavior.project(shared)
-    )
-    return classification, flow_ok
-
-
-def soak(
-    program: Program,
-    workload,
-    plan: FaultPlan,
-    horizon: float = 50.0,
-    signals: Optional[Iterable[str]] = None,
-    estimate: Optional[EstimateConfig] = None,
-    max_events: int = 100000,
-    **net_kwargs,
-) -> SoakReport:
-    """Run the faulted network against the zero-fault reference.
-
-    ``workload`` is a :class:`repro.workloads.scenarios.Workload` (or any
-    object with ``gals_schedules()`` and ``stimulus_factory``); fresh
-    schedules are drawn for each of the two deployments so both see the
-    same activations.  ``signals`` restricts the classification (default:
-    every signal recorded by the reference run).  One soak is a batch of
-    one plan: :func:`soak_batch`.
-    """
-    return soak_batch(
-        program, workload, [plan], horizon=horizon, signals=signals,
-        estimate=estimate, max_events=max_events, **net_kwargs,
-    )[0]
-
-
-def soak_batch(
-    program: Program,
-    workload,
-    plans: Iterable[FaultPlan],
-    horizon: float = 50.0,
-    signals: Optional[Iterable[str]] = None,
-    estimate: Optional[EstimateConfig] = None,
-    max_events: int = 100000,
-    **net_kwargs,
-) -> List[SoakReport]:
-    """Soak many fault plans against **one** shared reference run.
-
-    Network runs are deterministic in the workload, so the zero-fault
-    reference is identical for every plan; running it once instead of
-    once per plan halves the event-simulation work of a scenario sweep.
-    A plan that injects nothing (``plan.active`` false) leaves the woven
-    network unchanged, so its faulted run is that reference run too.
-    With ``estimate``, every plan runs :func:`capacity_inflation` at its
-    own seed, and a sizes vector that another plan's estimate already
-    simulated is a hit in the process-wide plan cache.  Each plan's
-    report equals the :func:`soak` of that plan alone.  The plans run in
-    order in this thread; counters go to the caller's
-    :data:`repro.perf.PERF` tables, so to count one plan, soak it alone
-    in a :meth:`repro.perf.PerfCounters.scope`.
-    """
-    if signals is not None:
-        signals = list(signals)   # an iterator must serve every plan
-    reference = _net_from(program, workload, net_kwargs).run(
-        horizon, max_events=max_events
-    )
-    reports = []
-    for plan in plans:
-        if plan.active:
-            faulted_net = _net_from(program, workload, net_kwargs)
-            weave_faults(faulted_net, plan)
-            faulted = faulted_net.run(horizon, max_events=max_events)
-        else:
-            # weaving an inactive plan attaches nothing: its run is the
-            # reference run
-            plan.validate()
-            faulted = reference
-
-        classification, flow_ok = _classify(reference, faulted, signals)
-
-        counts = faulted.fault_counts()
-        PERF.merge(
-            {k: v for k, v in counts.items() if isinstance(v, int)}, "faults"
-        )
-        PERF.incr("faults.soaks")
-        divergent = sum(
-            1 for c in classification.values() if c != FLOW_EQUIVALENT
-        )
-        PERF.incr("faults.divergent_signals", divergent)
-
-        inflation = None
-        if estimate is not None:
-            inflation = capacity_inflation(
-                program, workload, estimate, seed=plan.seed
-            )
-        reports.append(
-            SoakReport(
-                plan=plan,
-                horizon=horizon,
-                reference=reference,
-                faulted=faulted,
-                classification=classification,
-                flow_equivalent=flow_ok,
-                fault_counts=counts,
-                inflation=inflation,
-            )
-        )
-    return reports
-
-
-# -- verified recovery --------------------------------------------------------
-
-
-class RecoveryReport(NamedTuple):
-    """One recovery co-simulation: hardened-and-faulted vs zero-fault.
-
-    ``healthy`` is the CI gate: flow equivalence, no abandoned frames,
-    no denied restarts.  Watchdog/restart alarms during a *successful*
-    recovery are expected operation, not failures.
-    """
-
-    plan: FaultPlan
-    config: object                   # repro.resilience.RecoveryConfig
-    horizon: float
-    reference: NetworkTrace
-    recovered: NetworkTrace
-    classification: Dict[str, str]
-    flow_equivalent: bool
-    fault_counts: Dict[str, int]
+    inflation: Optional[CapacityInflation]
     recovery: Dict[str, object]      # protocol + supervisor metrics
-    alarms: Tuple
+    alarms: Tuple                    # supervisor AlarmEvents, in order
 
     @property
     def divergent(self) -> Dict[str, str]:
@@ -268,6 +96,9 @@ class RecoveryReport(NamedTuple):
 
     @property
     def healthy(self) -> bool:
+        """The CI gate: flow equivalence, no abandoned frames, no denied
+        restarts.  Watchdog and restart alarms during a *successful*
+        recovery are expected operation, not failures."""
         return (
             self.flow_equivalent
             and not self.recovery.get("abandoned")
@@ -290,25 +121,32 @@ class RecoveryReport(NamedTuple):
         return out
 
     def render(self) -> str:
-        lines = [
-            "recovery soak (seed {}, horizon {}): {}".format(
-                self.plan.seed,
-                self.horizon,
+        if self.recovery:
+            title, pad = "recovery soak", "  "
+            verdict = (
                 "HEALTHY" if self.healthy
                 else ("FLOW EQUIVALENT, degraded" if self.flow_equivalent
-                      else "DIVERGENT"),
+                      else "DIVERGENT")
+            )
+        else:
+            title, pad = "fault soak", " "
+            verdict = "FLOW EQUIVALENT" if self.flow_equivalent else "DIVERGENT"
+        lines = [
+            "{} (seed {}, horizon {}): {}".format(
+                title, self.plan.seed, self.horizon, verdict
             ),
-            "  injected:  " + (
+            "  injected:" + pad + (
                 ", ".join(
                     "{}={}".format(k, v)
                     for k, v in sorted(self.fault_counts.items()) if v
                 ) or "nothing"
             ),
-            "  recovery:  " + ", ".join(
+        ]
+        if self.recovery:
+            lines.append("  recovery:  " + ", ".join(
                 "{}={}".format(k, v)
                 for k, v in sorted(self.recovery.items()) if v
-            ),
-        ]
+            ))
         for signal in sorted(self.classification):
             lines.append(
                 "  {:<12} {}".format(signal, self.classification[signal])
@@ -319,51 +157,123 @@ class RecoveryReport(NamedTuple):
                     ev.time, ev.kind, ev.subject, ev.detail
                 )
             )
+        if self.inflation is not None:
+            lines.append(self.inflation.render())
         return "\n".join(lines)
 
 
-def recovery_soak(
+def _net_from(program, workload, net_kwargs) -> AsyncNetwork:
+    return AsyncNetwork.from_program(
+        program, workload.gals_schedules(), **net_kwargs
+    )
+
+
+def _classify(
+    reference: NetworkTrace,
+    subject: NetworkTrace,
+    signals: Optional[Iterable[str]],
+) -> Tuple[Dict[str, str], bool]:
+    """Per-signal divergence classes plus the Definition 4 verdict over
+    the shared projection."""
+    names = (
+        sorted(set(reference.behavior.vars()) | set(subject.behavior.vars()))
+        if signals is None else list(signals)
+    )
+    classification = compare_flows(reference.behavior, subject.behavior, names)
+    shared = [
+        n for n in names
+        if n in reference.behavior and n in subject.behavior
+    ]
+    flow_ok = all(
+        c == FLOW_EQUIVALENT for c in classification.values()
+    ) and equivalence.flow_equivalent(
+        reference.behavior.project(shared), subject.behavior.project(shared)
+    )
+    return classification, flow_ok
+
+
+def _recovery_metrics(hardened) -> Dict[str, object]:
+    """The reliable channels' protocol totals and the supervisor's
+    metrics, after the hardened run."""
+    recovery: Dict[str, object] = {
+        "frames": 0, "retransmits": 0, "acks": 0, "dup_frames": 0,
+        "corrupt_frames": 0, "abandoned": 0, "skipped_gaps": 0,
+    }
+    for ch in hardened.channels:
+        for key, n in ch.protocol_stats().items():
+            if key in recovery:
+                recovery[key] += n
+    recovery.update(hardened.supervisor.metrics())
+    return recovery
+
+
+def soak(
     program: Program,
     workload,
     plan: FaultPlan,
-    config=None,
     horizon: float = 50.0,
     signals: Optional[Iterable[str]] = None,
+    estimate: Optional[EstimateConfig] = None,
     max_events: int = 100000,
+    recovery=None,
     **net_kwargs,
-) -> RecoveryReport:
-    """Co-simulate a *hardened* faulted network against the reference.
+) -> SoakReport:
+    """Run the faulted network against the zero-fault reference.
 
-    Like :func:`soak`, but the faulted deployment first gets the
-    :mod:`repro.resilience` stack (reliable channels + supervisor) per
-    ``config`` (default :class:`~repro.resilience.RecoveryConfig`).  The
-    claim under test: with recovery in place, drops, duplicates,
-    reordering and even node crashes leave the run flow-equivalent to
-    the zero-fault reference.  One recovery soak is a batch of one plan:
-    :func:`recovery_soak_batch`.
+    ``workload`` is a :class:`repro.workloads.scenarios.Workload` (or any
+    object with ``gals_schedules()`` and ``stimulus_factory``); fresh
+    schedules are drawn for each of the two deployments so both see the
+    same activations.  ``signals`` restricts the classification (default:
+    every signal recorded by the reference run).  ``recovery`` (a
+    :class:`repro.resilience.RecoveryConfig`) hardens the faulted
+    deployment first.  One soak is a batch of one plan:
+    :func:`soak_batch`.
     """
-    return recovery_soak_batch(
-        program, workload, [plan], config=config, horizon=horizon,
-        signals=signals, max_events=max_events, **net_kwargs,
+    return soak_batch(
+        program, workload, [plan], horizon=horizon, signals=signals,
+        estimate=estimate, max_events=max_events, recovery=recovery,
+        **net_kwargs,
     )[0]
 
 
-def recovery_soak_batch(
+def soak_batch(
     program: Program,
     workload,
     plans: Iterable[FaultPlan],
-    config=None,
     horizon: float = 50.0,
     signals: Optional[Iterable[str]] = None,
+    estimate: Optional[EstimateConfig] = None,
     max_events: int = 100000,
+    recovery=None,
     **net_kwargs,
-) -> List[RecoveryReport]:
-    """:func:`recovery_soak` for many fault plans sharing **one**
-    reference run (see :func:`soak_batch` for the rationale)."""
-    from repro.resilience import RecoveryConfig, harden
+) -> List[SoakReport]:
+    """Soak many fault plans against **one** shared reference run.
 
-    if config is None:
-        config = RecoveryConfig()
+    Network runs are deterministic in the workload, so the zero-fault
+    reference is identical for every plan; running it once instead of
+    once per plan halves the event-simulation work of a scenario sweep.
+
+    With ``recovery`` (a :class:`repro.resilience.RecoveryConfig`), each
+    faulted network gets the :mod:`repro.resilience` stack (reliable
+    channels and a supervisor) through
+    :func:`repro.resilience.harden` before it runs.  The claim under
+    test: with recovery in place, drops, duplicates, reordering and even
+    node crashes leave the run flow-equivalent to the zero-fault
+    reference.  Without it, a plan that injects nothing (``plan.active``
+    false) leaves the woven network unchanged, so its faulted run is the
+    reference run; hardening changes the network, so a hardened soak
+    runs every plan.
+
+    With ``estimate``, every plan runs :func:`capacity_inflation` at its
+    own seed, and a sizes vector that another plan's estimate already
+    simulated is a hit in the process-wide plan cache.  Each plan's
+    report equals the :func:`soak` of that plan alone.  The plans run in
+    order in this thread; counters go to the caller's
+    :data:`repro.perf.PERF` tables, so to count one plan, soak it alone
+    in a :meth:`repro.perf.PerfCounters.scope`.
+    """
+    if recovery is not None:
+        from repro.resilience import harden
     if signals is not None:
         signals = list(signals)   # an iterator must serve every plan
     reference = _net_from(program, workload, net_kwargs).run(
@@ -371,57 +281,61 @@ def recovery_soak_batch(
     )
     reports = []
     for plan in plans:
-        recovered_net = _net_from(program, workload, net_kwargs)
-        weave_faults(recovered_net, plan)
-        hardened = harden(recovered_net, config)
+        hardened = None
+        if plan.active or recovery is not None:
+            faulted_net = _net_from(program, workload, net_kwargs)
+            weave_faults(faulted_net, plan)
+            if recovery is not None:
+                hardened = harden(faulted_net, recovery)
+            faulted = faulted_net.run(horizon, max_events=max_events)
+        else:
+            # weaving an inactive plan attaches nothing: its run is the
+            # reference run
+            plan.validate()
+            faulted = reference
 
-        recovered = recovered_net.run(horizon, max_events=max_events)
+        classification, flow_ok = _classify(reference, faulted, signals)
 
-        classification, flow_ok = _classify(reference, recovered, signals)
-
-        recovery: Dict[str, object] = {
-            "frames": 0, "retransmits": 0, "acks": 0, "dup_frames": 0,
-            "corrupt_frames": 0, "abandoned": 0, "skipped_gaps": 0,
-        }
-        for ch in hardened.channels:
-            for key, n in ch.protocol_stats().items():
-                if key in recovery:
-                    recovery[key] += n
-        if hardened.supervisor is not None:
-            recovery.update(hardened.supervisor.metrics())
-
-        counts = recovered.fault_counts()
+        counts = faulted.fault_counts()
         PERF.merge(
             {k: v for k, v in counts.items() if isinstance(v, int)}, "faults"
         )
         PERF.incr("faults.soaks")
-        PERF.merge(
-            {
-                k: v for k, v in recovery.items()
-                if isinstance(v, int) and k in (
-                    "retransmits", "abandoned", "checkpoints", "restarts",
-                    "replayed",
-                )
-            },
-            "resilience",
-        )
         divergent = sum(
             1 for c in classification.values() if c != FLOW_EQUIVALENT
         )
         PERF.incr("faults.divergent_signals", divergent)
 
+        metrics: Dict[str, object] = {}
+        if hardened is not None:
+            metrics = _recovery_metrics(hardened)
+            PERF.merge(
+                {
+                    k: metrics[k] for k in (
+                        "retransmits", "abandoned", "checkpoints",
+                        "restarts", "replayed",
+                    )
+                },
+                "resilience",
+            )
+
+        inflation = None
+        if estimate is not None:
+            inflation = capacity_inflation(
+                program, workload, estimate, seed=plan.seed
+            )
         reports.append(
-            RecoveryReport(
+            SoakReport(
                 plan=plan,
-                config=config,
                 horizon=horizon,
                 reference=reference,
-                recovered=recovered,
+                faulted=faulted,
                 classification=classification,
                 flow_equivalent=flow_ok,
                 fault_counts=counts,
-                recovery=recovery,
-                alarms=recovered.alarms,
+                inflation=inflation,
+                recovery=metrics,
+                alarms=faulted.alarms,
             )
         )
     return reports

@@ -37,8 +37,8 @@ phases so benchmark deltas are attributable:
 - ``resilience.retransmits`` / ``resilience.abandoned`` /
   ``resilience.checkpoints`` / ``resilience.restarts`` /
   ``resilience.replayed`` — repair and supervision work of the
-  recovery layer, merged per recovery soak
-  (:func:`repro.faults.soak.recovery_soak`);
+  recovery layer, merged per hardened soak
+  (:func:`repro.faults.soak.soak_batch` with ``recovery``);
 - ``time.<phase>`` — seconds spent in labeled phases.
 
 Hot loops keep their own local integers and merge once per call

@@ -22,9 +22,10 @@ deployments *survive* them, and closes the loop with verification:
 - :mod:`repro.resilience.weave` — :func:`harden`: one-call installation
   of the whole stack on a built network.
 
-The closing claim, exercised by :func:`repro.faults.soak.recovery_soak`:
-under drops, duplicates, reordering *and* node crashes, the hardened run
-is flow-equivalent to the zero-fault reference.
+The closing claim, exercised by :func:`repro.faults.soak.soak` with
+``recovery=RecoveryConfig()``: under drops, duplicates, reordering *and*
+node crashes, the hardened run is flow-equivalent to the zero-fault
+reference.
 """
 
 from repro.resilience.channel import (

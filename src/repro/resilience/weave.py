@@ -25,8 +25,6 @@ class RecoveryConfig(NamedTuple):
     policy: RestartPolicy = RestartPolicy()
     signals: Optional[Tuple[str, ...]] = None  # None = every channel
     nodes: Optional[Tuple[str, ...]] = None    # None = every node
-    reliable: bool = True
-    supervised: bool = True
 
     def validate(self) -> "RecoveryConfig":
         self.channel.validate()
@@ -42,24 +40,20 @@ class Hardened(NamedTuple):
     """What :func:`harden` installed."""
 
     channels: Tuple[ReliableChannel, ...]
-    supervisor: Optional[Supervisor]
+    supervisor: Supervisor
 
 
 def harden(network, config: RecoveryConfig = RecoveryConfig()) -> Hardened:
     """Install reliable channels and a supervisor per ``config``."""
     config.validate()
-    channels: Tuple[ReliableChannel, ...] = ()
-    if config.reliable:
-        channels = tuple(
-            make_reliable(network, config.channel, signals=config.signals)
-        )
-    sup = None
-    if config.supervised:
-        sup = supervise(
-            network,
-            watchdog=config.watchdog,
-            checkpoint_interval=config.checkpoint_interval,
-            policy=config.policy,
-            nodes=config.nodes,
-        )
+    channels = tuple(
+        make_reliable(network, config.channel, signals=config.signals)
+    )
+    sup = supervise(
+        network,
+        watchdog=config.watchdog,
+        checkpoint_interval=config.checkpoint_interval,
+        policy=config.policy,
+        nodes=config.nodes,
+    )
     return Hardened(channels, sup)

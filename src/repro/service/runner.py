@@ -31,7 +31,7 @@ without a key (the CLI, a test, a benchmark) gets both done here.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 from repro.mc.store import MCStore, default_store
 from repro.service.jobs import (
@@ -102,55 +102,6 @@ def stored_envelope(
     return store.get(key, kind=RESULT_KIND, accept=intact)
 
 
-# -- stimulus specs -----------------------------------------------------------
-
-def stimulus_factory(specs: Iterable[str]):
-    """A zero-argument factory for the CLI-style stimulus grammar
-    ``name:period[:phase[:value]]`` (value ``true``/``false``/int/
-    ``count``); no specs means silence.
-
-    Specs are parsed here, so a malformed one raises :class:`ValueError`
-    naming it before any stimulus is built."""
-    import itertools
-
-    from repro.sim import stimuli
-
-    parsed = []
-    for spec in specs:
-        fields = spec.split(":")
-        value = fields[3] if len(fields) > 3 else None
-        try:
-            period = int(fields[1])
-            phase = int(fields[2]) if len(fields) > 2 else 0
-            if period < 1:
-                raise ValueError
-            if value in ("true", "false"):
-                value = value == "true"
-            elif value not in (None, "count"):
-                value = int(value)
-        except (IndexError, ValueError):
-            raise ValueError(
-                "bad stimulus {!r}: want name:period[:phase[:value]]".format(spec)
-            ) from None
-        parsed.append((fields[0], period, phase, value))
-
-    def build():
-        parts = []
-        for name, period, phase, value in parsed:
-            if value is None:
-                values = None
-            elif value == "count":
-                values = stimuli.counter()
-            else:
-                values = itertools.repeat(value)
-            parts.append(stimuli.periodic(name, period, values=values, phase=phase))
-        if not parts:
-            return stimuli.silence()
-        return stimuli.merge(*parts)
-
-    return build
-
-
 # -- handlers -----------------------------------------------------------------
 
 def _as_list(value) -> list:
@@ -201,6 +152,7 @@ def _run_estimate(program, params: Dict[str, Any]) -> Dict[str, Any]:
     ``kind`` (``direct``/``rreq``), ``max_iterations``, ``max_capacity``.
     """
     from repro.desync.estimator import estimate_buffer_sizes
+    from repro.sim.stimuli import stimulus_factory
 
     report = estimate_buffer_sizes(
         program,

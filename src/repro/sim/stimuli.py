@@ -7,6 +7,9 @@ independently::
 
     stim = merge(periodic("tick", 1), bursty("msgin", burst=3, gap=2,
                                              values=counter()))
+
+:func:`stimulus_factory` parses the CLI's ``--stim`` grammar (also the
+service's ``stim`` job parameter) into a factory of such stimuli.
 """
 
 from __future__ import annotations
@@ -108,3 +111,46 @@ def merge(*stimuli: Iterable[Dict[str, object]]) -> Iterator[Dict[str, object]]:
 def take(stimulus: Iterable[Dict[str, object]], n: int):
     """The first ``n`` instants of a stimulus, as a list."""
     return list(itertools.islice(stimulus, n))
+
+
+def stimulus_factory(specs: Iterable[str]):
+    """A zero-argument factory for the CLI-style stimulus grammar
+    ``name:period[:phase[:value]]`` (value ``true``/``false``/int/
+    ``count``); no specs means silence.
+
+    Specs are parsed here, so a malformed one raises :class:`ValueError`
+    naming it before any stimulus is built."""
+    parsed = []
+    for spec in specs:
+        fields = spec.split(":")
+        value = fields[3] if len(fields) > 3 else None
+        try:
+            period = int(fields[1])
+            phase = int(fields[2]) if len(fields) > 2 else 0
+            if period < 1:
+                raise ValueError
+            if value in ("true", "false"):
+                value = value == "true"
+            elif value not in (None, "count"):
+                value = int(value)
+        except (IndexError, ValueError):
+            raise ValueError(
+                "bad stimulus {!r}: want name:period[:phase[:value]]".format(spec)
+            ) from None
+        parsed.append((fields[0], period, phase, value))
+
+    def build():
+        parts = []
+        for name, period, phase, value in parsed:
+            if value is None:
+                values = None
+            elif value == "count":
+                values = counter()
+            else:
+                values = itertools.repeat(value)
+            parts.append(periodic(name, period, values=values, phase=phase))
+        if not parts:
+            return silence()
+        return merge(*parts)
+
+    return build

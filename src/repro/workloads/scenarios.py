@@ -210,7 +210,7 @@ def burst_sweep(
     return out
 
 
-# -- picklable specs + the batched soak sweep (experiment A7) ----------------
+# -- picklable specs + the batched soak sweep (experiments A7 and A9) --------
 
 
 #: workload spec ``kind`` -> factory; a spec is the factory's kwargs plus
@@ -232,14 +232,17 @@ def workload_from_spec(spec: Dict[str, Any]) -> Workload:
 
 class FaultScenarioSpec(NamedTuple):
     """One workload deployed under one fault plan, in transportable form:
-    the workload as a spec dict, the plan as-is (fault plans pickle), plus
-    an optional per-scenario horizon override for
-    :func:`batched_soak_sweep`."""
+    the workload as a spec dict, the plan as-is (fault plans pickle), an
+    optional per-scenario horizon override for :func:`batched_soak_sweep`,
+    and the :class:`~repro.resilience.weave.RecoveryConfig` that hardens
+    the deployment (``None``: unhardened; a NamedTuple of NamedTuples, it
+    pickles)."""
 
     name: str
     workload: Dict[str, Any]
     plan: "FaultPlan"
     horizon: Optional[float] = None
+    recovery: Any = None
 
 
 def fault_kind_specs(
@@ -307,50 +310,28 @@ def _soak_summary(name: str, report) -> Dict[str, Any]:
     }
 
 
-def _sweep_groups(task, program, specs: list, group_key, workers) -> list:
-    """One sweep task per group of specs sharing ``group_key(spec)`` (a
-    tuple), in first-seen group order; each task gets the key's fields
-    plus the group's ``(name, plan)`` pairs and returns one summary per
-    pair.  The summaries come back scattered into spec order.
-
-    A pooled sweep first builds the plan of each node of ``program`` in
-    this process, so forked workers inherit them from the process-wide
-    plan cache instead of each building them again."""
-    if workers is not None and workers > 1:
-        for comp in program.components:
-            shared_plan(comp)
-    groups: Dict[tuple, List[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(group_key(spec), []).append(i)
-    tasks = [
-        key + ([(specs[i].name, specs[i].plan) for i in indices],)
-        for key, indices in groups.items()
-    ]
-    report = sweep(task, tasks, workers=workers)
-    out = [None] * len(specs)
-    for indices, summaries in zip(groups.values(), report.values()):
-        for i, summary in zip(indices, summaries):
-            out[i] = summary
-    return out
-
-
 def _batched_soak_task(
     program, net_kwargs: Dict[str, Any], group
 ) -> List[Dict[str, Any]]:
-    """One lane batch: every plan of one workload against a single shared
-    reference run (runs inside sweep workers)."""
+    """One lane batch: every plan of one workload, recovery config and
+    horizon against a single shared reference run (runs inside sweep
+    workers).  An unhardened row is :func:`_soak_summary`; a hardened one
+    is the report's :meth:`~repro.faults.soak.SoakReport.summary` plus
+    the scenario name."""
     from repro.faults.soak import soak_batch
 
-    workload_spec, horizon, named_plans = group
+    workload_spec, recovery, horizon, named_plans = group
     reports = soak_batch(
         program,
         workload_from_spec(dict(workload_spec)),
         [plan for _, plan in named_plans],
         horizon=horizon,
+        recovery=recovery,
         **net_kwargs,
     )
     return [
-        _soak_summary(name, report)
+        _soak_summary(name, report) if recovery is None
+        else dict(report.summary(), scenario=name)
         for (name, _), report in zip(named_plans, reports)
     ]
 
@@ -364,38 +345,42 @@ def batched_soak_sweep(
 ) -> List[Dict[str, Any]]:
     """Soak every scenario spec through :func:`repro.perf.sweep.sweep`.
 
-    Specs sharing a workload (and horizon) become ONE sweep task whose
-    zero-fault reference runs once for all of its fault plans
-    (:func:`repro.faults.soak.soak_batch`).  Returns one
-    :func:`_soak_summary` dict per spec, in spec order; soaks being
+    Specs sharing a workload, recovery config and horizon become ONE
+    sweep task whose zero-fault reference runs once for all of its fault
+    plans (:func:`repro.faults.soak.soak_batch`).  Returns one summary
+    per spec, in spec order (see :func:`_batched_soak_task`); soaks being
     deterministic in their seeds, the summaries are identical at any
     ``workers`` count.
+
+    A pooled sweep first builds the plan of each node of ``program`` in
+    this process, so forked workers inherit them from the process-wide
+    plan cache instead of each building them again.
     """
-    return _sweep_groups(
-        partial(_batched_soak_task, program, net_kwargs),
-        program,
-        list(specs),
-        lambda s: (
-            tuple(sorted(s.workload.items())),
-            s.horizon if s.horizon is not None else horizon,
-        ),
-        workers,
+    specs = list(specs)
+    if workers is not None and workers > 1:
+        for comp in program.components:
+            shared_plan(comp)
+    groups: Dict[tuple, List[int]] = {}
+    for i, spec in enumerate(specs):
+        key = (
+            tuple(sorted(spec.workload.items())),
+            spec.recovery,
+            spec.horizon if spec.horizon is not None else horizon,
+        )
+        groups.setdefault(key, []).append(i)
+    tasks = [
+        key + ([(specs[i].name, specs[i].plan) for i in indices],)
+        for key, indices in groups.items()
+    ]
+    report = sweep(
+        partial(_batched_soak_task, program, net_kwargs), tasks,
+        workers=workers,
     )
-
-
-# -- recovery scenarios (experiment A9) ---------------------------------------
-
-
-class RecoveryScenarioSpec(NamedTuple):
-    """A hardened soak in transportable form: workload spec, fault plan,
-    and the :class:`~repro.resilience.weave.RecoveryConfig` (NamedTuples of
-    NamedTuples — they pickle), for :func:`batched_recovery_sweep`."""
-
-    name: str
-    workload: Dict[str, Any]
-    plan: "FaultPlan"
-    config: Any = None  # RecoveryConfig; None -> defaults
-    horizon: Optional[float] = None
+    out = [None] * len(specs)
+    for indices, summaries in zip(groups.values(), report.values()):
+        for i, summary in zip(indices, summaries):
+            out[i] = summary
+    return out
 
 
 def recovery_rate_specs(
@@ -404,14 +389,22 @@ def recovery_rate_specs(
     crash: Optional[tuple] = ((8.0, 12.0),),
     crash_node: str = "Q",
     workload: Optional[Dict[str, Any]] = None,
-) -> List[RecoveryScenarioSpec]:
-    """One spec per composite fault rate, each with the same crash window.
+    recovery=None,
+) -> List[FaultScenarioSpec]:
+    """One hardened spec per composite fault rate, each with the same
+    crash window (experiment A9).
 
     Rate ``r`` means drop at ``r`` with duplication and reordering at
     ``r/2`` on every channel — a dose-response axis for the recovery
-    layer's retransmit/checkpoint cost (experiment A9)."""
+    layer's retransmit/checkpoint cost.  Every spec is hardened with
+    ``recovery`` (default: :class:`~repro.resilience.weave.RecoveryConfig`
+    with its defaults)."""
     from repro.faults.spec import ANY, ChannelFaults, FaultPlan, NodeFaults
 
+    if recovery is None:
+        from repro.resilience import RecoveryConfig
+
+        recovery = RecoveryConfig()
     wl = workload or {"kind": "single_burst"}
     nodes = (
         {crash_node: NodeFaults(crash=tuple(crash))} if crash else {}
@@ -427,60 +420,7 @@ def recovery_rate_specs(
             },
             nodes=dict(nodes),
         ).validate()
-        out.append(
-            RecoveryScenarioSpec("rate={:g}".format(rate), dict(wl), plan)
-        )
+        out.append(FaultScenarioSpec(
+            "rate={:g}".format(rate), dict(wl), plan, recovery=recovery
+        ))
     return out
-
-
-def _batched_recovery_task(
-    program, default_config, net_kwargs: Dict[str, Any], group
-) -> List[Dict[str, Any]]:
-    """One recovery lane batch (runs inside sweep workers)."""
-    from repro.faults.soak import recovery_soak_batch
-
-    workload_spec, config, horizon, named_plans = group
-    reports = recovery_soak_batch(
-        program,
-        workload_from_spec(dict(workload_spec)),
-        [plan for _, plan in named_plans],
-        config=config if config is not None else default_config,
-        horizon=horizon,
-        **net_kwargs,
-    )
-    out = []
-    for (name, _), report in zip(named_plans, reports):
-        summary = report.summary()
-        summary["scenario"] = name
-        out.append(summary)
-    return out
-
-
-def batched_recovery_sweep(
-    program,
-    specs: Iterable[RecoveryScenarioSpec],
-    config=None,
-    horizon: float = 40.0,
-    workers: Optional[int] = None,
-    **net_kwargs,
-) -> List[Dict[str, Any]]:
-    """Recovery-soak every spec through :func:`repro.perf.sweep.sweep`.
-
-    Specs sharing a workload, recovery config and horizon become one
-    sweep task with a single shared reference run
-    (:func:`repro.faults.soak.recovery_soak_batch`).  Returns one
-    summary per spec, in spec order: the report's
-    :meth:`~repro.faults.soak.RecoveryReport.summary` plus the scenario
-    name.  Recovery soaks are deterministic in their seeds, so the
-    summaries are identical at any ``workers`` count."""
-    return _sweep_groups(
-        partial(_batched_recovery_task, program, config, net_kwargs),
-        program,
-        list(specs),
-        lambda s: (
-            tuple(sorted(s.workload.items())),
-            s.config,
-            s.horizon if s.horizon is not None else horizon,
-        ),
-        workers,
-    )

@@ -1,5 +1,10 @@
 """Tests for the extended CLI (verify backends, coverage)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import designs
@@ -159,3 +164,44 @@ class TestVerifyTargets:
         monkeypatch.chdir(tmp_path)
         assert main(["verify", target, "--never", "x"]) == 2
         assert "No such file" in capsys.readouterr().err
+
+
+class TestCommandImports:
+    """The ``--stim`` grammar lives beside the stimuli, so the simulation
+    commands run without loading the service package."""
+
+    CODE = (
+        "import json, sys\n"
+        "from repro.__main__ import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+        "                             if m.startswith('repro.')\n"
+        "                             and m.split('.')[1] in ('service', 'mc'))]))\n"
+    )
+
+    def _loaded(self, tmp_path, *argv):
+        import repro
+
+        path = tmp_path / "pc.sig"
+        path.write_text(format_program(designs.producer_consumer()))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", self.CODE, argv[0], str(path), *argv[1:]],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        rc, modules = json.loads(out.strip().splitlines()[-1])
+        assert rc == 0
+        return modules
+
+    def test_simulate_loads_no_service_and_no_checker(self, tmp_path):
+        assert self._loaded(
+            tmp_path, "simulate", "--stim", "p_act:1", "-n", "5",
+        ) == []
+
+    def test_estimate_loads_no_service(self, tmp_path):
+        modules = self._loaded(
+            tmp_path, "estimate", "--stim", "p_act:1", "--stim", "x_rreq:1",
+            "-n", "10",
+        )
+        assert not [m for m in modules if m.startswith("repro.service")]

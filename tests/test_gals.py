@@ -1,6 +1,7 @@
 """Tests for the GALS deployment layer."""
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,7 +388,11 @@ class TestServiceLevels:
 def deployments(draw):
     """A ``repro.designs`` chain, fork or fan-in deployed as a network:
     each source scheduled ``periodic`` or ``bursty``, each other node
-    either of those or data-driven, each channel of capacity 1 to 3."""
+    either of those or data-driven, each channel of capacity 1 to 3.
+
+    A schedule is drawn as its parameters, bound in a ``partial``:
+    :func:`activations` builds fresh iterators from them, so two runs of
+    one deployment see the same activations."""
     shape = draw(st.sampled_from(["chain", "fork", "fan-in"]))
     width = draw(st.integers(2, 3))
     if shape == "chain":
@@ -402,12 +407,14 @@ def deployments(draw):
         ] + [merge_component(inputs, "y", name="M")])
     scheduled = st.one_of(
         st.builds(
-            schedules.periodic,
+            partial,
+            st.just(schedules.periodic),
             st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
             phase=st.sampled_from([0.0, 0.25, 0.5]),
         ),
         st.builds(
-            schedules.bursty,
+            partial,
+            st.just(schedules.bursty),
             st.integers(1, 3),
             st.sampled_from([0.1, 0.25]),
             st.sampled_from([0.5, 1.0, 3.0]),
@@ -428,6 +435,11 @@ def deployments(draw):
     return program, plan, capacities
 
 
+def activations(plan):
+    """Fresh activation iterators for a drawn plan."""
+    return {name: make() for name, make in plan.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(deployments())
 def test_prop_blocking_deployments_keep_every_flow(deployment):
@@ -435,8 +447,28 @@ def test_prop_blocking_deployments_keep_every_flow(deployment):
     prefix of its write flow: backpressure loses and reorders nothing."""
     program, plan, capacities = deployment
     net = AsyncNetwork.from_program(
-        program, plan, policy="block", capacities=capacities
+        program, activations(plan), policy="block", capacities=capacities
     )
     trace = net.run(12.0)
     assert all(stats["losses"] == 0 for stats in trace.channels.values())
     assert_read_flows_are_prefixes(net, trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deployments())
+def test_prop_lossy_deployments_sized_at_the_peaks_lose_nothing(deployment):
+    """A ``policy="lossy"`` run whose capacities are the peak occupancies
+    of the unbounded run under the same schedules (at least 1; a fork's
+    signal takes the largest peak among its channels) loses nothing and
+    records the unbounded run's behavior."""
+    program, plan, _ = deployment
+    free = AsyncNetwork.from_program(program, activations(plan))
+    unbounded = free.run(12.0)
+    peaks = {}
+    for (sig, _), ch in free.channels.items():
+        peaks[sig] = max(peaks.get(sig, 1), unbounded.channels[ch.name]["peak"])
+    lossy = AsyncNetwork.from_program(
+        program, activations(plan), policy="lossy", capacities=peaks
+    ).run(12.0)
+    assert all(stats["losses"] == 0 for stats in lossy.channels.values())
+    assert lossy.behavior == unbounded.behavior

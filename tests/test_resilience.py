@@ -5,12 +5,16 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.designs import producer_accumulator, producer_consumer
+from repro.designs import (
+    modular_producer_consumer,
+    producer_accumulator,
+    producer_consumer,
+)
 from repro.faults import (
     ChannelFaults,
     FaultPlan,
     NodeFaults,
-    recovery_soak,
+    soak,
     uniform_plan,
     weave_faults,
 )
@@ -23,6 +27,7 @@ from repro.gals import (
     ServiceLevel,
     schedules,
 )
+from repro.lang import serializer
 from repro.perf import PERF
 from repro.resilience import (
     AlarmEvent,
@@ -317,12 +322,12 @@ ACCEPTANCE_CONFIG = RecoveryConfig(
 
 class TestRecoverySoak:
     def test_recovers_flow_equivalence_under_faults_and_crash(self):
-        report = recovery_soak(
+        report = soak(
             producer_accumulator(),
             scenarios.single_burst(),
             ACCEPTANCE_PLAN,
-            ACCEPTANCE_CONFIG,
             horizon=40.0,
+            recovery=ACCEPTANCE_CONFIG,
         )
         assert report.healthy
         assert report.flow_equivalent
@@ -334,22 +339,23 @@ class TestRecoverySoak:
         assert {"watchdog", "restart"} <= kinds
 
     def test_without_recovery_the_same_faults_diverge(self):
-        report = recovery_soak(
+        report = soak(
             producer_accumulator(),
             scenarios.single_burst(),
             ACCEPTANCE_PLAN,
-            ACCEPTANCE_CONFIG._replace(reliable=False, supervised=False),
             horizon=40.0,
         )
         assert not report.flow_equivalent  # recovery is load-bearing
+        assert not report.healthy
+        assert report.recovery == {} and report.alarms == ()
 
     def test_summary_is_json_ready(self):
-        report = recovery_soak(
+        report = soak(
             producer_accumulator(),
             scenarios.single_burst(),
             ACCEPTANCE_PLAN,
-            ACCEPTANCE_CONFIG,
             horizon=40.0,
+            recovery=ACCEPTANCE_CONFIG,
         )
         digest = json.loads(json.dumps(report.summary(), sort_keys=True))
         assert digest["healthy"] is True
@@ -358,19 +364,53 @@ class TestRecoverySoak:
     def test_recovery_sweep_identical_across_workers(self):
         """Two workloads make two sweep tasks, so ``workers=2`` fans out."""
         program = producer_accumulator()
-        specs = scenarios.recovery_rate_specs(rates=(0.05, 0.3), seed=11)
+        specs = scenarios.recovery_rate_specs(
+            rates=(0.05, 0.3), seed=11, recovery=ACCEPTANCE_CONFIG
+        )
         specs += scenarios.recovery_rate_specs(
-            rates=(0.05,), seed=11, crash=None, workload={"kind": "steady"}
+            rates=(0.05,), seed=11, crash=None, workload={"kind": "steady"},
+            recovery=ACCEPTANCE_CONFIG,
         )
         dumps = []
         for workers in (None, 2):
             with PERF.scope() as tables:
-                rows = scenarios.batched_recovery_sweep(
-                    program, specs, config=ACCEPTANCE_CONFIG, workers=workers
+                rows = scenarios.batched_soak_sweep(
+                    program, specs, horizon=40.0, workers=workers
                 )
             assert tables.counts["sweep.tasks"] == 2
             dumps.append(json.dumps(rows, sort_keys=True))
         assert dumps[0] == dumps[1]
+
+    @pytest.mark.parametrize("program, specs, horizon, pinned", [
+        (
+            producer_accumulator,
+            lambda: scenarios.recovery_rate_specs(
+                rates=(0.05, 0.15, 0.3), seed=11, crash=((8.0, 12.0),),
+                recovery=ACCEPTANCE_CONFIG,
+            ),
+            40.0,
+            "46adf8212c6780b10a2592ea2a968ebc7109b02740e3dd8aaf3db0e0e117b740",
+        ),
+        (
+            modular_producer_consumer,
+            lambda: [
+                spec._replace(recovery=RecoveryConfig())
+                for spec in scenarios.fault_kind_specs(seed=7, rate=0.2)
+            ],
+            25.0,
+            "b966f5215e719be778270c6282da78affab21fd34e811f1ec83345783a237f28",
+        ),
+    ], ids=["a9-rates", "fault-kinds"])
+    def test_hardened_sweep_rows_are_pinned(
+        self, program, specs, horizon, pinned
+    ):
+        """The sha256 of the canonical JSON of the hardened rows, as the
+        separate recovery sweep returned them before it was folded into
+        :func:`~repro.workloads.scenarios.batched_soak_sweep`: A9's specs
+        and config, and every fault kind under the default config."""
+        rows = scenarios.batched_soak_sweep(program(), specs(), horizon=horizon)
+        assert all("scenario" in row and "healthy" in row for row in rows)
+        assert serializer.digest(rows) == pinned
 
     def test_harden_respects_scope(self):
         net = AsyncNetwork.from_program(
@@ -430,3 +470,10 @@ class TestRecoverCli:
         assert rc == 1  # unprotected drops diverge
         digest = json.loads(path.read_text())
         assert digest["flow_equivalent"] is False
+        # the report's summary: an unhardened soak has no alarms and is
+        # healthy iff it is flow-equivalent
+        assert set(digest) == {
+            "design", "seed", "horizon", "flow_equivalent", "healthy",
+            "classification", "fault_counts", "alarms",
+        }
+        assert digest["healthy"] is False and digest["alarms"] == {}

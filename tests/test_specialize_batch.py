@@ -984,16 +984,17 @@ class TestBatchedSoaks:
             assert got.fault_counts == ref.fault_counts
 
     def test_signal_iterator_classifies_every_plan(self):
-        from repro.faults.soak import recovery_soak_batch, soak_batch
+        from repro.faults.soak import soak_batch
         from repro.faults.spec import uniform_plan
+        from repro.resilience import RecoveryConfig
         from repro.workloads import scenarios
 
         prog = designs.modular_producer_consumer()
         plans = [uniform_plan(seed=7, drop=0.2)] * 2
-        for batch in (soak_batch, recovery_soak_batch):
-            reports = batch(
+        for recovery in (None, RecoveryConfig()):
+            reports = soak_batch(
                 prog, scenarios.steady(), plans, horizon=25.0,
-                signals=iter(["x", "y"]),
+                signals=iter(["x", "y"]), recovery=recovery,
             )
             assert [sorted(r.classification) for r in reports] == [
                 ["x", "y"], ["x", "y"]
@@ -1001,48 +1002,51 @@ class TestBatchedSoaks:
             assert reports[0].flow_equivalent == reports[1].flow_equivalent
 
     def test_batched_sweeps_byte_identical(self):
-        from repro.faults.soak import recovery_soak, soak
+        """A sweep row is the standalone soak's: its summary for an
+        unhardened spec, the report's ``summary()`` plus the scenario
+        name for a hardened one.  Specs that differ only in their
+        recovery config go to separate tasks."""
+        from repro.faults.soak import soak
+        from repro.resilience import RecoveryConfig
         from repro.workloads.scenarios import (
             _soak_summary,
-            batched_recovery_sweep,
             batched_soak_sweep,
             fault_kind_specs,
             recovery_rate_specs,
             workload_from_spec,
         )
 
+        def standalone(spec, horizon):
+            report = soak(
+                prog, workload_from_spec(spec.workload), spec.plan,
+                horizon=horizon, recovery=spec.recovery,
+            )
+            if spec.recovery is None:
+                return _soak_summary(spec.name, report)
+            return dict(report.summary(), scenario=spec.name)
+
         prog = designs.modular_producer_consumer()
         specs = fault_kind_specs(seed=7, rate=0.2)
-        assert batched_soak_sweep(prog, specs, horizon=25.0) == [
-            _soak_summary(
-                spec.name,
-                soak(
-                    prog, workload_from_spec(spec.workload), spec.plan,
-                    horizon=25.0,
-                ),
-            )
-            for spec in specs
-        ]
+        specs += [spec._replace(recovery=RecoveryConfig()) for spec in specs]
+        with PERF.scope() as tables:
+            rows = batched_soak_sweep(prog, specs, horizon=25.0)
+        assert tables.counts["sweep.tasks"] == 2
+        assert rows == [standalone(spec, 25.0) for spec in specs]
         rspecs = recovery_rate_specs(rates=(0.05, 0.3))
-        expected = []
-        for spec in rspecs:
-            summary = recovery_soak(
-                prog, workload_from_spec(spec.workload), spec.plan,
-                horizon=20.0,
-            ).summary()
-            summary["scenario"] = spec.name
-            expected.append(summary)
-        assert batched_recovery_sweep(prog, rspecs, horizon=20.0) == expected
+        assert batched_soak_sweep(prog, rspecs, horizon=20.0) == [
+            standalone(spec, 20.0) for spec in rspecs
+        ]
 
     def test_zero_fault_soak_is_its_reference_run(self, monkeypatch):
         """A plan that injects nothing is served by the reference run: its
         report equals weaving it into a fresh network and running that,
-        and no network runs for it.  A recovery soak still runs every
+        and no network runs for it.  A hardened soak still runs every
         plan, since hardening changes the network."""
         from repro.faults.inject import weave_faults
-        from repro.faults.soak import _classify, recovery_soak_batch, soak_batch
+        from repro.faults.soak import _classify, soak_batch
         from repro.faults.spec import uniform_plan
         from repro.gals.network import AsyncNetwork
+        from repro.resilience import RecoveryConfig
         from repro.workloads import scenarios
 
         prog = designs.modular_producer_consumer()
@@ -1069,7 +1073,9 @@ class TestBatchedSoaks:
             reference, woven, None
         )
         del runs[:]
-        recovery_soak_batch(prog, wl, [clean, drop], horizon=25.0)
+        soak_batch(
+            prog, wl, [clean, drop], horizon=25.0, recovery=RecoveryConfig()
+        )
         assert len(runs) == 3
 
     def test_pooled_sweep_workers_inherit_node_plans(self):
