@@ -578,17 +578,19 @@ def _emit_text(path: str, text: str) -> None:
             fh.write(text + "\n")
 
 
-def _parse_windows(specs, flag):
-    """``NODE:START:END`` arguments -> {node: ((start, end), ...)}."""
+def _parse_windows(args, flag):
+    """The ``NODE:START:END`` arguments of ``flag`` (``--crash`` or
+    ``--stall``) -> {node: ((start, end), ...)}; a malformed one is a
+    usage error."""
     out = {}
-    for item in specs or []:
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise SystemExit(
-                "{} expects NODE:START:END, got {!r}".format(flag, item)
-            )
-        node, lo, hi = parts[0], float(parts[1]), float(parts[2])
-        out.setdefault(node, []).append((lo, hi))
+    for item in getattr(args, flag[2:]) or []:
+        try:
+            node, lo, hi = item.split(":")
+            window = (float(lo), float(hi))
+        except ValueError:
+            raise SystemExit("{}: {} expects NODE:START:END, got {!r}".format(
+                args.command, flag, item))
+        out.setdefault(node, []).append(window)
     return {node: tuple(sorted(ws)) for node, ws in out.items()}
 
 
@@ -606,9 +608,9 @@ def cmd_recover(args) -> int:
         window=args.window, jitter=args.jitter, corrupt=args.corrupt,
     )
     nodes = {}
-    for node, windows in _parse_windows(args.crash, "--crash").items():
+    for node, windows in _parse_windows(args, "--crash").items():
         nodes[node] = NodeFaults(crash=windows)
-    for node, windows in _parse_windows(args.stall, "--stall").items():
+    for node, windows in _parse_windows(args, "--stall").items():
         prev = nodes.get(node, NodeFaults())
         nodes[node] = prev._replace(intervals=windows)
     plan = FaultPlan(

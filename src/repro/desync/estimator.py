@@ -92,9 +92,10 @@ def _round(context: tuple, factories: Sequence[StimulusFactory]) -> tuple:
     ``context`` is ``(channels, plan, horizon)``: the network's channels
     and its compiled plan, both built by the estimator in the calling
     process.  The estimator calls this in-process on every lane, or
-    through a sweep pool once per lane chunk, where the plan arrives
-    with ``fn``: a forked worker inherits it and only simulates (a
-    spawn or forkserver worker rebuilds it from its pickle)."""
+    through the sweep pool once per lane chunk, where the plan arrives
+    pickled with ``fn`` as its component and loads from the worker's
+    own plan cache: a worker builds each round's plan at most once in
+    its lifetime and otherwise only simulates."""
     channels, plan, horizon = context
     report = simulate_batch(
         plan.component,
@@ -138,10 +139,11 @@ def estimate_buffer_sizes(
     (the first round reuses the network the channel list was read from
     when its sizes are the same) and takes the network's compiled plan
     from this process's plan cache
-    (:func:`repro.sim.plan.shared_plan`); forked pool workers inherit
-    the plan and only simulate.  So revisiting a sizes vector — in this
+    (:func:`repro.sim.plan.shared_plan`); a pooled round ships the plan
+    as its component, and each sweep worker takes it from its own plan
+    cache, kept across calls.  So revisiting a sizes vector — in this
     call or a later one — costs one ``desynchronize`` and a cache hit,
-    at any worker count.
+    in this process and in every worker that simulated it before.
 
     Convergence means the last simulation raised no alarm; the final
     ``sizes`` then satisfy the Lemma 2 condition *for the simulated

@@ -106,7 +106,8 @@ class SoakReport(NamedTuple):
         )
 
     def summary(self) -> Dict[str, object]:
-        """A flat, JSON-ready digest (used by the CLI and the A9 bench)."""
+        """A flat, JSON-ready digest (used by the CLI and the A9 bench);
+        a soak that estimated the capacity inflation also carries it."""
         alarm_kinds: Dict[str, int] = {}
         for ev in self.alarms:
             alarm_kinds[ev.kind] = alarm_kinds.get(ev.kind, 0) + 1
@@ -117,6 +118,13 @@ class SoakReport(NamedTuple):
             "fault_counts": dict(sorted(self.fault_counts.items())),
             "alarms": alarm_kinds,
         }
+        if self.inflation is not None:
+            out["inflation"] = {
+                "base": dict(sorted(self.inflation.base.items())),
+                "jittered": dict(sorted(self.inflation.jittered.items())),
+                "base_converged": self.inflation.base_converged,
+                "jittered_converged": self.inflation.jittered_converged,
+            }
         out.update(sorted(self.recovery.items()))
         return out
 

@@ -1,7 +1,7 @@
 """Priority scheduler and persistent worker pool for verification jobs.
 
-This generalizes :mod:`repro.perf.sweep` — one grid, one ephemeral pool,
-results gathered at the end — into a long-lived service:
+This generalizes :mod:`repro.perf.sweep` — one grid per call, results
+gathered at the end — into a long-lived service:
 
 - **submission** is open-ended and thread-safe; jobs land in a priority
   heap (higher ``priority`` first, FIFO within a band) and get a stable
@@ -10,11 +10,13 @@ results gathered at the end — into a long-lived service:
   ``cancelled`` reachable from ``pending``; terminal records keep the
   result envelope, the error string, wall time and the perf-counter
   delta the job produced;
-- **the pool is persistent**: worker processes are initialized once with
-  :func:`repro.service.runner.execute` through the sweep executor's
-  public task runner (:func:`~repro.perf.sweep.run_task`, which also
-  runs ``workers=1`` jobs on the dispatcher thread), so per-job counter
-  scopes and error capture are shared code, and a dispatcher thread
+- **the pool is persistent**: the scheduler owns a
+  :func:`~repro.perf.sweep.worker_pool` of its own and ships each job
+  to it as :func:`repro.service.runner.execute` (a name reference)
+  through the sweep executor's public task runner
+  (:func:`~repro.perf.sweep.run_task`, which also runs ``workers=1``
+  jobs on the dispatcher thread), so per-job counter scopes and error
+  capture are shared code, and a dispatcher thread
   backfills a free slot with the highest-priority pending job the
   moment one opens — no barriers between batches;
 - **results are content-addressed**: the job table keeps the envelope
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import queue
 import threading
 import time
@@ -162,24 +163,16 @@ class Scheduler:
             self._started = True
             self._stop = False
         if self.workers > 1:
-            self._pool = self._new_pool()
+            # forked here, before the dispatcher and any socket handler
+            # thread run (the store, which submit reads, is imported with
+            # this module for the same reason: a request thread never
+            # imports it for the first time)
+            self._pool = worker_pool(self.workers)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
         )
         self._dispatcher.start()
         return self
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        """A pool whose workers are already forked.  The executor forks
-        lazily, on its first task; doing that here, before the dispatcher
-        and any socket handler thread run, keeps a child from inheriting
-        an import lock another thread holds.  (The store, which
-        :meth:`submit` reads, is imported with this module for the same
-        reason: a request thread never imports it for the first time.)"""
-        pool = worker_pool(runner.execute, self.workers)
-        for f in [pool.submit(os.getpid) for _ in range(self.workers)]:
-            f.result()
-        return pool
 
     def __enter__(self) -> "Scheduler":
         return self.start()
@@ -440,7 +433,9 @@ class Scheduler:
             spec_dict = dict(record.spec.to_dict(), key=record.key)
             if self._pool is not None:
                 try:
-                    future = submit_task(self._pool, seq, spec_dict, True)
+                    future = submit_task(
+                        self._pool, runner.execute, seq, spec_dict, True
+                    )
                 except BrokenProcessPool as exc:
                     self._on_broken_pool(record, seq, exc)
                     continue
@@ -483,7 +478,7 @@ class Scheduler:
             self._complete(record.job_id, task)
             return
         self._pool.shutdown(wait=True)
-        self._pool = self._new_pool()
+        self._pool = worker_pool(self.workers)
 
     def _on_future(self, job_id: str, future: "Future") -> None:
         try:

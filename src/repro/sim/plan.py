@@ -77,10 +77,17 @@ def shared_plan(component: Component):
 def clear_plan_cache() -> None:
     """Drop every cached plan, and every compiled step shape of
     :mod:`repro.sim.specialize` (benchmarks use this to time cold
-    builds).
+    builds), and end this process's sweep pool
+    (:func:`repro.perf.sweep.shutdown_pool`), whose workers keep caches
+    of their own: the next pooled sweep builds cold too.
 
     Hit/miss/eviction statistics live in ``repro.perf`` and survive a
     clear."""
+    # imported here: the sweep module loads multiprocessing, which a
+    # simulation never needs
+    from repro.perf.sweep import shutdown_pool
+
+    shutdown_pool()
     with _plan_lock:
         _plan_cache.clear()
     clear_code_table()

@@ -66,9 +66,10 @@ raise :class:`PlanBudgetError`; :func:`repro.sim.plan.shared_plan` then
 runs the component on the interpreter.  No component of the designs
 corpus or of its instrumented networks comes near either bound.
 
-A plan pickles as its component and is rebuilt where it is loaded (a
-spawn or forkserver sweep worker builds it again); a forked worker
-inherits the built plan.
+A plan pickles as its component and loads through the loading
+process's plan cache (:func:`repro.sim.plan.shared_plan`): a sweep
+worker builds it on its first load and answers every later one from
+its cache.
 
 :func:`repro.sim.plan.shared_plan` caches this plan, and every
 :class:`~repro.sim.engine.Reactor` built without ``plan=`` (``simulate``,
@@ -749,7 +750,8 @@ class SpecializedPlan:
     ``simulate_batch`` (``sim.plan.spec.reactions``, against
     ``sim.interp.reactions`` for the interpreter).  The constructor
     type-checks the component first.  A plan pickles as its component,
-    and loading one runs this constructor again.  Raises
+    and loading one takes it from the loading process's plan cache,
+    which runs this constructor only on a miss.  Raises
     :class:`PlanBudgetError` when a generated function would be over
     budget."""
 
@@ -998,7 +1000,9 @@ class SpecializedPlan:
         ) + "\n".join(gen.chunks)
 
     def __reduce__(self):
-        return (SpecializedPlan, (self.component,))
+        from repro.sim.plan import shared_plan
+
+        return (shared_plan, (self.component,))
 
     def __repr__(self) -> str:
         return "SpecializedPlan({!r}: {} signals, {} steps, {} registers)".format(

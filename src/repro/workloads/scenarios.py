@@ -25,7 +25,6 @@ from typing import (
 from repro.gals import schedules
 from repro.perf.sweep import sweep
 from repro.sim import stimuli
-from repro.sim.plan import shared_plan
 
 
 class Workload(NamedTuple):
@@ -352,14 +351,11 @@ def batched_soak_sweep(
     deterministic in their seeds, the summaries are identical at any
     ``workers`` count.
 
-    A pooled sweep first builds the plan of each node of ``program`` in
-    this process, so forked workers inherit them from the process-wide
-    plan cache instead of each building them again.
+    A pooled sweep ships ``program`` with each task; a worker builds each
+    node's plan at most once in its lifetime (its process-wide plan
+    cache keeps it for the next call's tasks).
     """
     specs = list(specs)
-    if workers is not None and workers > 1:
-        for comp in program.components:
-            shared_plan(comp)
     groups: Dict[tuple, List[int]] = {}
     for i, spec in enumerate(specs):
         key = (

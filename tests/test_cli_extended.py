@@ -120,6 +120,17 @@ class TestArgumentErrors:
         assert str(exc.value.code).startswith(command + ": bad --int-values")
         assert "'0,x'" in str(exc.value.code)
 
+    @pytest.mark.parametrize("flag", ["--crash", "--stall"])
+    @pytest.mark.parametrize("spec", ["Q:8", "Q:a:b"])
+    def test_malformed_window(self, flag, spec):
+        """A wrong part count and a non-number read alike: one line
+        naming the command, the flag and the value (exit 1)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "soak", flag, spec])
+        assert exc.value.code == (
+            "recover: {} expects NODE:START:END, got {!r}".format(flag, spec)
+        )
+
     def test_unknown_design_names_the_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["prove", "no_such_design"])

@@ -1,7 +1,13 @@
 """Tests for the shared sweep executor (:mod:`repro.perf.sweep`)."""
 
+import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import pytest
@@ -215,9 +221,9 @@ def pooled(fn, items, workers=4):
     """Capture each point's error on a worker pool, folding every
     result's counters into this process: the service scheduler's pooled
     path."""
-    with worker_pool(fn, workers) as pool:
+    with worker_pool(workers) as pool:
         futures = [
-            submit_task(pool, index, item, True)
+            submit_task(pool, fn, index, item, True)
             for index, item in enumerate(items)
         ]
         results = [f.result() for f in futures]
@@ -269,6 +275,144 @@ class TestErrorCapture:
         assert [r.value for r in seq] == [r.value for r in par]
         assert errors(seq) == errors(par)
         assert [r.counters for r in seq] == [r.counters for r in par]
+
+
+def dies_on_one(x):
+    """Point 1 ends its worker process on the spot."""
+    if x == 1:
+        os._exit(3)
+    return x
+
+
+def worker_parent(_):
+    return os.getppid()
+
+
+def producer_consumer_plan(_):
+    """Take one network's plan from this worker's cache; the task's
+    counters say whether that missed."""
+    from repro import designs
+    from repro.lang.analysis import flatten_program
+    from repro.sim.plan import shared_plan
+
+    shared_plan(flatten_program(designs.producer_consumer()))
+    return os.getpid()
+
+
+def sweep_in_child(conn):
+    """Run a pooled sweep in this process; send back the parent pid each
+    point's worker reported and the pids of this process's children,
+    then return, so the process exits normally."""
+    parents = sweep(worker_parent, range(4), workers=2).values()
+    conn.send((
+        sorted(set(parents)),
+        [p.pid for p in multiprocessing.active_children()],
+    ))
+    conn.close()
+
+
+def alive(pids):
+    """The pids in ``pids`` that name a process."""
+    out = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        out.append(pid)
+    return out
+
+
+def misses_by_worker(*reports):
+    """Worker pid -> the plan-cache misses of each of its tasks, in the
+    order it ran them (a worker takes its points in submission order)."""
+    out = {}
+    for report in reports:
+        for r in report.results:
+            misses = r.counters.get("plan.cache_misses", 0)
+            out.setdefault(r.value, []).append(misses)
+    return out
+
+
+class TestPoolLifecycle:
+    """One pool per process: kept across calls, replaced when broken,
+    forgotten by a fork, ended at exit and by ``clear_plan_cache``."""
+
+    def test_dead_worker_fails_its_sweep_and_the_next_replaces_the_pool(self):
+        with pytest.raises(BrokenProcessPool):
+            sweep(dies_on_one, [0, 1, 2, 3], workers=2)
+        assert sweep(square, [1, 2, 3], workers=2).values() == [1, 4, 9]
+
+    def test_forked_child_sweeps_on_its_own_workers(self):
+        """A fork forgets its parent's pool: every worker of the child's
+        sweep is the child's own, the child ends them when it exits
+        normally, and the parent's pool still serves."""
+        assert sweep(square, [1, 2], workers=2).values() == [1, 4]
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=sweep_in_child, args=(send,))
+        child.start()
+        send.close()
+        workers = []
+        try:
+            assert receive.poll(60)
+            parents, workers = receive.recv()
+            child.join(60)
+            assert not child.is_alive()
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+            for pid in alive(workers):
+                os.kill(pid, signal.SIGKILL)
+        assert child.exitcode == 0
+        assert parents == [child.pid]
+        assert len(workers) == 2
+        assert alive(workers) == []
+        assert sweep(square, [3, 4], workers=2).values() == [9, 16]
+
+    def test_exiting_interpreter_ends_its_workers(self):
+        import repro
+
+        code = (
+            "import json, multiprocessing, os\n"
+            "from repro.perf.sweep import sweep\n"
+            "def pid(_):\n"
+            "    return os.getpid()\n"
+            "sweep(pid, range(4), workers=2)\n"
+            "print(json.dumps([p.pid for p in multiprocessing.active_children()]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        workers = json.loads(out.strip().splitlines()[-1])
+        try:
+            assert len(workers) == 2
+            assert alive(workers) == []
+        finally:
+            for pid in alive(workers):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_workers_keep_their_plans_until_clear_plan_cache(self):
+        """A worker builds the plan on its first point and on no later
+        one, in this call or the next; after ``clear_plan_cache()`` new
+        workers build it again."""
+        from repro.sim.plan import clear_plan_cache
+
+        clear_plan_cache()
+        kept = misses_by_worker(
+            sweep(producer_consumer_plan, range(6), workers=2),
+            sweep(producer_consumer_plan, range(6), workers=2),
+        )
+        clear_plan_cache()
+        fresh = misses_by_worker(
+            sweep(producer_consumer_plan, range(6), workers=2)
+        )
+        assert not set(kept) & set(fresh)
+        for misses in list(kept.values()) + list(fresh.values()):
+            assert misses == [1] + [0] * (len(misses) - 1)
 
 
 try:

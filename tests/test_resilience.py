@@ -477,3 +477,20 @@ class TestRecoverCli:
             "classification", "fault_counts", "alarms",
         }
         assert digest["healthy"] is False and digest["alarms"] == {}
+
+    def test_faults_soak_estimate_json_carries_the_inflation(self, capsys):
+        """``--estimate`` puts the capacity inflation in the JSON digest,
+        with the sizes the text run prints."""
+        argv = ["faults", "soak", "--drop", "0.1", "--seed", "7", "--estimate"]
+        main(argv)
+        text = capsys.readouterr().out
+        main(argv + ["--json", "-"])
+        inflation = json.loads(capsys.readouterr().out)["inflation"]
+        assert set(inflation) == {
+            "base", "jittered", "base_converged", "jittered_converged",
+        }
+        assert inflation["base"]
+        for signal, base in inflation["base"].items():
+            assert "  {}: {} -> {} (".format(
+                signal, base, inflation["jittered"][signal]
+            ) in text

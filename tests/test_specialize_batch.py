@@ -1078,22 +1078,24 @@ class TestBatchedSoaks:
         )
         assert len(runs) == 3
 
-    def test_pooled_sweep_workers_inherit_node_plans(self):
-        """A pooled soak sweep builds each node's plan before its workers
-        fork, so they build none: a cold sweep misses once per node, and
-        the next sweep not at all."""
-        import multiprocessing
-
+    def test_pooled_sweep_workers_build_each_node_plan_once(self):
+        """A pooled soak sweep ships the program with each task, and a
+        sweep worker keeps the plans it builds: after
+        ``clear_plan_cache()`` a cold sweep misses each node's plan at
+        least once and at most once per worker, and no worker builds one
+        twice, so the next identical sweep misses none once every worker
+        has run a task."""
         from repro.workloads.scenarios import batched_soak_sweep, fault_kind_specs
 
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("only forked sweep workers inherit the plan cache")
         prog = designs.producer_consumer()
         specs = fault_kind_specs() + fault_kind_specs(workload={"kind": "bursty"})
+        nodes, workers = len(prog.components), 2
         clear_plan_cache()
         misses = []
         for _ in range(2):
             with PERF.scope() as counts:
-                batched_soak_sweep(prog, specs, horizon=10.0, workers=2)
+                batched_soak_sweep(prog, specs, horizon=10.0, workers=workers)
             misses.append(counts.counts.get("plan.cache_misses", 0))
-        assert misses == [2, 0]
+        cold, warm = misses
+        assert nodes <= cold <= nodes * workers
+        assert cold + warm <= nodes * workers
